@@ -38,15 +38,3 @@ def derivative_per_half(values: np.ndarray, n_half: int, spacing: float) -> np.n
     out[n_half:] = derivative(values[n_half:], spacing)
     return out
 
-
-def derivative_matrix(n: int, spacing: float) -> np.ndarray:
-    """Dense matrix of `derivative` on an n-node segment."""
-    d = np.zeros((n, n))
-    rows = np.arange(2, n - 2)
-    for off, c in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
-        d[rows, rows + off] = c / 12.0
-    d[0, :5] = _EDGE0
-    d[1, :5] = _EDGE1
-    d[-2, -5:] = -_EDGE1[::-1]
-    d[-1, -5:] = -_EDGE0[::-1]
-    return d / spacing

@@ -125,6 +125,10 @@ def _write_diag(path, times, diag):
 
 
 def cmd_propagate(args) -> int:
+    if not (np.isfinite(args.t_max) and args.t_max > 0.0):
+        raise ValueError("--t-max must be finite and positive")
+    if args.snapshots < 1:
+        raise ValueError("--snapshots must be at least 1")
     grid = make_grid(args.grid_size, args.extent)
     width = args.width if args.width is not None else args.extent / 4.0
     times = np.linspace(0.0, args.t_max, args.snapshots)

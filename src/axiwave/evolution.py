@@ -8,9 +8,12 @@ Hilbert transform) is diagonal in momentum space with symbol |kappa|:
     scalar   g(t) = Finv exp(-i |kappa| t) F g0          (positive branch)
     wave     ghat(t) = cos(|k| t) ghat0 + sin(|k| t)/|k| ghatdot0
     spinor   upper/lower components carry symbols +kappa / -kappa
-    vector   circular combinations F1 -/+ i F2 carry symbols +kappa / -kappa
+    vector   (F1, F2) rotate by the angle kappa t (circular combinations
+             F1 -/+ i F2 carry symbols +kappa / -kappa)
 
-The spectral propagators are exact in time.  A classical RK4 stepper of
+Every spectral propagator is the one modal core `_evolve` with its own
+C x C momentum-space transfer matrix, exactly the identity at t = 0, and
+is exact in time.  A classical RK4 stepper of
 the composed Hamiltonian is kept as a cross-check for the scalar case;
 its step must respect dt <= 2 sqrt(2) h / pi, obtained from |R(iy)| <= 1
 for RK4 on the imaginary axis (|y| <= 2 sqrt 2) and the spectral radius
@@ -29,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import AxialField, AxisGrid, convert_rep
+from .grids import AxialField, AxisGrid, convert_rep, parity_join, parity_split
 from .spectral import fourier_full, fourier_full_inverse
-from .transforms import hilbert_signed
+from .transforms import _trig_sum, hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
 
@@ -110,16 +113,22 @@ def hilbert_full_line(g: np.ndarray, grid: AxisGrid,
     return -np.sign(grid.nodes) * out.values
 
 
-def density_current(psi: AxialField, backend: str = "spectral"):
-    """Non-negative density and axial current of the first-order flow.
+def _scalar_diagnostics(grid, g, backend="spectral"):
+    """rho, J and the flat norm of one g-snapshot, from one Hilbert transform.
 
     rho = |g|^2 + |Hg|^2  (pointwise >= 0 by construction),
     J   = -2 Im(conj(g) Hg), positive for forward-moving waves.
     """
-    g = _g_of(psi)
-    hg = hilbert_full_line(g, psi.grid, backend)
-    rho = (g.real ** 2 + g.imag ** 2) + (hg.real ** 2 + hg.imag ** 2)
+    hg = hilbert_full_line(g, grid, backend)
+    g2 = g.real ** 2 + g.imag ** 2
+    rho = g2 + (hg.real ** 2 + hg.imag ** 2)
     j = -2.0 * np.imag(np.conj(g) * hg)
+    return rho, j, float(np.sqrt(np.sum(g2) * grid.h))
+
+
+def density_current(psi: AxialField, backend: str = "spectral"):
+    """Non-negative density rho and axial current J of the first-order flow."""
+    rho, j, _ = _scalar_diagnostics(psi.grid, _g_of(psi), backend)
     return rho, j
 
 
@@ -130,14 +139,20 @@ def sigma_density(psi: AxialField, dpsi_dt: AxialField) -> np.ndarray:
     return -2.0 * np.imag(np.conj(g) * gdot)
 
 
-def _scalar_diagnostics(grid, g, backend="spectral"):
-    hg = hilbert_full_line(g, grid, backend)
-    rho = np.abs(g) ** 2 + np.abs(hg) ** 2
-    return {
-        "norm": float(np.sqrt(np.sum(np.abs(g) ** 2) * grid.h)),
-        "min_rho": float(np.min(rho)),
-        "max_rho": float(np.max(rho)),
-    }
+def _evolve(grid, g0s, transfer, t):
+    """The modal core shared by the spectral propagators.
+
+    Fourier-transforms the C input components once; at each time ti,
+    `transfer(ti)` gives a C x C matrix (rows of (2N,) momentum symbols, or
+    None for a zero entry) that mixes them, and each output row is
+    transformed back.  Yields one list of C g-arrays per time.
+    """
+    sg = grid.conjugate()
+    ghats = [fourier_full(g, grid) for g in g0s]
+    for ti in t:
+        yield [fourier_full_inverse(
+            sum(s * gh for s, gh in zip(row, ghats) if s is not None), sg)
+            for row in transfer(ti)]
 
 
 def _hamiltonian_g(grid: AxisGrid):
@@ -153,22 +168,37 @@ def _hamiltonian_g(grid: AxisGrid):
     finite-difference left/right factorizations keep their own ledger in
     the operators module.
     """
-    from .transforms import _trig_sum
-    n = grid.n_half
-    dk = grid.conjugate().dk
-    k = grid.conjugate().positive_nodes()
+    h, n = grid.h, grid.n_half
+    sg = grid.conjugate()
+    dk, k = sg.dk, sg.positive_nodes()
 
     def apply(g):
-        plus, minus = g[n:], g[n - 1::-1]
-        even = 0.5 * (plus + minus)
-        odd = 0.5 * (plus - minus)
-        out_e = _trig_sum(k * _trig_sum(even, grid.h, "cos"), dk, "cos")
-        out_o = _trig_sum(k * _trig_sum(odd, grid.h, "sin"), dk, "sin")
-        op = out_e + out_o
-        om = out_e - out_o
-        return np.concatenate([om[::-1], op])
+        even, odd = parity_split(g, n)
+        return parity_join(_trig_sum(k * _trig_sum(even, h, "cos"), dk, "cos"),
+                           _trig_sum(k * _trig_sum(odd, h, "sin"), dk, "sin"))
 
     return apply
+
+
+def _rk4(grid, g0, t, dt):
+    """Classical RK4 of i dg/dt = H g, yielding [g] at each time in t."""
+    ham = _hamiltonian_g(grid)
+
+    def rhs(g):
+        return -1j * ham(g)
+
+    g = g0.copy()
+    t_now = 0.0
+    for ti in t:
+        while t_now < ti - 1e-12:
+            step = min(dt, ti - t_now)
+            k1 = rhs(g)
+            k2 = rhs(g + 0.5 * step * k1)
+            k3 = rhs(g + 0.5 * step * k2)
+            k4 = rhs(g + step * k3)
+            g = g + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t_now += step
+        yield [g]
 
 
 def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
@@ -184,17 +214,9 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
     t = _check_times(t_grid)
     grid = psi0.grid
     g0 = _g_of(psi0)
-    snaps, norms, minr, maxr = [], [], [], []
-
     if method == "spectral":
-        sg = grid.conjugate()
-        absk = np.abs(sg.nodes)
-        ghat0 = fourier_full(g0, grid)
-        for ti in t:
-            g = fourier_full_inverse(np.exp(-1j * absk * ti) * ghat0, sg)
-            snaps.append(_field_from_g(grid, g, psi0.rep))
-            d = _scalar_diagnostics(grid, g)
-            norms.append(d["norm"]); minr.append(d["min_rho"]); maxr.append(d["max_rho"])
+        absk = np.abs(grid.conjugate().nodes)
+        flow = _evolve(grid, [g0], lambda ti: [[np.exp(-1j * absk * ti)]], t)
     elif method == "rk4":
         dt_max = RK4_STABILITY_FACTOR * grid.h
         dt = grid.h / 4.0 if dt is None else float(dt)
@@ -202,58 +224,36 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
             raise ValueError(
                 f"rk4 step {dt:.3e} violates the stability bound "
                 f"2*sqrt(2)*h/pi = {dt_max:.3e}")
-        ham = _hamiltonian_g(grid)
-
-        def rhs(g):
-            return -1j * ham(g)
-
-        g = g0.copy()
-        t_now = 0.0
-        for ti in t:
-            while t_now < ti - 1e-12:
-                step = min(dt, ti - t_now)
-                k1 = rhs(g)
-                k2 = rhs(g + 0.5 * step * k1)
-                k3 = rhs(g + 0.5 * step * k2)
-                k4 = rhs(g + step * k3)
-                g = g + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                t_now += step
-            snaps.append(_field_from_g(grid, g, psi0.rep))
-            d = _scalar_diagnostics(grid, g)
-            norms.append(d["norm"]); minr.append(d["min_rho"]); maxr.append(d["max_rho"])
+        flow = _rk4(grid, g0, t, dt)
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    snaps, rhos, js, norms = [], [], [], []
+    for (g,) in flow:
+        snaps.append(_field_from_g(grid, g, psi0.rep))
+        rho, j, nrm = _scalar_diagnostics(grid, g)
+        rhos.append(rho); js.append(j); norms.append(nrm)
     return EvolutionResult(times=t, snapshots=snaps, diagnostics={
-        "norm": np.array(norms), "min_rho": np.array(minr),
-        "max_rho": np.array(maxr),
-        "continuity_residual": continuity_residuals_from_snapshots(
-            t, snaps, grid),
+        "norm": np.array(norms),
+        "min_rho": np.array([np.min(r) for r in rhos]),
+        "max_rho": np.array([np.max(r) for r in rhos]),
+        "continuity_residual": continuity_residuals(t, rhos, js, grid),
     })
 
 
-def continuity_residuals_from_snapshots(times, snapshots, grid,
-                                        mask_fraction: float = 0.6):
+def continuity_residuals(times, rhos, js, grid, mask_fraction: float = 0.6):
     """Centered-difference residual dt rho + dlambda J per interior snapshot.
 
     Entries for the first and last snapshot are NaN (no centered stencil).
     Relative to the peak |dt rho| of the triple.
     """
-    n = len(snapshots)
+    n = len(rhos)
     out = np.full(n, np.nan)
-    if n < 3:
-        return out
-    rhos, js = [], []
-    for s in snapshots:
-        rho, j = density_current(s)
-        rhos.append(rho)
-        js.append(j)
     mask = grid.interior_mask(mask_fraction)
-    lam_h = grid.h
     for i in range(1, n - 1):
         dt2 = times[i + 1] - times[i - 1]
         drho = (rhos[i + 1] - rhos[i - 1]) / dt2
-        dj = np.gradient(js[i], lam_h)
+        dj = np.gradient(js[i], grid.h)
         resid = (drho + dj)[mask]
         scale = np.max(np.abs(drho[mask]))
         out[i] = np.max(np.abs(resid)) / scale if scale > 0 else 0.0
@@ -272,20 +272,16 @@ def propagate_wave(psi0: AxialField, dpsi0_dt: AxialField,
     grid = psi0.grid
     if not grid.same_as(dpsi0_dt.grid):
         raise ValueError("initial data live on different grids")
-    sg = grid.conjugate()
-    absk = np.abs(sg.nodes)
-    a = fourier_full(_g_of(psi0), grid)
-    b = fourier_full(_g_of(dpsi0_dt), grid)
-    snaps, smin, smax = [], [], []
-    for ti in t:
+    absk = np.abs(grid.conjugate().nodes)
+
+    def transfer(ti):
         c, s = np.cos(absk * ti), np.sin(absk * ti)
-        ghat = c * a + s / absk * b
-        ghat_dot = -absk * s * a + c * b
-        g = fourier_full_inverse(ghat, sg)
-        gdot = fourier_full_inverse(ghat_dot, sg)
-        psi = _field_from_g(grid, g, psi0.rep)
-        psidot = _field_from_g(grid, gdot, psi0.rep)
-        snaps.append((psi, psidot))
+        return [[c, s / absk], [-absk * s, c]]
+
+    snaps, smin, smax = [], [], []
+    for g, gdot in _evolve(grid, [_g_of(psi0), _g_of(dpsi0_dt)], transfer, t):
+        snaps.append((_field_from_g(grid, g, psi0.rep),
+                      _field_from_g(grid, gdot, psi0.rep)))
         sig = -2.0 * np.imag(np.conj(g) * gdot)
         smin.append(float(np.min(sig)))
         smax.append(float(np.max(sig)))
@@ -301,14 +297,14 @@ def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResul
     """
     t = _check_times(t_grid)
     grid = psi0.grid
-    sg = grid.conjugate()
-    kap = sg.nodes
-    gu = fourier_full(_g_of(psi0.component(0)), grid)
-    gd = fourier_full(_g_of(psi0.component(1)), grid)
+    kap = grid.conjugate().nodes
+    g0s = [_g_of(psi0.component(0)), _g_of(psi0.component(1))]
+
+    def transfer(ti):
+        return [[np.exp(-1j * kap * ti), None], [None, np.exp(+1j * kap * ti)]]
+
     snaps, norm_u, norm_d = [], [], []
-    for ti in t:
-        u = fourier_full_inverse(np.exp(-1j * kap * ti) * gu, sg)
-        d = fourier_full_inverse(np.exp(+1j * kap * ti) * gd, sg)
+    for u, d in _evolve(grid, g0s, transfer, t):
         up = _field_from_g(grid, u, psi0.rep)
         dn = _field_from_g(grid, d, psi0.rep)
         snaps.append(SpinorField(grid, psi0.rep, up.values, dn.values))
@@ -340,28 +336,25 @@ def propagate_maxwell(f0: VectorField3, t_grid: Sequence[float],
                       constraint_tol: float = 1e-12) -> EvolutionResult:
     """Source-free spin-1 evolution dt F = pbar x F with pbar . F = 0.
 
-    The circular combinations G-+ = F1 -+ i F2 are eigenmodes: G- (the
-    combination (w, i w, 0) of the forward wave) carries symbol +kappa and
-    translates in +n, G+ carries -kappa and translates in -n.  F3 is never
-    sourced and must vanish at input.
+    In momentum space (F1, F2) rotate by the angle kappa t; equivalently
+    the circular combinations F1 -+ i F2 are eigenmodes with symbols
+    +kappa / -kappa, so the forward wave (w, i w, 0) translates in +n and
+    (w, -i w, 0) in -n.  F3 is never sourced and must vanish at input.
     """
     t = _check_times(t_grid)
     grid = f0.grid
     scale = np.max(np.abs(f0.values)) or 1.0
     if np.max(np.abs(f0.values[2])) > constraint_tol * scale:
         raise ValueError(MAXWELL_CONSTRAINT_MSG)
-    sg = grid.conjugate()
-    kap = sg.nodes
-    g1 = _g_of(f0.component(0))
-    g2 = _g_of(f0.component(1))
-    gp = fourier_full(g1 + 1j * g2, grid)   # symbol -kappa
-    gm = fourier_full(g1 - 1j * g2, grid)   # symbol +kappa
+    kap = grid.conjugate().nodes
+
+    def transfer(ti):
+        c, s = np.cos(kap * ti), np.sin(kap * ti)
+        return [[c, -s], [s, c]]
+
+    g0s = [_g_of(f0.component(0)), _g_of(f0.component(1))]
     snaps, norms = [], []
-    for ti in t:
-        p = fourier_full_inverse(np.exp(+1j * kap * ti) * gp, sg)
-        m = fourier_full_inverse(np.exp(-1j * kap * ti) * gm, sg)
-        c1 = 0.5 * (p + m)
-        c2 = (p - m) / 2j
+    for c1, c2 in _evolve(grid, g0s, transfer, t):
         f1 = _field_from_g(grid, c1, f0.rep)
         f2 = _field_from_g(grid, c2, f0.rep)
         snaps.append(VectorField3(grid, f0.rep, np.stack(

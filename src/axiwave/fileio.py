@@ -162,10 +162,16 @@ def read_beams_json(path) -> list[BeamState]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise FileFormatError(f"{path}: top level must be a JSON object")
     if "beams" not in payload:
         raise FileFormatError(f"{path}: missing 'beams' key")
+    if not isinstance(payload["beams"], list):
+        raise FileFormatError(f"{path}: 'beams' must be a list")
     beams = []
     for i, entry in enumerate(payload["beams"]):
+        if not isinstance(entry, dict):
+            raise FileFormatError(f"{path}: beam {i}: entry must be an object")
         try:
             kappa = np.asarray(entry["kappa"], dtype=float)
             n_half = kappa.size // 2

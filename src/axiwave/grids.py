@@ -219,6 +219,57 @@ def convert_rep(fld: AxialField, target: str) -> AxialField:
     return AxialField(fld.grid, F_REP, fld.values / root)
 
 
+def fold(values: np.ndarray, n_half: int):
+    """(plus, minus): the samples at +r_j and at -r_j, j = 0 .. n_half-1."""
+    return values[n_half:], values[n_half - 1::-1]
+
+
+def unfold(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Inverse of `fold`: the full symmetric-grid array."""
+    return np.concatenate([minus[::-1], plus])
+
+
+def parity_split(values: np.ndarray, n_half: int):
+    """(even, odd) half-line parts (f(r) +/- f(-r)) / 2."""
+    plus, minus = fold(values, n_half)
+    return 0.5 * (plus + minus), 0.5 * (plus - minus)
+
+
+def parity_join(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Inverse of `parity_split`."""
+    return unfold(even + odd, even - odd)
+
+
+def gaussian_packet(grid: AxisGrid, k0: float, width: float,
+                    center: float = 0.0, rep: str = G_REP) -> AxialField:
+    """Windowed plane wave exp(-((l-c)/w)^2) exp(i k0 l), built in g-rep."""
+    lam = grid.nodes
+    g = np.exp(-(((lam - center) / width) ** 2)) * np.exp(1j * k0 * lam)
+    return convert_rep(AxialField(grid, G_REP, g), rep)
+
+
+def random_packet(grid: AxisGrid, rng, kmax: float = 3.0,
+                  signs=(1.0, 1.0, 1.0, 1.0), centers=(-0.3, 0.3),
+                  widths=(0.08, 0.2), rep: str = F_REP) -> AxialField:
+    """Random band-limited superposition of Gaussian wavelets, built in g-rep.
+
+    One wavelet per entry of `signs`, drawn in order: center
+    sign * U(centers) * extent, width U(widths) * extent, carrier
+    U(-kmax, kmax), complex normal amplitude.  signs=(-1, 1) with positive
+    center ranges gives annular probes that vanish near the origin.
+    """
+    lam = grid.nodes
+    big_l = grid.extent
+    g = np.zeros(grid.size, dtype=complex)
+    for sign in signs:
+        c = sign * rng.uniform(*centers) * big_l
+        w = rng.uniform(*widths) * big_l
+        k = rng.uniform(-kmax, kmax)
+        amp = rng.normal() + 1j * rng.normal()
+        g += amp * np.exp(-(((lam - c) / w) ** 2)) * np.exp(1j * k * lam)
+    return convert_rep(AxialField(grid, G_REP, g), rep)
+
+
 def apply_parity(fld: AxialField) -> AxialField:
     """Reflection lambda -> -lambda; exact on the symmetric grid."""
     return fld.copy_with(fld.values[::-1].copy())

@@ -38,7 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._fd import derivative_per_half
-from .grids import AxialField, AxisGrid, convert_rep, inner_product
+from .grids import (AxialField, AxisGrid, convert_rep, gaussian_packet,
+                    inner_product)
 from .spectral import analyze_fast, spectral_derivative, synthesize_fast
 from .transforms import BackendMismatchError, hilbert_signed
 
@@ -81,6 +82,17 @@ def compose(a: LinearOperatorHandle, b: LinearOperatorHandle,
                                 apply=lambda fld: a.apply(b.apply(fld)))
 
 
+def _cross_check(grid: AxisGrid, residual, tol: float, what: str):
+    """Raise BackendMismatchError if `residual(grid, probes)` exceeds tol on
+    a smooth packet (carrier 1/40 of Nyquist, width a fifth of the extent)."""
+    probe = gaussian_packet(grid, 0.025 * np.pi / grid.h, 0.2 * grid.extent,
+                            rep="f")
+    gap = residual(grid, [probe])
+    if gap > tol:
+        raise BackendMismatchError(
+            f"{what} disagree by {gap:.3e} (tol {tol:.3e})")
+
+
 def _dhalf(values: np.ndarray, grid: AxisGrid) -> np.ndarray:
     return derivative_per_half(values, grid.n_half, grid.h)
 
@@ -114,14 +126,6 @@ def pbar(grid: AxisGrid) -> LinearOperatorHandle:
     return _wrap("pbar", grid, fn, adjoint_weight="inv_r", adjoint_label="pbar")
 
 
-def _probe_for_checks(grid: AxisGrid) -> AxialField:
-    lam = grid.nodes
-    g = np.exp(-((lam / (0.2 * grid.extent)) ** 2)) * np.exp(0.25j * lam
-                                                             * np.pi / grid.h
-                                                             * 0.1)
-    return convert_rep(AxialField(grid, "g", g), "f")
-
-
 def pbar0(grid: AxisGrid, form: str = "spectral", backend: str = "spectral",
           cross_check_tol: float | None = None) -> LinearOperatorHandle:
     """The positive nonlocal Hamiltonian, momentum-space symbol |kappa|.
@@ -139,11 +143,8 @@ def pbar0(grid: AxisGrid, form: str = "spectral", backend: str = "spectral",
     if form not in ("left", "right", "spectral"):
         raise ValueError(f"unknown form {form!r}")
     if cross_check_tol is not None:
-        gap = pbar0_triangle_residual(grid, [_probe_for_checks(grid)])
-        if gap > cross_check_tol:
-            raise BackendMismatchError(
-                f"pbar0 forms disagree by {gap:.3e} "
-                f"(tol {cross_check_tol:.3e})")
+        _cross_check(grid, pbar0_triangle_residual, cross_check_tol,
+                     "pbar0 forms")
     lam = grid.nodes
     root = np.sqrt(np.abs(lam))
     sgn = np.sign(lam)
@@ -244,11 +245,8 @@ def boost_generator_config(grid: AxisGrid, ordering: str = "h_first",
     if ordering not in ("h_first", "h_last"):
         raise ValueError(f"unknown ordering {ordering!r}")
     if cross_check_tol is not None:
-        gap = boost_ordering_residual(grid, [_probe_for_checks(grid)])
-        if gap > cross_check_tol:
-            raise BackendMismatchError(
-                f"boost generator orderings disagree by {gap:.3e} "
-                f"(tol {cross_check_tol:.3e})")
+        _cross_check(grid, boost_ordering_residual, cross_check_tol,
+                     "boost generator orderings")
     lam = grid.nodes
     sgn = np.sign(lam)
     root = np.sqrt(np.abs(lam))
@@ -365,15 +363,3 @@ def rayleigh_quotient(handle: LinearOperatorHandle, f: AxialField,
     den = inner_product(f, f, weight).real
     return num / den
 
-
-def spectral_multiplier(grid: AxisGrid, symbol: Callable[[np.ndarray], np.ndarray],
-                        label: str = "multiplier") -> LinearOperatorHandle:
-    """Operator diagonal in momentum space with the given symbol(kappa)."""
-    sg = grid.conjugate()
-    mult = np.asarray(symbol(sg.nodes), dtype=complex)
-
-    def fn(f):
-        phi = analyze_fast(AxialField(grid, "f", f))
-        return synthesize_fast(phi.copy_with(mult * phi.values)).values
-
-    return _wrap(label, grid, fn)

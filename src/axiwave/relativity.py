@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import SpectralProfile
+from ._fd import derivative
+from .grids import SpectralProfile, fold, make_grid, unfold
+from .spectral import spectral_derivative
 
 _UNIT_TOL = 1e-12
 
@@ -156,9 +158,8 @@ def boost_beam(beam: BeamState, b: BoostParams,
     sg = beam.profile.grid
     n_half = sg.n_half
     kpos = sg.positive_nodes()
-    vals = beam.profile.values
-    fwd = vals[n_half:]            # phi at +kappa nodes
-    bwd = vals[n_half - 1::-1]     # phi at -kappa nodes, by |kappa|
+    # phi at the +kappa and at the -kappa nodes, by |kappa|
+    fwd, bwd = fold(beam.profile.values, n_half)
     c = float(beam.direction @ b.axis)
     a_fwd = b.gamma * (1.0 - b.v * c)   # Doppler of the +n branch
     a_bwd = b.gamma * (1.0 + b.v * c)   # Doppler of the -n branch
@@ -167,8 +168,8 @@ def boost_beam(beam: BeamState, b: BoostParams,
         # one axis survives; kappa' = alpha(branch) * kappa
         new_fwd = _resample_half(kpos, fwd, kpos / a_fwd, "forward")
         new_bwd = _resample_half(kpos, bwd, kpos / a_bwd, "backward")
-        values = np.concatenate([new_bwd[::-1], new_fwd])
-        return (BeamState(beam.direction, SpectralProfile(sg, values)),)
+        return (BeamState(beam.direction,
+                          SpectralProfile(sg, unfold(new_fwd, new_bwd))),)
 
     beams = []
     for branch_vals, alpha, nhat, label in (
@@ -196,12 +197,10 @@ def momentum_boost_generator(profile: SpectralProfile,
     sg = profile.grid
     kap = sg.nodes
     if method == "spectral":
-        from .grids import AxisGrid
-        from .spectral import spectral_derivative
-        shim = AxisGrid(n_half=sg.n_half, h=sg.dk, nodes=sg.nodes)
-        dphi = spectral_derivative(profile.values, shim)
+        # kappa sampled like an axis grid of spacing dk
+        dphi = spectral_derivative(profile.values,
+                                   make_grid(sg.n_half, sg.extent))
     elif method == "fd":
-        from ._fd import derivative
         dphi = derivative(profile.values, sg.dk)
     else:
         raise ValueError(f"unknown method {method!r}")

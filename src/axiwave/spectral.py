@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
-                    convert_rep)
+                    convert_rep, parity_join, parity_split, unfold)
 from .transforms import _trig_sum
 
 
@@ -60,15 +60,8 @@ def spectral_derivative(values: np.ndarray, grid: AxisGrid) -> np.ndarray:
     Exactly anti-Hermitian with respect to the flat nodal product; accurate
     only for samples smooth through the origin (g-representation data).
     """
-    kappa = grid.conjugate().nodes
-    return fourier_full_inverse(1j * kappa * fourier_full(values, grid),
-                                grid.conjugate())
-
-
-def _halves(values: np.ndarray, n_half: int):
-    plus = values[n_half:]
-    minus = values[n_half - 1::-1]
-    return plus, minus
+    sg = grid.conjugate()
+    return fourier_full_inverse(1j * sg.nodes * fourier_full(values, grid), sg)
 
 
 def analyze(psi: AxialField) -> SpectralProfile:
@@ -77,37 +70,25 @@ def analyze(psi: AxialField) -> SpectralProfile:
     Composes the trig transforms, parity and the sqrt(r), 1/sqrt(k)
     diagonal factors exactly as written in the defining bracket.
     """
-    g = convert_rep(psi, "g").values
     grid = psi.grid
     sgrid = grid.conjugate()
-    gp, gm = _halves(g, grid.n_half)
-    even = 0.5 * (gp + gm)
-    odd = 0.5 * (gp - gm)
+    even, odd = parity_split(convert_rep(psi, "g").values, grid.n_half)
     ce = _trig_sum(even, grid.h, "cos")
     so = _trig_sum(odd, grid.h, "sin")
-    k = sgrid.positive_nodes()
-    root = np.sqrt(k)
+    root = np.sqrt(sgrid.positive_nodes())
     phi_plus = (ce - 1j * so) / root
     phi_minus = (ce + 1j * so) / root
-    values = np.concatenate([phi_minus[::-1], phi_plus])
-    return SpectralProfile(sgrid, values)
+    return SpectralProfile(sgrid, unfold(phi_plus, phi_minus))
 
 
 def synthesize(phi: SpectralProfile) -> AxialField:
     """Superpose the profile back into an axis field (f-representation)."""
     sgrid = phi.grid
-    grid = sgrid.axis_grid()
-    pp, pm = _halves(phi.values, sgrid.n_half)
-    k = sgrid.positive_nodes()
-    ap = np.sqrt(k) * pp
-    am = np.sqrt(k) * pm
-    even = _trig_sum(0.5 * (ap + am), sgrid.dk, "cos")
-    odd = _trig_sum((am - ap) / 2j, sgrid.dk, "sin")
-    gp = even + odd
-    gm = even - odd
-    g = np.concatenate([gm[::-1], gp])
-    out = AxialField(grid, "g", g)
-    return convert_rep(out, "f")
+    even, odd = parity_split(np.sqrt(np.abs(sgrid.nodes)) * phi.values,
+                             sgrid.n_half)
+    g = parity_join(_trig_sum(even, sgrid.dk, "cos"),
+                    _trig_sum(1j * odd, sgrid.dk, "sin"))
+    return convert_rep(AxialField(sgrid.axis_grid(), "g", g), "f")
 
 
 def analyze_fast(psi: AxialField) -> SpectralProfile:

@@ -45,10 +45,9 @@ import numpy as np
 from scipy.fft import dct, dst
 
 from ._fd import derivative
-from .grids import AxialField
+from .grids import AxialField, parity_join, parity_split
 
 _KINDS = ("cos", "sin")
-_DIRECTIONS = ("forward", "inverse")
 _BACKENDS = ("spectral", "quadrature")
 
 
@@ -87,33 +86,21 @@ class HalfLineFunction:
         return np.pi / self.extent
 
 
-def _dct4(x: np.ndarray) -> np.ndarray:
-    return dct(x, type=4)
-
-
-def _dst4(x: np.ndarray) -> np.ndarray:
-    return dst(x, type=4)
-
-
 def _trig_sum(values: np.ndarray, spacing: float, kind: str) -> np.ndarray:
     # sqrt(2/pi) * sum_j f_j ker(k_m r_j) * spacing, ker(x)=cos/sin(x);
     # DCT-IV/DST-IV carry a conventional factor 2.
-    core = _dct4(values) if kind == "cos" else _dst4(values)
+    core = dct(values, type=4) if kind == "cos" else dst(values, type=4)
     return np.sqrt(2.0 / np.pi) * 0.5 * spacing * core
 
 
-def trig_transform(f: HalfLineFunction, kind: str = "cos",
-                   direction: str = "forward") -> HalfLineFunction:
+def trig_transform(f: HalfLineFunction, kind: str = "cos") -> HalfLineFunction:
     """Fourier cosine/sine transform onto the conjugate half-grid.
 
     The discrete kernel is self-reciprocal on the offset grids, so the
-    inverse transform is the same sum evaluated from the conjugate side;
-    `direction` records which way the conversion is read.
+    same call is also the inverse transform, read from the conjugate side.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
     out = _trig_sum(f.values, f.spacing, kind)
     return HalfLineFunction(spacing=f.conjugate_spacing(), values=out)
 
@@ -240,18 +227,6 @@ def cosine_taper(x: np.ndarray, width: float, ramp: float) -> np.ndarray:
     return out
 
 
-def _split_halves(fld: AxialField):
-    n = fld.grid.n_half
-    plus = fld.values[n:]
-    minus = fld.values[n - 1::-1]
-    return plus, minus
-
-
-def _join_halves(fld: AxialField, plus: np.ndarray, minus: np.ndarray) -> AxialField:
-    out = np.concatenate([minus[::-1], plus])
-    return fld.copy_with(out)
-
-
 def hilbert_signed(fld: AxialField, sign: str = "plus",
                    backend: str = "spectral") -> AxialField:
     """Full-line signed Hilbert transform Hplus / Hminus of an axis field.
@@ -261,17 +236,12 @@ def hilbert_signed(fld: AxialField, sign: str = "plus",
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"unknown sign {sign!r}")
-    plus, minus = _split_halves(fld)
     h = fld.grid.h
-    even = HalfLineFunction(h, 0.5 * (plus + minus))
-    odd = HalfLineFunction(h, 0.5 * (plus - minus))
-    if sign == "plus":
-        # even part -> He (even output), odd part -> Ho (odd output)
-        he = _hilbert_core(even, "even", backend)
-        ho = _hilbert_core(odd, "odd", backend)
-        return _join_halves(fld, he + ho, he - ho)
+    even, odd = (HalfLineFunction(h, part)
+                 for part in parity_split(fld.values, fld.grid.n_half))
+    # plus: even part -> He (even output), odd part -> Ho (odd output);
     # minus: even part through the odd kernel (even output), odd part
     # through the even kernel (odd output)
-    hoe = _hilbert_core(even, "odd", backend)
-    heo = _hilbert_core(odd, "even", backend)
-    return _join_halves(fld, hoe + heo, hoe - heo)
+    kernels = ("even", "odd") if sign == "plus" else ("odd", "even")
+    return fld.copy_with(parity_join(_hilbert_core(even, kernels[0], backend),
+                                     _hilbert_core(odd, kernels[1], backend)))

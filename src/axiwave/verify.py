@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grids import (AxialField, convert_rep, inner_product, make_grid,
-                    sample_field, spectral_inner_product, spectral_norm,
-                    SpectralProfile)
+from .grids import (AxialField, convert_rep, gaussian_packet, inner_product,
+                    make_grid, random_packet, sample_field,
+                    spectral_inner_product, spectral_norm, SpectralProfile)
 from .operators import (adjoint_residual, boost_generator_config,
                         boost_generator_local, boost_ordering_residual,
                         commutator_residual, four_vector_ops, pbar, pbar0,
@@ -112,7 +112,8 @@ class VerificationReport:
         return json.dumps(payload, indent=1, sort_keys=True)
 
 
-def _rel(got, want, mask=None):
+def rel_err(got, want, mask=None) -> float:
+    """Relative 2-norm error of `got` against `want`, optionally masked."""
     got = np.asarray(got)
     want = np.asarray(want)
     if mask is not None:
@@ -121,46 +122,6 @@ def _rel(got, want, mask=None):
     if den == 0.0:
         return float(np.linalg.norm(got))
     return float(np.linalg.norm(got - want) / den)
-
-
-def _packets(grid, rng, count, kmax=3.0):
-    lam = grid.nodes
-    big_l = grid.extent
-    out = []
-    for _ in range(count):
-        g = np.zeros(grid.size, dtype=complex)
-        for _ in range(4):
-            c = rng.uniform(-0.3, 0.3) * big_l
-            w = rng.uniform(0.08, 0.2) * big_l
-            k = rng.uniform(-kmax, kmax)
-            amp = rng.normal() + 1j * rng.normal()
-            g += amp * np.exp(-(((lam - c) / w) ** 2)) * np.exp(1j * k * lam)
-        out.append(convert_rep(AxialField(grid, "g", g), "f"))
-    return out
-
-
-def _annular(grid, rng, count, kmax=2.0):
-    # probes kept away from the origin (1/lambda amplification) and from
-    # the truncation edges, with comfortably resolved carriers
-    lam = grid.nodes
-    big_l = grid.extent
-    out = []
-    for _ in range(count):
-        g = np.zeros(grid.size, dtype=complex)
-        for sign in (-1.0, 1.0):
-            c = sign * rng.uniform(0.25, 0.35) * big_l
-            w = rng.uniform(0.06, 0.10) * big_l
-            k = rng.uniform(-kmax, kmax)
-            amp = rng.normal() + 1j * rng.normal()
-            g += amp * np.exp(-(((lam - c) / w) ** 2)) * np.exp(1j * k * lam)
-        out.append(convert_rep(AxialField(grid, "g", g), "f"))
-    return out
-
-
-def _gauss_wave(grid, k0, width, center=0.0):
-    lam = grid.nodes
-    g = np.exp(-(((lam - center) / width) ** 2)) * np.exp(1j * k0 * lam)
-    return AxialField(grid, "g", g)
 
 
 def _half_packets(n, h, rng, count):
@@ -202,8 +163,8 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     r_backend = 0.0
     for f in halves:
         for kind in ("cos", "sin"):
-            back = trig_transform(trig_transform(f, kind), kind, "inverse")
-            val = _rel(back.values, f.values)
+            back = trig_transform(trig_transform(f, kind), kind)
+            val = rel_err(back.values, f.values)
             if kind == "cos":
                 r_self_c = max(r_self_c, val)
             else:
@@ -212,14 +173,14 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
         ho_q = hilbert_odd(f, backend="quadrature").values
         he_s = hilbert_even(f, backend="spectral").values
         ho_s = hilbert_odd(f, backend="spectral").values
-        r_he = max(r_he, _rel(he_s, he_q, mask80))
-        r_ho = max(r_ho, _rel(ho_s, ho_q, mask80))
-        r_backend = max(r_backend, _rel(he_s, he_q, mask80) / 2.0,
-                        _rel(ho_s, ho_q, mask80) / 2.0)
+        r_he = max(r_he, rel_err(he_s, he_q, mask80))
+        r_ho = max(r_ho, rel_err(ho_s, ho_q, mask80))
+        r_backend = max(r_backend, rel_err(he_s, he_q, mask80) / 2.0,
+                        rel_err(ho_s, ho_q, mask80) / 2.0)
         eo = hilbert_even(hilbert_odd(f)).values
         oe = hilbert_odd(hilbert_even(f)).values
-        r_eo = max(r_eo, _rel(eo, -f.values, mask80))
-        r_oe = max(r_oe, _rel(oe, -f.values, mask80))
+        r_eo = max(r_eo, rel_err(eo, -f.values, mask80))
+        r_oe = max(r_oe, rel_err(oe, -f.values, mask80))
     add("trig cos self-inverse", "Fc~ Fc = 1", r_self_c, 1e-10)
     add("trig sin self-inverse", "Fs~ Fs = 1", r_self_s, 1e-10)
     add("ledger even hilbert", "Fs~ Fc = -He", r_he, 1e-2)
@@ -229,13 +190,13 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     add("even-odd inversion", "He Ho = -1", r_eo, 1e-2)
     add("odd-even inversion", "Ho He = -1", r_oe, 1e-2)
 
-    probes = _packets(grid, rng, cfg.probe_count)
+    probes = [random_packet(grid, rng) for _ in range(cfg.probe_count)]
     r_pm = r_mp = 0.0
     for f in probes:
         pm = hilbert_signed(hilbert_signed(f, "plus"), "minus").values
         mp = hilbert_signed(hilbert_signed(f, "minus"), "plus").values
-        r_pm = max(r_pm, _rel(pm, -f.values, interior))
-        r_mp = max(r_mp, _rel(mp, -f.values, interior))
+        r_pm = max(r_pm, rel_err(pm, -f.values, interior))
+        r_mp = max(r_mp, rel_err(mp, -f.values, interior))
     add("signed inversion +-", "Hplus Hminus = -1", r_pm, 1e-2)
     add("signed inversion -+", "Hminus Hplus = -1", r_mp, 1e-2)
 
@@ -252,21 +213,22 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
         a = HalfLineFunction(dk, spec)
         ka = HalfLineFunction(dk, kpos * spec)
         for sgn_i in (1.0, -1.0):
-            lhs = trig_transform(ka, "cos", "inverse").values \
-                + sgn_i * 1j * trig_transform(ka, "sin", "inverse").values
-            base = trig_transform(a, "cos", "inverse").values \
-                + sgn_i * 1j * trig_transform(a, "sin", "inverse").values
+            lhs = trig_transform(ka, "cos").values \
+                + sgn_i * 1j * trig_transform(ka, "sin").values
+            base = trig_transform(a, "cos").values \
+                + sgn_i * 1j * trig_transform(a, "sin").values
             rhs = -sgn_i * 1j * fd_derivative(base, grid.h)
-            r_twine = max(r_twine, _rel(lhs, rhs, mask_tw))
+            r_twine = max(r_twine, rel_err(lhs, rhs, mask_tw))
     add("derivative intertwining", "Fpm~ k = -/+ i d_r Fpm~", r_twine, 1e-2)
 
     # --- unitary map ------------------------------------------------------
     def unitarity_error(g):
-        ps = _packets(g, np.random.default_rng(cfg.seed + 1), 4)
+        rng_u = np.random.default_rng(cfg.seed + 1)
+        ps = [random_packet(g, rng_u) for _ in range(4)]
         worst = 0.0
         for f in ps:
             back = synthesize(analyze(f))
-            worst = max(worst, _rel(back.values, f.values,
+            worst = max(worst, rel_err(back.values, f.values,
                                     g.interior_mask(0.6)))
         return worst
 
@@ -285,9 +247,9 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     r_par = r_fast = 0.0
     for f in probes[:4]:
         phi = analyze(f)
-        r_fast = max(r_fast, _rel(analyze_fast(f).values, phi.values))
+        r_fast = max(r_fast, rel_err(analyze_fast(f).values, phi.values))
         back = analyze(synthesize(phi))
-        r_par = max(r_par, _rel(back.values, phi.values))
+        r_par = max(r_par, rel_err(back.values, phi.values))
     add("profile round-trip", "Uanalyze Usynth = 1", r_par, 1e-2)
     add("fast route equals structural", "FFT route = trig route", r_fast, 1e-10)
 
@@ -309,17 +271,17 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     for f in probes[:4]:
         via_h = left.apply(right.apply(f))
         via_p = p_op.apply(p_op.apply(f))
-        r_sq = max(r_sq, _rel(convert_rep(via_h, "g").values,
+        r_sq = max(r_sq, rel_err(convert_rep(via_h, "g").values,
                               convert_rep(via_p, "g").values, interior))
     add("squared hamiltonian", "(p0)^2 = pbar^2", r_sq, 2e-2)
 
-    pkt = _gauss_wave(grid, cfg.packet_k / 2.0, cfg.packet_width)
+    pkt = gaussian_packet(grid, cfg.packet_k / 2.0, cfg.packet_width)
     spec_h = pbar0(grid, "spectral")
     out = spec_h.apply(pkt)
     m_eig = np.abs(grid.nodes) < cfg.packet_width / 2.0
     add("hamiltonian eigenaction",
         "p0 (windowed wave_k) = k (windowed wave_k)",
-        _rel(out.values, (cfg.packet_k / 2.0) * pkt.values, m_eig), 2e-2)
+        rel_err(out.values, (cfg.packet_k / 2.0) * pkt.values, m_eig), 2e-2)
 
     worst_q = 0.0
     for f in probes:
@@ -329,7 +291,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
         max(0.0, -worst_q), 1e-3)
 
     # --- adjoint suite ----------------------------------------------------
-    fine_probes = _packets(fine, rng, cfg.probe_count)
+    fine_probes = [random_packet(fine, rng) for _ in range(cfg.probe_count)]
     pt = radial_momentum_tilde(fine)
     add("radial momentum symmetric", "<a, pt b> = <pt a, b> (unit weight)",
         adjoint_residual(pt, pt, "unit", fine_probes), 1e-3, fmeta)
@@ -369,9 +331,9 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     rng_n = np.random.default_rng(cfg.seed + 2)
     # alternate packet centers so consecutive probe pairs barely overlap;
     # the residual of the axial N is controlled by the pair overlap
-    n_probes = [convert_rep(_gauss_wave(
+    n_probes = [gaussian_packet(
         fine, rng_n.uniform(0.9, 1.1) * cfg.packet_k, cfg.packet_width,
-        (-1.0 if i % 2 else 1.0) * rng_n.uniform(4.0, 7.0)), "f")
+        (-1.0 if i % 2 else 1.0) * rng_n.uniform(4.0, 7.0), rep="f")
         for i in range(cfg.probe_count)]
     add("boost generator hermitian", "<a, N b> = <N a, b> (1/r)",
         adjoint_residual(n_op, n_op, "inv_r", n_probes), 5e-2, fmeta)
@@ -379,7 +341,8 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
         boost_ordering_residual(fine, fine_probes[:4]), 5e-2, fmeta)
 
     # --- commutator suite ---------------------------------------------------
-    fine_soft = _packets(fine, rng, cfg.probe_count, kmax=2.5)
+    fine_soft = [random_packet(fine, rng, 2.5)
+                 for _ in range(cfg.probe_count)]
     h_fine = pbar0(fine, "spectral")
     p_fine = pbar(fine)
     add("boost-energy commutator", "[N, p0] = i pbar",
@@ -387,7 +350,11 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     add("boost-momentum commutator", "[N, pbar] = i p0",
         commutator_residual(n_op, p_fine, h_fine, 1j, fine_soft), 5e-2, fmeta)
 
-    ann = _annular(fine, rng, cfg.probe_count)
+    # probes kept away from the origin (1/lambda amplification) and from
+    # the truncation edges, with comfortably resolved carriers
+    ann = [random_packet(fine, rng, 2.0, signs=(-1.0, 1.0),
+                         centers=(0.25, 0.35), widths=(0.06, 0.10))
+           for _ in range(cfg.probe_count)]
     nl = boost_generator_local(fine)
     s0, s3 = four_vector_ops(fine, "s")
     t0, t3 = four_vector_ops(fine, "t")
@@ -415,7 +382,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
         max(0.0, 10 * 5e-2 - witness), 1e-12)
 
     # --- evolution ---------------------------------------------------------
-    fwd = _gauss_wave(grid, cfg.packet_k, cfg.packet_width / 2.0, -8.0)
+    fwd = gaussian_packet(grid, cfg.packet_k, cfg.packet_width / 2.0, -8.0)
     res = propagate_scalar(fwd, [0.0, 4.0, 8.0])
     norms = res.diagnostics["norm"]
     add("norm conservation (spectral)", "d/dt <psi,psi>_1/r = 0",
@@ -427,7 +394,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     add("packet speed (scalar)", "centroid speed = 1",
         abs((c[2] - c[0]) / 8.0 - 1.0), 2e-2)
 
-    soft = _gauss_wave(grid, 3.0, 6.0, -10.0)
+    soft = gaussian_packet(grid, 3.0, 6.0, -10.0)
     res_rk = propagate_scalar(soft, [0.0, 5.0, 10.0], method="rk4")
     nrk = res_rk.diagnostics["norm"]
     add("norm conservation (rk4)", "d/dt <psi,psi>_1/r = 0 (stepped)",
@@ -435,7 +402,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
 
     def cont_resid(n, steps):
         g = make_grid(n, cfg.extent)
-        p = _gauss_wave(g, 6.0, 5.0, -8.0)
+        p = gaussian_packet(g, 6.0, 5.0, -8.0)
         rr = propagate_scalar(p, np.linspace(0.0, 2.0, steps))
         return np.nanmax(rr.diagnostics["continuity_residual"])
 
@@ -443,7 +410,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     add("continuity order", "dt rho + div J -> 0 at order >= 1.8",
         max(0.0, 1.8 - np.log2(rc / rf)), 0.05)
 
-    up = _gauss_wave(grid, cfg.packet_k, cfg.packet_width / 2.0, -8.0)
+    up = gaussian_packet(grid, cfg.packet_k, cfg.packet_width / 2.0, -8.0)
     wres = propagate_weyl(SpinorField(grid, "g", up.values,
                                       np.zeros(grid.size)), [0.0, 6.0])
     cu = [packet_centroid(AxialField(grid, "g",
@@ -527,6 +494,6 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     dpred = -1j * dv * convert_rep(n_op.apply(psi), "g").values
     add("generator cancellation across modules",
         "boost flow of phi = -i dv N acting on psi",
-        _rel(dactual, dpred, fine.interior_mask(0.6)), 5e-2, fmeta)
+        rel_err(dactual, dpred, fine.interior_mask(0.6)), 5e-2, fmeta)
 
     return report

@@ -10,12 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import gaussian_packet, rel_err
-from axiwave.grids import AxialField, convert_rep, make_grid
+from axiwave.grids import AxialField, convert_rep, gaussian_packet, make_grid
 from axiwave.evolution import propagate_scalar
 from axiwave.operators import (boost_generator_config, commutator_residual,
                                pbar, pbar0)
-from axiwave.verify import RunConfig, run_verification
+from axiwave.verify import RunConfig, rel_err, run_verification
 
 TOL = {}
 

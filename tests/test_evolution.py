@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_packet, rel_err
-from axiwave.grids import AxialField, convert_rep, make_grid
+from axiwave import evolution
+from axiwave.grids import (AxialField, convert_rep, gaussian_packet, make_grid,
+                           random_packet)
 from axiwave.evolution import (SpinorField, VectorField3, density_current,
                                packet_centroid, propagate_maxwell,
                                propagate_scalar, propagate_wave,
@@ -10,6 +11,7 @@ from axiwave.evolution import (SpinorField, VectorField3, density_current,
                                weyl_hamiltonian, RK4_STABILITY_FACTOR)
 from axiwave.operators import pbar
 from axiwave.spectral import fourier_full, fourier_full_inverse
+from axiwave.verify import rel_err
 
 GRID = make_grid(256, 40.0)
 
@@ -296,3 +298,65 @@ def test_group_velocity_all_field_types():
           for x in m.snapshots]
     for c in (cs, cw, cm):
         assert abs((c[1] - c[0]) / t_end - 1.0) <= 0.02
+
+
+def _initial_data(kind, rng):
+    a = random_packet(GRID, rng, rep="g").values
+    b = random_packet(GRID, rng, rep="g").values
+    if kind in ("scalar", "rk4"):
+        method = "rk4" if kind == "rk4" else "spectral"
+        return [a], lambda t: [[s.values] for s in propagate_scalar(
+            AxialField(GRID, "g", a), t, method=method).snapshots]
+    if kind == "wave":
+        return [a, b], lambda t: [[s.values, sd.values] for s, sd in
+                                  propagate_wave(AxialField(GRID, "g", a),
+                                                 AxialField(GRID, "g", b),
+                                                 t).snapshots]
+    if kind == "weyl":
+        return [a, b], lambda t: [[s.up, s.down] for s in propagate_weyl(
+            SpinorField(GRID, "g", a, b), t).snapshots]
+    zero = np.zeros(GRID.size, dtype=complex)
+    return [a, b, zero], lambda t: [list(s.values) for s in propagate_maxwell(
+        VectorField3(GRID, "g", np.stack([a, b, zero])), t).snapshots]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "rk4", "wave", "weyl", "maxwell"])
+def test_t0_snapshot_equals_input(kind):
+    inputs, run = _initial_data(kind, np.random.default_rng(60))
+    first = run([0.0, 0.5])[0]
+    for got, want in zip(first, inputs):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(inputs[0]))
+
+
+def test_maxwell_rotation_matches_circular_modes():
+    # oracle: the circular combinations F1 -/+ i F2 carry exp(-/+ i kappa t)
+    rng = np.random.default_rng(61)
+    g1 = random_packet(GRID, rng, rep="g").values
+    g2 = random_packet(GRID, rng, rep="g").values
+    t = rng.uniform(1.0, 10.0)
+    sg = GRID.conjugate()
+    kap = sg.nodes
+    p = fourier_full_inverse(np.exp(+1j * kap * t)
+                             * fourier_full(g1 + 1j * g2, GRID), sg)
+    m = fourier_full_inverse(np.exp(-1j * kap * t)
+                             * fourier_full(g1 - 1j * g2, GRID), sg)
+    f0 = VectorField3(GRID, "g", np.stack([g1, g2, np.zeros(GRID.size)]))
+    got = propagate_maxwell(f0, [0.0, t]).snapshots[1].values
+    scale = np.max(np.abs(np.stack([g1, g2])))
+    assert np.max(np.abs(got[0] - 0.5 * (p + m))) <= 1e-12 * scale
+    assert np.max(np.abs(got[1] - (p - m) / 2j)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("method", ["spectral", "rk4"])
+def test_scalar_hilbert_once_per_snapshot(monkeypatch, method):
+    calls = []
+    real = evolution.hilbert_signed
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "hilbert_signed", counting)
+    times = np.linspace(0.0, 1.0, 5)
+    propagate_scalar(fwd_packet(k0=3.0), times, method=method)
+    assert len(calls) == len(times)

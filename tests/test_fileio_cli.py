@@ -4,13 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from conftest import gaussian_packet
 from axiwave.cli import main
 from axiwave.fileio import (FileFormatError, read_beams_json,
                             read_spectral_csv, read_state_csv,
                             write_beams_json, write_spectral_csv,
                             write_state_csv)
-from axiwave.grids import SpectralProfile, convert_rep, make_grid
+from axiwave.grids import (SpectralProfile, convert_rep, gaussian_packet,
+                           make_grid)
 from axiwave.relativity import BeamState
 from axiwave.spectral import analyze
 
@@ -156,9 +156,28 @@ def test_cli_maxwell_constraint_violation(tmp_path, capsys):
     assert "transversality" in capsys.readouterr().err
 
 
-def test_cli_usage_error_exit_code():
+def test_cli_usage_error_exit_code(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     assert main(["boost", "--v", "0.5"]) == 2  # missing --in
+    capsys.readouterr()
+    for flag, value in (("--t-max", "inf"), ("--t-max", "nan"),
+                        ("--t-max", "0"), ("--t-max", "-1"),
+                        ("--snapshots", "0")):
+        assert main(["propagate", flag, value, "--grid-size", "16",
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("payload", [[3], {"beams": 3}, {"beams": [3]}])
+def test_cli_boost_malformed_beams_json(tmp_path, capsys, payload):
+    src = tmp_path / "beams.json"
+    src.write_text(json.dumps(payload))
+    code = main(["boost", "--v", "0.5", "--in", str(src),
+                 "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_verify_small_grid_and_determinism(tmp_path):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (annular_smooth_field, gaussian_packet,
-                      random_smooth_field, rel_err)
-from axiwave.grids import (AxialField, convert_rep, inner_product, make_grid,
+from axiwave.grids import (AxialField, convert_rep, gaussian_packet,
+                           inner_product, make_grid, random_packet,
                            sample_field)
 from axiwave.operators import (LinearOperatorHandle, adjoint_residual,
                                boost_generator_config, boost_generator_local,
@@ -13,6 +12,7 @@ from axiwave.operators import (LinearOperatorHandle, adjoint_residual,
                                radial_momentum_tilde, rayleigh_quotient)
 from axiwave._fd import derivative_per_half
 from axiwave.transforms import hilbert_signed
+from axiwave.verify import rel_err
 
 GRID = make_grid(256, 40.0)
 RNG = np.random.default_rng(40)
@@ -20,7 +20,7 @@ RNG = np.random.default_rng(40)
 
 def probes(grid, n=6, kmax=3.0, rng=None):
     rng = rng or np.random.default_rng(41)
-    return [random_smooth_field(grid, rng, kmax=kmax) for _ in range(n)]
+    return [random_packet(grid, rng, kmax=kmax) for _ in range(n)]
 
 
 def test_handles_are_linear():
@@ -202,7 +202,8 @@ def test_commutator_trivial_zero():
 
 def annular_probes(grid, n=6, rng=None):
     rng = rng or np.random.default_rng(50)
-    return [annular_smooth_field(grid, rng) for _ in range(n)]
+    return [random_packet(grid, rng, signs=(-1.0, 1.0), centers=(0.25, 0.4),
+                          widths=(0.06, 0.12)) for _ in range(n)]
 
 
 def test_local_boost_commutators_s_family():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import rel_err
 from axiwave.grids import (SpectralProfile, convert_rep, make_grid,
                            spectral_norm)
 from axiwave.relativity import (BeamState, BoostParams, FourMomentum,
@@ -11,6 +10,7 @@ from axiwave.relativity import (BeamState, BoostParams, FourMomentum,
                                 observation_aberration)
 from axiwave.spectral import synthesize
 from axiwave.operators import boost_generator_config
+from axiwave.verify import rel_err
 
 EZ = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])

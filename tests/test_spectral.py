@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_packet, random_smooth_field, rel_err
 from axiwave.grids import (AxialField, SpectralProfile, apply_parity,
-                           convert_rep, inner_product, make_grid,
-                           spectral_inner_product)
+                           convert_rep, gaussian_packet, inner_product,
+                           make_grid, random_packet, spectral_inner_product)
 from axiwave.spectral import (analyze, analyze_fast, fourier_full,
                               fourier_full_inverse, spectral_derivative,
                               synthesize, synthesize_fast)
+from axiwave.verify import rel_err
 
 
 def test_fourier_full_matches_dense_and_unitary():
@@ -29,7 +29,7 @@ def test_fourier_full_matches_dense_and_unitary():
 def test_round_trip_is_identity():
     grid = make_grid(256, 40.0)
     rng = np.random.default_rng(32)
-    psi = random_smooth_field(grid, rng)
+    psi = random_packet(grid, rng)
     back = synthesize(analyze(psi))
     assert rel_err(back.values, psi.values) <= 1e-12  # far inside 1e-2
     back_fast = synthesize_fast(analyze_fast(psi))
@@ -50,7 +50,7 @@ def test_fast_equals_structural():
     grid = make_grid(192, 36.0)
     rng = np.random.default_rng(33)
     for _ in range(5):
-        psi = random_smooth_field(grid, rng)
+        psi = random_packet(grid, rng)
         a = analyze(psi)
         b = analyze_fast(psi)
         assert a.grid.same_as(b.grid)
@@ -66,7 +66,7 @@ def test_zero_field_zero_profile():
 def test_parity_covariance():
     grid = make_grid(128, 24.0)
     rng = np.random.default_rng(34)
-    psi = random_smooth_field(grid, rng)
+    psi = random_packet(grid, rng)
     lhs = analyze(apply_parity(psi)).values
     rhs = analyze(psi).values[::-1]
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -108,8 +108,8 @@ def test_parseval_ties_inv_r_to_k_weight():
     grid = make_grid(128, 24.0)
     rng = np.random.default_rng(35)
     for _ in range(10):
-        a = random_smooth_field(grid, rng)
-        b = random_smooth_field(grid, rng)
+        a = random_packet(grid, rng)
+        b = random_packet(grid, rng)
         lhs = spectral_inner_product(analyze(a), analyze(b), "k")
         rhs = inner_product(a, b, "inv_r")
         assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
