@@ -129,6 +129,8 @@ def cmd_propagate(args) -> int:
         raise ValueError("--t-max must be finite and positive")
     if args.snapshots < 1:
         raise ValueError("--snapshots must be at least 1")
+    if args.kind == "wave" and args.infile:
+        raise ValueError("--in is not supported for --kind wave")
     grid = make_grid(args.grid_size, args.extent)
     width = args.width if args.width is not None else args.extent / 4.0
     times = np.linspace(0.0, args.t_max, args.snapshots)

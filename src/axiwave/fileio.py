@@ -108,10 +108,10 @@ def read_state_csv(path) -> AxialField | list[AxialField]:
         lambda m: 1 + 2 * (int(m["c"]) if m["c"] else 1))
     n_half = int(meta["n"])
     h = float(meta["h"])
-    grid = make_grid(n_half, n_half * h)
-    if data.shape[0] != grid.size:
+    if data.shape[0] != 2 * n_half:
         raise FileFormatError(
-            f"{path}: expected {grid.size} rows, found {data.shape[0]}")
+            f"{path}: expected {2 * n_half} rows, found {data.shape[0]}")
+    grid = make_grid(n_half, n_half * h)
     if np.max(np.abs(data[:, 0] - grid.nodes)) > 1e-9 * grid.h:
         raise FileFormatError(f"{path}: lambda column does not match the "
                               "half-offset grid declared in the header")

@@ -2,13 +2,18 @@
 generators, and residual harnesses for their algebra.
 
 Every factory returns a LinearOperatorHandle whose `apply` maps axis
-fields to axis fields (input representation is preserved).  Derivatives
-that appear inside compositions with the signed Hilbert transforms are
-taken per half-line (4th-order stencils that never straddle the origin):
-the integrands of this calculus generically jump at the origin, and a
-full-line derivative would ring there.  The weighted momentum pbar is the
-exception: in g-representation it is exactly -i d/dlambda, realized
-spectrally, which makes it self-adjoint for the 1/r product to rounding.
+fields to axis fields (input representation is preserved).  The kernels
+act on the weighted representation g = sqrt|lambda| f, where the calculus
+is natural; only pt and the s multipliers act on f.  `_wrap` is the one
+place that converts, once on the way in and once on the way out.
+
+Derivatives that appear inside compositions with the signed Hilbert
+transforms are taken per half-line (4th-order stencils that never
+straddle the origin): the integrands of this calculus generically jump at
+the origin, and a full-line derivative would ring there.  The weighted
+momentum pbar is the exception: in g-representation it is exactly
+-i d/dlambda, realized spectrally, which makes it self-adjoint for the
+1/r product to rounding.
 
 Operator conventions on the axis (n is the unit axis direction,
 sgn = sign(lambda), r = |lambda|):
@@ -17,7 +22,7 @@ sgn = sign(lambda), r = |lambda|):
     pbar      = -i r^{-1/2} d/dlambda r^{1/2}              1/r-weight symmetric
     pbar0     = -(1/sqrt r) d_r Hplus sqrt(r)              (left form)
               = -(1/sqrt r) Hminus d_r sqrt(r)             (right form)
-              = synthesize |kappa| analyze                 (spectral form)
+              = r^{-1/2} F^-1 |kappa| F r^{1/2}            (spectral form)
     s^0, s.n  = -1/r ,  1/lambda                           multipliers
     t^0       = i sgn r^{-1/2} d/dlambda r^{1/2},  t.n = pbar
     N'        = i sgn (lambda d/dlambda + 2)               local boost factor
@@ -40,7 +45,7 @@ import numpy as np
 from ._fd import derivative_per_half
 from .grids import (AxialField, AxisGrid, convert_rep, gaussian_packet,
                     inner_product)
-from .spectral import analyze_fast, spectral_derivative, synthesize_fast
+from .spectral import fourier_full, fourier_full_inverse, spectral_derivative
 from .transforms import BackendMismatchError, hilbert_signed
 
 
@@ -51,27 +56,22 @@ class LinearOperatorHandle:
     label: str
     grid: AxisGrid
     apply: Callable[[AxialField], AxialField] = field(repr=False)
-    adjoint_weight: str | None = None
-    adjoint_label: str | None = None
 
     def __call__(self, fld: AxialField) -> AxialField:
         return self.apply(fld)
 
 
-def _wrap(label: str, grid: AxisGrid, fn_f: Callable[[np.ndarray], np.ndarray],
-          adjoint_weight=None, adjoint_label=None) -> LinearOperatorHandle:
-    """Build a handle from a function acting on f-representation values."""
+def _wrap(label: str, grid: AxisGrid, fn: Callable[[np.ndarray], np.ndarray],
+          rep: str = "g") -> LinearOperatorHandle:
+    """Build a handle from a kernel acting on `rep`-representation values."""
 
     def apply(fld: AxialField) -> AxialField:
         if not fld.grid.same_as(grid):
             raise ValueError(f"{label}: field lives on a different grid")
-        f = convert_rep(fld, "f")
-        out = AxialField(grid, "f", fn_f(f.values))
+        out = AxialField(grid, rep, fn(convert_rep(fld, rep).values))
         return convert_rep(out, fld.rep)
 
-    return LinearOperatorHandle(label=label, grid=grid, apply=apply,
-                                adjoint_weight=adjoint_weight,
-                                adjoint_label=adjoint_label)
+    return LinearOperatorHandle(label=label, grid=grid, apply=apply)
 
 
 def compose(a: LinearOperatorHandle, b: LinearOperatorHandle,
@@ -97,6 +97,12 @@ def _dhalf(values: np.ndarray, grid: AxisGrid) -> np.ndarray:
     return derivative_per_half(values, grid.n_half, grid.h)
 
 
+def _hilbert(g: np.ndarray, grid: AxisGrid, sign: str,
+             backend: str) -> np.ndarray:
+    return hilbert_signed(AxialField(grid, "g", g), sign,
+                          backend=backend).values
+
+
 def radial_momentum_tilde(grid: AxisGrid) -> LinearOperatorHandle:
     """pt f = -i (1/lambda) d/dlambda (lambda f), uniform in sign(lambda).
 
@@ -109,7 +115,7 @@ def radial_momentum_tilde(grid: AxisGrid) -> LinearOperatorHandle:
     def fn(f):
         return -1j * _dhalf(lam * f, grid) / lam
 
-    return _wrap("pt", grid, fn, adjoint_weight="unit", adjoint_label="pt")
+    return _wrap("pt", grid, fn, rep="f")
 
 
 def pbar(grid: AxisGrid) -> LinearOperatorHandle:
@@ -118,12 +124,7 @@ def pbar(grid: AxisGrid) -> LinearOperatorHandle:
     Realized spectrally in g-representation, hence self-adjoint for the
     1/r product up to rounding.
     """
-    root = np.sqrt(np.abs(grid.nodes))
-
-    def fn(f):
-        return -1j * spectral_derivative(root * f, grid) / root
-
-    return _wrap("pbar", grid, fn, adjoint_weight="inv_r", adjoint_label="pbar")
+    return _wrap("pbar", grid, lambda g: -1j * spectral_derivative(g, grid))
 
 
 def pbar0(grid: AxisGrid, form: str = "spectral", backend: str = "spectral",
@@ -145,30 +146,21 @@ def pbar0(grid: AxisGrid, form: str = "spectral", backend: str = "spectral",
     if cross_check_tol is not None:
         _cross_check(grid, pbar0_triangle_residual, cross_check_tol,
                      "pbar0 forms")
-    lam = grid.nodes
-    root = np.sqrt(np.abs(lam))
-    sgn = np.sign(lam)
+    sgn = np.sign(grid.nodes)
     sg = grid.conjugate()
     absk = np.abs(sg.nodes)
 
     if form == "spectral":
-        def fn(f):
-            phi = analyze_fast(AxialField(grid, "f", f))
-            return synthesize_fast(phi.copy_with(absk * phi.values)).values
+        def fn(g):
+            return fourier_full_inverse(absk * fourier_full(g, grid), sg)
     elif form == "left":
-        def fn(f):
-            u = hilbert_signed(AxialField(grid, "g", root * f), "plus",
-                               backend=backend)
-            return -sgn * _dhalf(u.values, grid) / root
+        def fn(g):
+            return -sgn * _dhalf(_hilbert(g, grid, "plus", backend), grid)
     else:
-        def fn(f):
-            v = sgn * _dhalf(root * f, grid)
-            w = hilbert_signed(AxialField(grid, "g", v), "minus",
-                               backend=backend)
-            return -w.values / root
+        def fn(g):
+            return -_hilbert(sgn * _dhalf(g, grid), grid, "minus", backend)
 
-    return _wrap(f"pbar0[{form}]", grid, fn, adjoint_weight="inv_r",
-                 adjoint_label=f"pbar0[{form}]")
+    return _wrap(f"pbar0[{form}]", grid, fn)
 
 
 def pbar0_triangle_residual(grid: AxisGrid, probes: Sequence[AxialField],
@@ -195,35 +187,27 @@ def four_vector_ops(grid: AxisGrid, which: str):
     """
     lam = grid.nodes
     if which == "s":
-        s0 = _wrap("s0", grid, lambda f: -f / np.abs(lam))
-        s3 = _wrap("s3", grid, lambda f: f / lam)
+        s0 = _wrap("s0", grid, lambda f: -f / np.abs(lam), rep="f")
+        s3 = _wrap("s3", grid, lambda f: f / lam, rep="f")
         return s0, s3
     if which == "t":
-        root = np.sqrt(np.abs(lam))
         sgn = np.sign(lam)
-
-        def fn_t0(f):
-            return 1j * sgn * _dhalf(root * f, grid) / root
-
-        t0 = _wrap("t0", grid, fn_t0)
-        t3 = pbar(grid)
-        return t0, t3
+        t0 = _wrap("t0", grid, lambda g: 1j * sgn * _dhalf(g, grid))
+        return t0, pbar(grid)
     raise ValueError(f"unknown four-vector family {which!r}")
 
 
 def boost_generator_local(grid: AxisGrid) -> LinearOperatorHandle:
     """N' = i sgn(lambda) (lambda d/dlambda + 2), the local boost factor.
 
-    Realized through the g-representation, where the same operator reads
+    Realized in the g-representation, where the same operator reads
     i sgn (lambda d/dlambda + 3/2) on smooth samples.
     """
     lam = grid.nodes
     sgn = np.sign(lam)
-    root = np.sqrt(np.abs(lam))
 
-    def fn(f):
-        g = root * f
-        return 1j * sgn * (lam * _dhalf(g, grid) + 1.5 * g) / root
+    def fn(g):
+        return 1j * sgn * (lam * _dhalf(g, grid) + 1.5 * g)
 
     return _wrap("N'", grid, fn)
 
@@ -249,26 +233,19 @@ def boost_generator_config(grid: AxisGrid, ordering: str = "h_first",
                      "boost generator orderings")
     lam = grid.nodes
     sgn = np.sign(lam)
-    root = np.sqrt(np.abs(lam))
 
-    def dilation_g(g):
+    def dilation(g):
         # sqrt(r) (r grad - 2 rhat d_r r).n (1/sqrt r) = -sgn (lambda d + 3/2)
         return -sgn * (lam * _dhalf(g, grid) + 1.5 * g)
 
     if ordering == "h_first":
-        def fn(f):
-            u = dilation_g(root * f)
-            v = hilbert_signed(AxialField(grid, "g", u), "minus",
-                               backend=backend)
-            return v.values / root
+        def fn(g):
+            return _hilbert(dilation(g), grid, "minus", backend)
     else:
-        def fn(f):
-            w = hilbert_signed(AxialField(grid, "g", root * f), "plus",
-                               backend=backend)
-            return dilation_g(w.values) / root
+        def fn(g):
+            return dilation(_hilbert(g, grid, "plus", backend))
 
-    return _wrap(f"N[{ordering}]", grid, fn, adjoint_weight="inv_r",
-                 adjoint_label=f"N[{ordering}]")
+    return _wrap(f"N[{ordering}]", grid, fn)
 
 
 def boost_ordering_residual(grid: AxisGrid, probes: Sequence[AxialField],

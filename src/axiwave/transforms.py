@@ -138,19 +138,19 @@ def _pv_parts(n: int, spacing: float):
         inv[off] = 1.0 / diff[off]
         big_l = n * spacing
         logcorr = np.log((big_l + r) / (big_l - r))
-        parts = (r, inv, logcorr)
+        parts = (r, inv, inv.sum(axis=1), logcorr)
         _PV_CACHE[key] = parts
     return parts
 
 
 def _hilbert_quadrature(f: HalfLineFunction, odd_kernel: bool) -> np.ndarray:
-    r, inv, logcorr = _pv_parts(f.n, f.spacing)
+    r, inv, inv_rowsum, logcorr = _pv_parts(f.n, f.spacing)
     h = f.spacing
     u = r * f.values if odd_kernel else f.values
     du = derivative(u, h)
     # subtracted singularity: columns carry u(t)-u(r); diagonal cell takes
     # the limiting value -u'(r)/(2r)
-    total = inv @ u - u * inv.sum(axis=1)
+    total = inv @ u - u * inv_rowsum
     total += -du / (2.0 * r) * 1.0
     total *= h
     # exact pv integral of the bare kernel over the truncated domain
@@ -182,20 +182,18 @@ def hilbert_odd(f: HalfLineFunction, backend: str = "spectral",
 
 
 def _hilbert_core(f: HalfLineFunction, parity: str, backend: str) -> np.ndarray:
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "quadrature":
+        return _hilbert_quadrature(f, odd_kernel=parity == "odd")
     if parity == "even":
-        if backend == "spectral":
-            return -_trig_sum(_trig_sum(f.values, f.spacing, "cos"),
-                              f.conjugate_spacing(), "sin")
-        return _hilbert_quadrature(f, odd_kernel=False)
-    if backend == "spectral":
-        return _trig_sum(_trig_sum(f.values, f.spacing, "sin"),
-                         f.conjugate_spacing(), "cos")
-    return _hilbert_quadrature(f, odd_kernel=True)
+        return -_trig_sum(_trig_sum(f.values, f.spacing, "cos"),
+                          f.conjugate_spacing(), "sin")
+    return _trig_sum(_trig_sum(f.values, f.spacing, "sin"),
+                     f.conjugate_spacing(), "cos")
 
 
 def _hilbert_dispatch(f, parity, backend, edge_decay_tol, cross_check_tol):
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
     _warn_if_not_decayed(f.values, edge_decay_tol, f"hilbert_{parity}")
     out = _hilbert_core(f, parity, backend)
     if cross_check_tol is not None:

@@ -21,12 +21,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grids import (AxialField, convert_rep, gaussian_packet, inner_product,
-                    make_grid, random_packet, sample_field,
-                    spectral_inner_product, spectral_norm, SpectralProfile)
-from .operators import (adjoint_residual, boost_generator_config,
-                        boost_generator_local, boost_ordering_residual,
-                        commutator_residual, four_vector_ops, pbar, pbar0,
+from .grids import (convert_rep, gaussian_packet, inner_product, make_grid,
+                    random_packet, sample_field, spectral_inner_product,
+                    spectral_norm, SpectralProfile)
+from .operators import (_hilbert, _wrap, adjoint_residual,
+                        boost_generator_config, boost_generator_local,
+                        boost_ordering_residual, commutator_residual,
+                        four_vector_ops, pbar, pbar0,
                         pbar0_triangle_residual, radial_momentum_tilde,
                         rayleigh_quotient, LinearOperatorHandle)
 from .evolution import (packet_centroid, propagate_maxwell,
@@ -311,16 +312,11 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     add("weighted momentum self-adjoint", "<a, pbar b> = <pbar a, b> (1/r)",
         adjoint_residual(p_op, p_op, "inv_r", probes), 1e-3)
 
-    root = np.sqrt(np.abs(grid.nodes))
-
     def conj_h(sign, flip):
-        def apply(fld):
-            f = convert_rep(fld, "f")
-            u = hilbert_signed(AxialField(grid, "g", root * f.values), sign)
-            vals = u.values / root
-            return convert_rep(AxialField(grid, "f", -vals if flip else vals),
-                               fld.rep)
-        return LinearOperatorHandle(f"W{sign}", grid, apply)
+        def fn(g):
+            u = _hilbert(g, grid, sign, "spectral")
+            return -u if flip else u
+        return _wrap(f"W{sign}", grid, fn)
 
     add("signed hilbert adjoints",
         "(r^-1/2 Hplus r^1/2)+ = -(r^-1/2 Hminus r^1/2)",
@@ -367,14 +363,8 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     add("local boost with derivative pair (axial)", "[N', t3] = i t0",
         commutator_residual(nl, t3, t0, 1j, ann), 5e-2, fmeta)
 
-    sgn = np.sign(grid.nodes)
-
-    def d_r(fld):
-        f = convert_rep(fld, "f")
-        out = sgn * derivative_per_half(f.values, grid.n_half, grid.h)
-        return convert_rep(AxialField(grid, "f", out), fld.rep)
-
-    dr = LinearOperatorHandle("d_r", grid, d_r)
+    dr = _wrap("d_r", grid, lambda f: np.sign(grid.nodes)
+               * derivative_per_half(f, grid.n_half, grid.h), rep="f")
     hp = LinearOperatorHandle("Hplus", grid,
                               lambda fld: hilbert_signed(fld, "plus"))
     witness = commutator_residual(dr, hp, None, 1.0, probes[:4])
@@ -413,18 +403,14 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     up = gaussian_packet(grid, cfg.packet_k, cfg.packet_width / 2.0, -8.0)
     wres = propagate_weyl(SpinorField(grid, "g", up.values,
                                       np.zeros(grid.size)), [0.0, 6.0])
-    cu = [packet_centroid(AxialField(grid, "g",
-                                     convert_rep(s.component(0), "g").values))
-          for s in wres.snapshots]
+    cu = [packet_centroid(s.component(0)) for s in wres.snapshots]
     add("packet speed (spinor)", "upper component speed = +1",
         abs((cu[1] - cu[0]) / 6.0 - 1.0), 2e-2)
 
     wvals = up.values
     mres = propagate_maxwell(VectorField3(grid, "g", np.stack(
         [wvals, 1j * wvals, np.zeros(grid.size, dtype=complex)])), [0.0, 6.0])
-    cm = [packet_centroid(AxialField(grid, "g",
-                                     convert_rep(s.component(0), "g").values))
-          for s in mres.snapshots]
+    cm = [packet_centroid(s.component(0)) for s in mres.snapshots]
     add("packet speed (vector)", "circular (w, iw, 0) speed = +1",
         abs((cm[1] - cm[0]) / 6.0 - 1.0), 2e-2)
 

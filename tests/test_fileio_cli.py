@@ -162,11 +162,28 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     for flag, value in (("--t-max", "inf"), ("--t-max", "nan"),
                         ("--t-max", "0"), ("--t-max", "-1"),
-                        ("--snapshots", "0")):
-        assert main(["propagate", flag, value, "--grid-size", "16",
-                     "--out", str(tmp_path / "run")]) == 2
+                        ("--snapshots", "0"),
+                        ("--in", str(tmp_path / "missing.csv"))):
+        kind = "wave" if flag == "--in" else "scalar"
+        assert main(["propagate", "--kind", kind, flag, value,
+                     "--grid-size", "16", "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+
+def test_cli_transform_rejects_oversized_header(tmp_path, capsys):
+    # the header declares a grid far larger than the rows present; the row
+    # count must be checked before any grid is allocated
+    grid = make_grid(256, 40.0)
+    src = tmp_path / "state.csv"
+    rows = [f"{float(lam)!r},0.0,0.0" for lam in grid.nodes]
+    src.write_text("# rep=F n_half=1000000000000 h=0.15625\nlambda,re,im\n"
+                   + "\n".join(rows) + "\n")
+    code = main(["transform", "--in", str(src),
+                 "--out", str(tmp_path / "spec.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("payload", [[3], {"beams": 3}, {"beams": [3]}])

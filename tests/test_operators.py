@@ -31,6 +31,28 @@ def test_handles_are_linear():
         assert linearity_residual(handle, np.random.default_rng(42)) <= 1e-12
 
 
+def _every_factory(grid):
+    return [radial_momentum_tilde(grid), pbar(grid),
+            *(pbar0(grid, form) for form in ("left", "right", "spectral")),
+            *four_vector_ops(grid, "s"), *four_vector_ops(grid, "t"),
+            boost_generator_local(grid),
+            *(boost_generator_config(grid, o) for o in ("h_first", "h_last"))]
+
+
+@pytest.mark.parametrize("index", range(12), ids=[
+    "pt", "pbar", "pbar0_left", "pbar0_right", "pbar0_spectral", "s0", "s3",
+    "t0", "t3", "N_local", "N_h_first", "N_h_last"])
+def test_handle_output_independent_of_input_rep(index):
+    # the representation conversion lives in one place: the same packet
+    # handed over in f or in g gives the same output, in the caller's rep
+    handle = _every_factory(GRID)[index]
+    g_in = gaussian_packet(GRID, 2.0, width=4.0, center=3.0)
+    f_in = convert_rep(g_in, "f")
+    out_g, out_f = handle.apply(g_in), handle.apply(f_in)
+    assert (out_g.rep, out_f.rep) == ("g", "f")
+    assert rel_err(convert_rep(out_f, "g").values, out_g.values) <= 1e-12
+
+
 def test_pt_kernel_contains_inverse_lambda():
     pt = radial_momentum_tilde(GRID)
     f = sample_field(lambda x: 1.0 / x, GRID)

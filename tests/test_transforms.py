@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from axiwave.grids import AxialField, apply_parity, gaussian_packet, make_grid
+from axiwave.operators import boost_generator_config, pbar0
 from axiwave.transforms import (BackendMismatchError, HalfLineFunction,
                                 half_line_derivative, hilbert_even,
                                 hilbert_odd, hilbert_signed, trig_transform)
@@ -133,6 +134,19 @@ def test_backend_mismatch_diagnostic():
         hilbert_even(f, cross_check_tol=1e-15)
     # sane tolerance passes silently
     hilbert_even(f, cross_check_tol=0.05)
+
+
+@pytest.mark.parametrize("route", [
+    lambda grid, fld, b: hilbert_signed(fld, "plus", backend=b),
+    lambda grid, fld, b: pbar0(grid, "left", backend=b).apply(fld),
+    lambda grid, fld, b: boost_generator_config(grid, "h_first",
+                                                backend=b).apply(fld),
+], ids=["hilbert_signed", "pbar0_left", "boost_generator_config"])
+def test_unknown_hilbert_backend_rejected(route):
+    grid = make_grid(32, 10.0)
+    fld = gaussian_packet(grid, 2.0, width=2.0)
+    with pytest.raises(ValueError, match="spectrl"):
+        route(grid, fld, "spectrl")
 
 
 def test_edge_decay_warning():
