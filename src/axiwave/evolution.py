@@ -34,7 +34,7 @@ import numpy as np
 
 from .grids import AxialField, AxisGrid, convert_rep, parity_join, parity_split
 from .spectral import fourier_full, fourier_full_inverse
-from .transforms import _trig_sum, hilbert_signed
+from .transforms import _trig_pair, hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
 
@@ -173,9 +173,8 @@ def _hamiltonian_g(grid: AxisGrid):
     dk, k = sg.dk, sg.positive_nodes()
 
     def apply(g):
-        even, odd = parity_split(g, n)
-        return parity_join(_trig_sum(k * _trig_sum(even, h, "cos"), dk, "cos"),
-                           _trig_sum(k * _trig_sum(odd, h, "sin"), dk, "sin"))
+        ce, so = _trig_pair(*parity_split(g, n), h, ("cos", "sin"))
+        return parity_join(*_trig_pair(k * ce, k * so, dk, ("cos", "sin")))
 
     return apply
 

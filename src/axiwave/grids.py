@@ -54,6 +54,8 @@ class AxisGrid:
     n_half: int
     h: float
     nodes: np.ndarray = field(repr=False)
+    _conjugate: "SpectralGrid | None" = field(default=None, init=False,
+                                              repr=False)
 
     @property
     def extent(self) -> float:
@@ -64,7 +66,11 @@ class AxisGrid:
         return 2 * self.n_half
 
     def conjugate(self) -> "SpectralGrid":
-        return make_spectral_grid(self.n_half, np.pi / self.extent, axis=self)
+        """The conjugate momentum grid, built on first use and kept."""
+        if self._conjugate is None:
+            object.__setattr__(self, "_conjugate", make_spectral_grid(
+                self.n_half, np.pi / self.extent, axis=self))
+        return self._conjugate
 
     def positive_nodes(self) -> np.ndarray:
         """r_j = (j + 1/2) h, the positive half of the grid."""

@@ -37,6 +37,7 @@ probe suites, reporting interior norms (edge bands excluded).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -46,7 +47,11 @@ from ._fd import derivative_per_half
 from .grids import (AxialField, AxisGrid, convert_rep, gaussian_packet,
                     inner_product)
 from .spectral import fourier_full, fourier_full_inverse, spectral_derivative
-from .transforms import BackendMismatchError, hilbert_signed
+from .transforms import (_BACKENDS, BackendMismatchError, _check_backend,
+                         hilbert_signed)
+
+_PBAR0_FORMS = ("left", "right", "spectral")
+_BOOST_ORDERINGS = ("h_first", "h_last")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +87,28 @@ def compose(a: LinearOperatorHandle, b: LinearOperatorHandle,
                                 apply=lambda fld: a.apply(b.apply(fld)))
 
 
-def _cross_check(grid: AxisGrid, residual, tol: float, what: str):
-    """Raise BackendMismatchError if `residual(grid, probes)` exceeds tol on
-    a smooth packet (carrier 1/40 of Nyquist, width a fifth of the extent)."""
-    probe = gaussian_packet(grid, 0.025 * np.pi / grid.h, 0.2 * grid.extent,
-                            rep="f")
-    gap = residual(grid, [probe])
-    if gap > tol:
-        raise BackendMismatchError(
-            f"{what} disagree by {gap:.3e} (tol {tol:.3e})")
+def _cross_check(grid: AxisGrid, kernel, requested, variants, tol: float,
+                 what: str):
+    """Raise BackendMismatchError if the requested g-kernel disagrees with
+    any other route to the same operator beyond tol.
+
+    `kernel(grid, variant, backend)` builds a route; the requested
+    (variant, backend) is compared with every variant on both Hilbert
+    backends, as a relative interior gap on a smooth packet (carrier 1/40
+    of Nyquist, width a fifth of the extent).
+    """
+    probe = gaussian_packet(grid, 0.025 * np.pi / grid.h,
+                            0.2 * grid.extent).values
+    mask = grid.interior_mask(0.6)
+    want = kernel(grid, *requested)(probe)[mask]
+    for route in itertools.product(variants, _BACKENDS):
+        got = kernel(grid, *route)(probe)[mask]
+        gap = np.linalg.norm(want - got) / max(np.linalg.norm(want),
+                                               np.linalg.norm(got))
+        if gap > tol:
+            raise BackendMismatchError(
+                f"{what}[{', '.join(requested)}] and {what}[{', '.join(route)}]"
+                f" disagree by {gap:.3e} (tol {tol:.3e})")
 
 
 def _dhalf(values: np.ndarray, grid: AxisGrid) -> np.ndarray:
@@ -138,29 +156,29 @@ def pbar0(grid: AxisGrid, form: str = "spectral", backend: str = "spectral",
     The three are independent discretizations of the same operator; their
     pairwise disagreement is part of the verification ledger (see
     `pbar0_triangle_residual`).  With `cross_check_tol` set, construction
-    compares the requested form against the others on a smooth probe and
-    raises BackendMismatchError on disagreement beyond the tolerance.
+    compares the requested form and Hilbert backend against every form on
+    both backends on a smooth probe and raises BackendMismatchError on
+    disagreement beyond the tolerance.  An unknown backend is rejected at
+    construction, on every form.
     """
-    if form not in ("left", "right", "spectral"):
+    if form not in _PBAR0_FORMS:
         raise ValueError(f"unknown form {form!r}")
+    _check_backend(backend)
     if cross_check_tol is not None:
-        _cross_check(grid, pbar0_triangle_residual, cross_check_tol,
-                     "pbar0 forms")
-    sgn = np.sign(grid.nodes)
-    sg = grid.conjugate()
-    absk = np.abs(sg.nodes)
+        _cross_check(grid, _pbar0_kernel, (form, backend), _PBAR0_FORMS,
+                     cross_check_tol, "pbar0")
+    return _wrap(f"pbar0[{form}]", grid, _pbar0_kernel(grid, form, backend))
 
+
+def _pbar0_kernel(grid: AxisGrid, form: str, backend: str):
     if form == "spectral":
-        def fn(g):
-            return fourier_full_inverse(absk * fourier_full(g, grid), sg)
-    elif form == "left":
-        def fn(g):
-            return -sgn * _dhalf(_hilbert(g, grid, "plus", backend), grid)
-    else:
-        def fn(g):
-            return -_hilbert(sgn * _dhalf(g, grid), grid, "minus", backend)
-
-    return _wrap(f"pbar0[{form}]", grid, fn)
+        sg = grid.conjugate()
+        absk = np.abs(sg.nodes)
+        return lambda g: fourier_full_inverse(absk * fourier_full(g, grid), sg)
+    sgn = np.sign(grid.nodes)
+    if form == "left":
+        return lambda g: -sgn * _dhalf(_hilbert(g, grid, "plus", backend), grid)
+    return lambda g: -_hilbert(sgn * _dhalf(g, grid), grid, "minus", backend)
 
 
 def pbar0_triangle_residual(grid: AxisGrid, probes: Sequence[AxialField],
@@ -224,13 +242,20 @@ def boost_generator_config(grid: AxisGrid, ordering: str = "h_first",
     Both reduce on the axis to conjugations of H (lambda d/dlambda + 3/2)
     acting on g; the orderings differ only by discretization and are
     cross-checked by `boost_ordering_residual`, or at construction when
-    `cross_check_tol` is given (BackendMismatchError on disagreement).
+    `cross_check_tol` is given: the requested ordering and Hilbert backend
+    against both orderings on both backends (BackendMismatchError on
+    disagreement).  An unknown backend is rejected at construction.
     """
-    if ordering not in ("h_first", "h_last"):
+    if ordering not in _BOOST_ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
+    _check_backend(backend)
     if cross_check_tol is not None:
-        _cross_check(grid, boost_ordering_residual, cross_check_tol,
-                     "boost generator orderings")
+        _cross_check(grid, _boost_kernel, (ordering, backend),
+                     _BOOST_ORDERINGS, cross_check_tol, "N")
+    return _wrap(f"N[{ordering}]", grid, _boost_kernel(grid, ordering, backend))
+
+
+def _boost_kernel(grid: AxisGrid, ordering: str, backend: str):
     lam = grid.nodes
     sgn = np.sign(lam)
 
@@ -239,13 +264,8 @@ def boost_generator_config(grid: AxisGrid, ordering: str = "h_first",
         return -sgn * (lam * _dhalf(g, grid) + 1.5 * g)
 
     if ordering == "h_first":
-        def fn(g):
-            return _hilbert(dilation(g), grid, "minus", backend)
-    else:
-        def fn(g):
-            return dilation(_hilbert(g, grid, "plus", backend))
-
-    return _wrap(f"N[{ordering}]", grid, fn)
+        return lambda g: _hilbert(dilation(g), grid, "minus", backend)
+    return lambda g: dilation(_hilbert(g, grid, "plus", backend))
 
 
 def boost_ordering_residual(grid: AxisGrid, probes: Sequence[AxialField],

@@ -38,6 +38,8 @@ z<0 (k>0), and Hplus Hminus = Hminus Hplus = -1.
 
 from __future__ import annotations
 
+import functools
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -91,6 +93,33 @@ def _trig_sum(values: np.ndarray, spacing: float, kind: str) -> np.ndarray:
     # DCT-IV/DST-IV carry a conventional factor 2.
     core = dct(values, type=4) if kind == "cos" else dst(values, type=4)
     return np.sqrt(2.0 / np.pi) * 0.5 * spacing * core
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_buffer(n: int, thread: int) -> np.ndarray:
+    # per thread: the r2r kernel runs without the interpreter lock
+    return np.empty((2, n), dtype=complex)
+
+
+def _trig_pair(a: np.ndarray, b: np.ndarray, spacing: float, kinds):
+    """(_trig_sum(a, spacing, kinds[0]), _trig_sum(b, spacing, kinds[1])),
+    bit for bit, from one DCT-IV over both rows.
+
+    DST-IV(x)_m = (-1)^m DCT-IV(x reversed)_m is how the r2r kernel itself
+    evaluates a DST-IV, so a sin row is reversed on the way in and its odd
+    entries negated on the way out.  The rows are transformed in place in a
+    cached work buffer (a fresh (2, n) stack at n = 4096 lands on the
+    allocator's mmap threshold and costs a page fault storm per call); the
+    results are fresh arrays.
+    """
+    buf = _pair_buffer(len(a), threading.get_ident())
+    for row, x, kind in zip(buf, (a, b), kinds):
+        row[:] = x if kind == "cos" else x[::-1]
+    core = dct(buf, type=4, overwrite_x=True)
+    for row, kind in zip(core, kinds):
+        if kind == "sin":
+            np.negative(row[1::2], out=row[1::2])
+    return tuple(np.sqrt(2.0 / np.pi) * 0.5 * spacing * row for row in core)
 
 
 def trig_transform(f: HalfLineFunction, kind: str = "cos") -> HalfLineFunction:
@@ -181,16 +210,24 @@ def hilbert_odd(f: HalfLineFunction, backend: str = "spectral",
     return _hilbert_dispatch(f, "odd", backend, edge_decay_tol, cross_check_tol)
 
 
-def _hilbert_core(f: HalfLineFunction, parity: str, backend: str) -> np.ndarray:
+def _check_backend(backend: str):
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
+
+
+# spectral Hilbert kernels as (first, second) trig transforms; He carries
+# a minus sign: He = -Fs~ Fc, Ho = Fc~ Fs
+_SPECTRAL_KINDS = {"even": ("cos", "sin"), "odd": ("sin", "cos")}
+
+
+def _hilbert_core(f: HalfLineFunction, parity: str, backend: str) -> np.ndarray:
+    _check_backend(backend)
     if backend == "quadrature":
         return _hilbert_quadrature(f, odd_kernel=parity == "odd")
-    if parity == "even":
-        return -_trig_sum(_trig_sum(f.values, f.spacing, "cos"),
-                          f.conjugate_spacing(), "sin")
-    return _trig_sum(_trig_sum(f.values, f.spacing, "sin"),
-                     f.conjugate_spacing(), "cos")
+    first, second = _SPECTRAL_KINDS[parity]
+    out = _trig_sum(_trig_sum(f.values, f.spacing, first),
+                    f.conjugate_spacing(), second)
+    return -out if parity == "even" else out
 
 
 def _hilbert_dispatch(f, parity, backend, edge_decay_tol, cross_check_tol):
@@ -234,6 +271,7 @@ def hilbert_signed(fld: AxialField, sign: str = "plus",
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"unknown sign {sign!r}")
+    _check_backend(backend)
     h = fld.grid.h
     even, odd = (HalfLineFunction(h, part)
                  for part in parity_split(fld.values, fld.grid.n_half))
@@ -241,5 +279,12 @@ def hilbert_signed(fld: AxialField, sign: str = "plus",
     # minus: even part through the odd kernel (even output), odd part
     # through the even kernel (odd output)
     kernels = ("even", "odd") if sign == "plus" else ("odd", "even")
-    return fld.copy_with(parity_join(_hilbert_core(even, kernels[0], backend),
-                                     _hilbert_core(odd, kernels[1], backend)))
+    if backend == "quadrature":
+        return fld.copy_with(parity_join(_hilbert_core(even, kernels[0], backend),
+                                         _hilbert_core(odd, kernels[1], backend)))
+    # spectral: both halves through each trig stage together
+    first, second = zip(*(_SPECTRAL_KINDS[k] for k in kernels))
+    outs = _trig_pair(*_trig_pair(even.values, odd.values, h, first),
+                      even.conjugate_spacing(), second)
+    return fld.copy_with(parity_join(*(-out if k == "even" else out
+                                       for out, k in zip(outs, kernels))))
