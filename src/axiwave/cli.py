@@ -17,25 +17,28 @@ import numpy as np
 from .evolution import (SpinorField, VectorField3, propagate_maxwell,
                         propagate_scalar, propagate_wave, propagate_weyl)
 from .fileio import (FileFormatError, read_beams_json, read_spectral_csv,
-                     read_state_csv, write_beams_json, write_components_csv,
-                     write_spectral_csv, write_state_csv)
+                     read_state_csv, write_beams_json, write_spectral_csv,
+                     write_state_csv)
 from .grids import AxialField, convert_rep, make_grid
 from .relativity import BoostParams, boost_beam
 from .spectral import analyze, fourier_full, fourier_full_inverse, synthesize
 from .transforms import cosine_taper
 from .verify import RunConfig, run_verification
 
+_FLAGS = {  # shared flags; each subcommand takes only those it reads
+    "--grid-size": (int, 256, "nodes per half-line (default 256)"),
+    "--extent": (float, 40.0, "half-line length (default 40)"),
+    "--seed": (int, 7, "probe-suite seed (default 7)"),
+    "--tol-scale": (float, 1.0,
+                    "multiply every tolerance (0 fails all inexact)"),
+    "--out": (str, None, "output path or directory"),
+}
 
-def _common(parser):
-    parser.add_argument("--grid-size", type=int, default=256,
-                        help="nodes per half-line (default 256)")
-    parser.add_argument("--extent", type=float, default=40.0,
-                        help="half-line length (default 40)")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="probe-suite seed (default 7)")
-    parser.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiply every tolerance (0 fails all inexact)")
-    parser.add_argument("--out", default=None, help="output path or directory")
+
+def _add_flags(parser, *names):
+    for name in names:
+        typ, default, text = _FLAGS[name]
+        parser.add_argument(name, type=typ, default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,12 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the operator-identity ledger")
-    _common(v)
+    _add_flags(v, "--grid-size", "--extent", "--seed", "--tol-scale", "--out")
 
     pr = sub.add_parser("propagate", help="propagate a windowed wave packet")
-    _common(pr)
-    pr.add_argument("--kind", choices=["scalar", "wave", "weyl", "maxwell"],
-                    default="scalar")
+    _add_flags(pr, "--grid-size", "--extent", "--out")
+    pr.add_argument("--kind", choices=list(KINDS), default="scalar")
     pr.add_argument("--k0", type=float, default=8.0, help="carrier momentum")
     pr.add_argument("--width", type=float, default=None,
                     help="window width (default extent/4)")
@@ -61,14 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="initial state CSV (overrides the built-in packet)")
 
     b = sub.add_parser("boost", help="Lorentz-boost a beam ensemble")
-    _common(b)
+    _add_flags(b, "--out")
     b.add_argument("--v", type=float, required=True, help="velocity, |v| < 1")
     b.add_argument("--axis", default="z", help="x|y|z or 'x,y,z' components")
     b.add_argument("--in", dest="infile", required=True, help="beams JSON")
 
     t = sub.add_parser("transform",
                        help="state CSV <-> spectral CSV via the unitary map")
-    _common(t)
+    _add_flags(t, "--out")
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--inverse", action="store_true",
                    help="spectral -> state instead of state -> spectral")
@@ -88,12 +90,6 @@ def _parse_axis(text: str) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _default_packet(grid, k0, width):
-    lam = grid.nodes
-    win = cosine_taper(lam, 2.0 * width, grid.extent / 16.0)
-    return AxialField(grid, "g", win * np.exp(1j * k0 * lam))
-
-
 def cmd_verify(args) -> int:
     cfg = RunConfig(n_half=args.grid_size, extent=args.extent, seed=args.seed,
                     n_half_fine=max(2 * args.grid_size, 16),
@@ -108,96 +104,98 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _write_diag(path, times, diag):
-    keys = ["norm", "min_rho", "continuity_residual"]
+def _run_scalar(comps, times, method):
+    res = propagate_scalar(comps[0], times, method=method)
+    return [[s] for s in res.snapshots], res.diagnostics
+
+
+def _run_wave(comps, times, method):
+    # initial rate dg/dt = -i kappa g: the packet moves rigidly along +n
+    g, sg = comps[0], comps[0].grid.conjugate()
+    gdot = fourier_full_inverse(
+        -1j * sg.nodes * fourier_full(g.values, g.grid), sg)
+    res = propagate_wave(g, AxialField(g.grid, "g", gdot), times)
+    return [[s] for s, _ in res.snapshots], res.diagnostics
+
+
+def _run_weyl(comps, times, method):
+    up, down = comps
+    res = propagate_weyl(
+        SpinorField(up.grid, up.rep, up.values, down.values), times)
+    return [[s.component(0), s.component(1)] for s in res.snapshots], \
+        res.diagnostics
+
+
+def _run_maxwell(comps, times, method):
+    res = propagate_maxwell(VectorField3(
+        comps[0].grid, comps[0].rep, [c.values for c in comps]), times)
+    return [[s.component(j) for j in range(3)] for s in res.snapshots], \
+        res.diagnostics
+
+
+# --kind -> (default g-components from the windowed packet w, whose count
+# is the kind's component count; runner (components, times, method) ->
+# (components of each snapshot, diagnostics); whether --in is accepted;
+# the diagnostics.csv columns after `time`)
+KINDS = {
+    "scalar": (lambda w: [w], _run_scalar, True,
+               ("norm", "min_rho", "continuity_residual")),
+    "wave": (lambda w: [w], _run_wave, False,
+             ("norm", "charge", "sigma_min", "sigma_max")),
+    "weyl": (lambda w: [w, np.zeros_like(w)], _run_weyl, True,
+             ("norm", "norm_up", "norm_down")),
+    "maxwell": (lambda w: [w, 1j * w, np.zeros_like(w)], _run_maxwell, True,
+                ("norm", "norm_fwd", "norm_back")),
+}
+
+
+def _write_diag(path, times, diag, columns):
+    """One row per time; NaN (no centered stencil) is written blank."""
+    lines = [",".join(("time",) + columns)]
+    for i, t in enumerate(times):
+        cells = [float(t)] + [float(diag[key][i]) for key in columns]
+        lines.append(",".join("" if np.isnan(x) else repr(x) for x in cells))
     with open(path, "w") as fh:
-        fh.write("time,norm,min_rho,continuity_residual\n")
-        for i, t in enumerate(times):
-            row = [repr(float(t))]
-            for key in keys:
-                arr = diag.get(key)
-                if arr is None or (hasattr(arr, "__len__") and
-                                   np.isnan(arr[i])):
-                    row.append("")
-                else:
-                    row.append(repr(float(arr[i])))
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_propagate(args) -> int:
-    if not (np.isfinite(args.t_max) and args.t_max > 0.0):
-        raise ValueError("--t-max must be finite and positive")
-    if args.snapshots < 1:
-        raise ValueError("--snapshots must be at least 1")
-    if args.kind == "wave" and args.infile:
-        raise ValueError("--in is not supported for --kind wave")
-    grid = make_grid(args.grid_size, args.extent)
-    width = args.width if args.width is not None else args.extent / 4.0
+    default, run, accepts_in, columns = KINDS[args.kind]
+    for message, ok in (
+            ("--t-max must be finite and positive", 0.0 < args.t_max < np.inf),
+            ("--snapshots must be at least 1", args.snapshots >= 1),
+            ("--k0 must be finite", np.isfinite(args.k0)),
+            ("--width must be finite and positive",
+             args.width is None or 0.0 < args.width < np.inf),
+            ("--method rk4 is only available for --kind scalar",
+             args.method != "rk4" or args.kind == "scalar"),
+            (f"--in is not supported for --kind {args.kind}",
+             accepts_in or not args.infile)):
+        if not ok:
+            raise ValueError(message)
+
+    if args.infile:
+        comps = read_state_csv(args.infile)
+        comps = comps if isinstance(comps, list) else [comps]
+        n_comp = len(default(np.zeros(0)))
+        if len(comps) != n_comp:
+            raise FileFormatError(f"{args.infile}: --kind {args.kind} needs "
+                                  f"{n_comp} component(s), found {len(comps)}")
+    else:
+        grid = make_grid(args.grid_size, args.extent)
+        width = args.extent / 4.0 if args.width is None else args.width
+        win = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0)
+        w = win * np.exp(1j * args.k0 * grid.nodes)
+        comps = [AxialField(grid, "g", v) for v in default(w)]
     times = np.linspace(0.0, args.t_max, args.snapshots)
+    snaps, diag = run(comps, times, args.method)
+
     outdir = args.out or "propagation"
     os.makedirs(outdir, exist_ok=True)
-
-    if args.method == "rk4" and args.kind != "scalar":
-        raise FileFormatError("rk4 stepping is only available for --kind scalar")
-
-    if args.kind == "scalar":
-        if args.infile:
-            psi0 = read_state_csv(args.infile)
-            if isinstance(psi0, list):
-                raise FileFormatError("scalar initial data must have one component")
-            grid = psi0.grid
-        else:
-            psi0 = _default_packet(grid, args.k0, width)
-        res = propagate_scalar(psi0, times, method=args.method)
-        for i, snap in enumerate(res.snapshots):
-            write_state_csv(convert_rep(snap, "f"),
-                            os.path.join(outdir, f"snapshot_{i:03d}.csv"))
-    elif args.kind == "wave":
-        psi0 = _default_packet(grid, args.k0, width)
-        sg = grid.conjugate()
-        gdot = fourier_full_inverse(
-            -1j * sg.nodes * fourier_full(psi0.values, grid), sg)
-        res = propagate_wave(psi0, AxialField(grid, "g", gdot), times)
-        for i, (snap, _) in enumerate(res.snapshots):
-            write_state_csv(convert_rep(snap, "f"),
-                            os.path.join(outdir, f"snapshot_{i:03d}.csv"))
-    elif args.kind == "weyl":
-        if args.infile:
-            comps = read_state_csv(args.infile)
-            if not isinstance(comps, list) or len(comps) != 2:
-                raise FileFormatError("weyl initial data needs 2 components")
-            grid = comps[0].grid
-            psi0 = SpinorField(grid, comps[0].rep, comps[0].values,
-                               comps[1].values)
-        else:
-            pkt = _default_packet(grid, args.k0, width)
-            psi0 = SpinorField(grid, "g", pkt.values, np.zeros(grid.size))
-        res = propagate_weyl(psi0, times)
-        for i, snap in enumerate(res.snapshots):
-            write_components_csv(
-                [convert_rep(snap.component(j), "f") for j in range(2)],
-                os.path.join(outdir, f"snapshot_{i:03d}.csv"))
-    else:  # maxwell
-        if args.infile:
-            comps = read_state_csv(args.infile)
-            if not isinstance(comps, list) or len(comps) != 3:
-                raise FileFormatError("maxwell initial data needs 3 components")
-            grid = comps[0].grid
-            f0 = VectorField3(grid, comps[0].rep,
-                              np.stack([c.values for c in comps]))
-        else:
-            pkt = _default_packet(grid, args.k0, width)
-            f0 = VectorField3(grid, "g", np.stack(
-                [pkt.values, 1j * pkt.values,
-                 np.zeros(grid.size, dtype=complex)]))
-        res = propagate_maxwell(f0, times)
-        for i, snap in enumerate(res.snapshots):
-            write_components_csv(
-                [convert_rep(snap.component(j), "f") for j in range(3)],
-                os.path.join(outdir, f"snapshot_{i:03d}.csv"))
-
-    _write_diag(os.path.join(outdir, "diagnostics.csv"), times,
-                res.diagnostics)
+    for i, snap in enumerate(snaps):
+        write_state_csv([convert_rep(c, "f") for c in snap],
+                        os.path.join(outdir, f"snapshot_{i:03d}.csv"))
+    _write_diag(os.path.join(outdir, "diagnostics.csv"), times, diag, columns)
     print(f"{len(times)} snapshots written to {outdir}")
     return 0
 

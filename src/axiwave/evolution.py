@@ -89,6 +89,13 @@ class EvolutionResult:
             raise ValueError("one snapshot per time")
 
 
+def _result(t, snaps, rows, keys, **extra) -> EvolutionResult:
+    """Diagnostics keyed by `keys`, from one row of values per time."""
+    cols = np.array(rows, dtype=float).T
+    return EvolutionResult(times=t, snapshots=snaps,
+                           diagnostics=dict(zip(keys, cols), **extra))
+
+
 def _check_times(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
@@ -227,17 +234,13 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    snaps, rhos, js, norms = [], [], [], []
+    snaps, rhos, js, rows = [], [], [], []
     for (g,) in flow:
         snaps.append(_field_from_g(grid, g, psi0.rep))
         rho, j, nrm = _scalar_diagnostics(grid, g)
-        rhos.append(rho); js.append(j); norms.append(nrm)
-    return EvolutionResult(times=t, snapshots=snaps, diagnostics={
-        "norm": np.array(norms),
-        "min_rho": np.array([np.min(r) for r in rhos]),
-        "max_rho": np.array([np.max(r) for r in rhos]),
-        "continuity_residual": continuity_residuals(t, rhos, js, grid),
-    })
+        rhos.append(rho); js.append(j); rows.append((nrm, rho.min(), rho.max()))
+    return _result(t, snaps, rows, ("norm", "min_rho", "max_rho"),
+                   continuity_residual=continuity_residuals(t, rhos, js, grid))
 
 
 def continuity_residuals(times, rhos, js, grid, mask_fraction: float = 0.6):
@@ -264,8 +267,9 @@ def propagate_wave(psi0: AxialField, dpsi0_dt: AxialField,
     """Second-order wave form; supports both frequency signs.
 
     ghat(t) = cos(|k| t) ghat0 + sin(|k| t)/|k| ghatdot0, exact in time.
-    Snapshots are (psi, dpsi_dt) pairs; diagnostics carry the indefinite
-    second-order density extrema.
+    Snapshots are (psi, dpsi_dt) pairs.  Diagnostics: "norm" (flat g-norm,
+    conserved for one-branch data only), "charge" (h sum sigma, conserved,
+    positive for forward movers) and the extrema "sigma_min", "sigma_max".
     """
     t = _check_times(t_grid)
     grid = psi0.grid
@@ -277,15 +281,14 @@ def propagate_wave(psi0: AxialField, dpsi0_dt: AxialField,
         c, s = np.cos(absk * ti), np.sin(absk * ti)
         return [[c, s / absk], [-absk * s, c]]
 
-    snaps, smin, smax = [], [], []
+    snaps, rows = [], []
     for g, gdot in _evolve(grid, [_g_of(psi0), _g_of(dpsi0_dt)], transfer, t):
         snaps.append((_field_from_g(grid, g, psi0.rep),
                       _field_from_g(grid, gdot, psi0.rep)))
         sig = -2.0 * np.imag(np.conj(g) * gdot)
-        smin.append(float(np.min(sig)))
-        smax.append(float(np.max(sig)))
-    return EvolutionResult(times=t, snapshots=snaps, diagnostics={
-        "sigma_min": np.array(smin), "sigma_max": np.array(smax)})
+        rows.append((np.sqrt(np.vdot(g, g).real * grid.h),
+                     np.sum(sig) * grid.h, np.min(sig), np.max(sig)))
+    return _result(t, snaps, rows, ("norm", "charge", "sigma_min", "sigma_max"))
 
 
 def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResult:
@@ -293,6 +296,8 @@ def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResul
 
     On the axis sigma . pbar is diagonal: the upper component carries the
     momentum-space symbol +kappa (forward mover), the lower -kappa.
+    Diagnostics: "norm" (flat g-norm) and its conserved parts "norm_up",
+    "norm_down".
     """
     t = _check_times(t_grid)
     grid = psi0.grid
@@ -302,15 +307,13 @@ def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResul
     def transfer(ti):
         return [[np.exp(-1j * kap * ti), None], [None, np.exp(+1j * kap * ti)]]
 
-    snaps, norm_u, norm_d = [], [], []
+    snaps, rows = [], []
     for u, d in _evolve(grid, g0s, transfer, t):
-        up = _field_from_g(grid, u, psi0.rep)
-        dn = _field_from_g(grid, d, psi0.rep)
-        snaps.append(SpinorField(grid, psi0.rep, up.values, dn.values))
-        norm_u.append(float(np.sqrt(np.sum(np.abs(u) ** 2) * grid.h)))
-        norm_d.append(float(np.sqrt(np.sum(np.abs(d) ** 2) * grid.h)))
-    return EvolutionResult(times=t, snapshots=snaps, diagnostics={
-        "norm_up": np.array(norm_u), "norm_down": np.array(norm_d)})
+        snaps.append(SpinorField(grid, psi0.rep, *(
+            _field_from_g(grid, x, psi0.rep).values for x in (u, d))))
+        su, sd = np.sum(np.abs(u) ** 2), np.sum(np.abs(d) ** 2)
+        rows.append([np.sqrt(s * grid.h) for s in (su + sd, su, sd)])
+    return _result(t, snaps, rows, ("norm", "norm_up", "norm_down"))
 
 
 def weyl_hamiltonian(grid: AxisGrid):
@@ -339,6 +342,8 @@ def propagate_maxwell(f0: VectorField3, t_grid: Sequence[float],
     the circular combinations F1 -+ i F2 are eigenmodes with symbols
     +kappa / -kappa, so the forward wave (w, i w, 0) translates in +n and
     (w, -i w, 0) in -n.  F3 is never sourced and must vanish at input.
+    Diagnostics: "norm" (flat g-norm) and the conserved circular-mode norms
+    "norm_fwd" = |F1 - i F2| / sqrt 2, "norm_back" = |F1 + i F2| / sqrt 2.
     """
     t = _check_times(t_grid)
     grid = f0.grid
@@ -352,16 +357,19 @@ def propagate_maxwell(f0: VectorField3, t_grid: Sequence[float],
         return [[c, -s], [s, c]]
 
     g0s = [_g_of(f0.component(0)), _g_of(f0.component(1))]
-    snaps, norms = [], []
+    snaps, rows = [], []
     for c1, c2 in _evolve(grid, g0s, transfer, t):
-        f1 = _field_from_g(grid, c1, f0.rep)
-        f2 = _field_from_g(grid, c2, f0.rep)
-        snaps.append(VectorField3(grid, f0.rep, np.stack(
-            [f1.values, f2.values, np.zeros(grid.size, dtype=complex)])))
-        norms.append(float(np.sqrt(
-            (np.sum(np.abs(c1) ** 2) + np.sum(np.abs(c2) ** 2)) * grid.h)))
-    return EvolutionResult(times=t, snapshots=snaps, diagnostics={
-        "norm": np.array(norms)})
+        snaps.append(VectorField3(grid, f0.rep, [
+            _field_from_g(grid, c, f0.rep).values for c in (c1, c2)]
+            + [np.zeros(grid.size, dtype=complex)]))
+        s12 = np.sum(np.abs(c1) ** 2) + np.sum(np.abs(c2) ** 2)
+        # |F1 -+ i F2|^2 = |F1|^2 + |F2|^2 +- 2 Im <F1, F2>, no temporaries;
+        # clamped, since one mode is zero up to rounding for circular data
+        cross = 2.0 * np.vdot(c1, c2).imag
+        rows.append((np.sqrt(s12 * grid.h),
+                     np.sqrt(max(s12 + cross, 0.0) * grid.h / 2.0),
+                     np.sqrt(max(s12 - cross, 0.0) * grid.h / 2.0)))
+    return _result(t, snaps, rows, ("norm", "norm_fwd", "norm_back"))
 
 
 def packet_centroid(psi: AxialField) -> float:

@@ -3,7 +3,9 @@
 State CSV: one row per node, `lambda,re,im`, preceded by a comment header
 `# rep=F|G n_half=<int> h=<float>`.  Spectral CSV: `kappa,re,im` with
 header `# dk=<float>`.  Multi-component fields use the same layout with
-`components=<n>` in the header and re/im column pairs per component.
+`components=<n>` in the header and re/im column pairs per component;
+`write_state_csv` writes both layouts (one field or a list) and
+`read_state_csv` reads both.  The readers reject non-finite cells.
 Beam ensembles are JSON: {"beams": [{"direction": [x,y,z],
 "kappa": [...], "re": [...], "im": [...]}]}.
 
@@ -14,6 +16,7 @@ serializes byte-identically.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -27,36 +30,25 @@ class FileFormatError(ValueError):
     """Malformed input file; message carries path and line number."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_state_csv(fld: AxialField, path):
-    grid = fld.grid
-    rep = "F" if fld.rep == "f" else "G"
-    lines = [f"# rep={rep} n_half={grid.n_half} h={_fmt(grid.h)}",
-             "lambda,re,im"]
-    for lam, v in zip(grid.nodes, fld.values):
-        lines.append(f"{_fmt(lam)},{_fmt(v.real)},{_fmt(v.imag)}")
+def _write_rows(path, header, columns):
+    """Header lines, then one row per index of the equal-length float columns."""
+    rows = zip(*(c.tolist() for c in columns))
+    lines = header + [",".join(map(repr, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_components_csv(fields: list[AxialField], path):
-    """Several same-grid components in one file (spinor, vector fields)."""
-    grid = fields[0].grid
+def write_state_csv(fields: AxialField | list[AxialField], path):
+    """One field, or a list of same-grid components (spinor, vector)."""
+    fields = fields if isinstance(fields, list) else [fields]
+    grid, n = fields[0].grid, len(fields)
     rep = "F" if fields[0].rep == "f" else "G"
-    n = len(fields)
-    cols = ",".join(f"re{i + 1},im{i + 1}" for i in range(n))
-    lines = [f"# rep={rep} n_half={grid.n_half} h={_fmt(grid.h)} components={n}",
-             f"lambda,{cols}"]
-    for j, lam in enumerate(grid.nodes):
-        row = [_fmt(lam)]
-        for f in fields:
-            row += [_fmt(f.values[j].real), _fmt(f.values[j].imag)]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = f"# rep={rep} n_half={grid.n_half} h={float(grid.h)!r}"
+    if n > 1:
+        head += f" components={n}"
+    names = ["re,im"] if n == 1 else [f"re{i},im{i}" for i in range(1, n + 1)]
+    _write_rows(path, [head, ",".join(["lambda"] + names)], [grid.nodes] + [
+        part for f in fields for part in (f.values.real, f.values.imag)])
 
 
 _STATE_HEADER = re.compile(
@@ -76,9 +68,12 @@ def _parse_floats(path, lineno, line, expected):
         raise FileFormatError(
             f"{path}:{lineno}: expected {expected} columns, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise FileFormatError(f"{path}:{lineno}: non-finite value")
+    return vals
 
 
 def _read_table(path, header_re, expected_cols_fn):
@@ -123,12 +118,8 @@ def read_state_csv(path) -> AxialField | list[AxialField]:
 
 
 def write_spectral_csv(profile: SpectralProfile, path):
-    sg = profile.grid
-    lines = [f"# dk={_fmt(sg.dk)}", "kappa,re,im"]
-    for kap, v in zip(sg.nodes, profile.values):
-        lines.append(f"{_fmt(kap)},{_fmt(v.real)},{_fmt(v.imag)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_rows(path, [f"# dk={float(profile.grid.dk)!r}", "kappa,re,im"],
+                [profile.grid.nodes, profile.values.real, profile.values.imag])
 
 
 def read_spectral_csv(path) -> SpectralProfile:
@@ -170,21 +161,24 @@ def read_beams_json(path) -> list[BeamState]:
         raise FileFormatError(f"{path}: 'beams' must be a list")
     beams = []
     for i, entry in enumerate(payload["beams"]):
+        where = f"{path}: beam {i}"
         if not isinstance(entry, dict):
-            raise FileFormatError(f"{path}: beam {i}: entry must be an object")
+            raise FileFormatError(f"{where}: entry must be an object")
         try:
-            kappa = np.asarray(entry["kappa"], dtype=float)
-            n_half = kappa.size // 2
-            dk = float(entry.get("dk", np.diff(kappa).min()))
-            sg = make_spectral_grid(n_half, dk)
+            arrays = [np.asarray(entry[key], dtype=float)
+                      for key in ("kappa", "re", "im", "direction")]
+            kappa, re_, im_, direction = arrays
+            dk = float(entry["dk"] if "dk" in entry else np.diff(kappa).min())
+            if not all(np.isfinite(a).all() for a in arrays + [dk]):
+                raise ValueError("non-finite number")
+            sg = make_spectral_grid(kappa.size // 2, dk)
             if np.max(np.abs(kappa - sg.nodes)) > 1e-9 * dk:
-                raise FileFormatError(
-                    f"{path}: beam {i}: kappa nodes are not a symmetric "
-                    "half-offset grid")
-            vals = np.asarray(entry["re"], dtype=float) \
-                + 1j * np.asarray(entry["im"], dtype=float)
-            beams.append(BeamState(np.asarray(entry["direction"], dtype=float),
-                                   SpectralProfile(sg, vals)))
+                raise ValueError(
+                    "kappa nodes are not a symmetric half-offset grid")
+            beams.append(BeamState(direction,
+                                   SpectralProfile(sg, re_ + 1j * im_)))
         except KeyError as exc:
-            raise FileFormatError(f"{path}: beam {i}: missing key {exc}") from None
+            raise FileFormatError(f"{where}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"{where}: {exc}") from None
     return beams

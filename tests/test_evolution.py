@@ -360,3 +360,46 @@ def test_scalar_hilbert_once_per_snapshot(monkeypatch, method):
     times = np.linspace(0.0, 1.0, 5)
     propagate_scalar(fwd_packet(k0=3.0), times, method=method)
     assert len(calls) == len(times)
+
+
+def _flat_norm(g):
+    return np.sqrt(np.sum(np.abs(g) ** 2) * GRID.h)
+
+
+def test_wave_charge_conserved_and_matches_sigma():
+    # mixed-branch data: the flat norm moves, the charge h sum sigma does not
+    p1 = gaussian_packet(GRID, 6.0, width=4.0, center=-8.0).values
+    p2 = np.conj(gaussian_packet(GRID, 6.0, width=4.0, center=8.0).values)
+    psi = AxialField(GRID, "g", p1 + 0.5 * p2)
+    psidot = AxialField(GRID, "g", -6j * p1 + 3j * p2)
+    res = propagate_wave(psi, psidot, np.linspace(0.0, 6.0, 5))
+    charge = res.diagnostics["charge"]
+    assert np.max(np.abs(charge - charge[0])) <= 1e-10 * abs(charge[0])
+    assert charge[0] == pytest.approx(
+        np.sum(sigma_density(psi, psidot)) * GRID.h, rel=1e-12)
+    for (s, _), nrm in zip(res.snapshots, res.diagnostics["norm"]):
+        assert nrm == pytest.approx(_flat_norm(s.values), rel=1e-12)
+
+
+def test_weyl_and_maxwell_mode_norms():
+    up = gaussian_packet(GRID, 8.0, width=5.0, center=-8.0).values
+    down = gaussian_packet(GRID, 4.0, width=3.0, center=8.0).values
+    times = np.linspace(0.0, 6.0, 4)
+    weyl = propagate_weyl(SpinorField(GRID, "g", up, down), times).diagnostics
+    np.testing.assert_allclose(
+        weyl["norm"], np.hypot(weyl["norm_up"], weyl["norm_down"]), rtol=1e-14)
+    # (a, i a) moves forward, (b, -i b) backward: F1 -/+ i F2 = 2a / 2b
+    f0 = VectorField3(GRID, "g", np.stack(
+        [up + down, 1j * (up - down), np.zeros(GRID.size, dtype=complex)]))
+    res = propagate_maxwell(f0, times)
+    diag = res.diagnostics
+    np.testing.assert_allclose(diag["norm_fwd"], np.sqrt(2) * _flat_norm(up),
+                               rtol=1e-12)
+    np.testing.assert_allclose(diag["norm_back"], np.sqrt(2) * _flat_norm(down),
+                               rtol=1e-12)
+    for snap, f, b in zip(res.snapshots, diag["norm_fwd"], diag["norm_back"]):
+        g1, g2 = snap.values[0], snap.values[1]
+        assert f == pytest.approx(_flat_norm(g1 - 1j * g2) / np.sqrt(2),
+                                  rel=1e-12)
+        assert b == pytest.approx(_flat_norm(g1 + 1j * g2) / np.sqrt(2),
+                                  rel=1e-12)

@@ -9,8 +9,8 @@ from axiwave.fileio import (FileFormatError, read_beams_json,
                             read_spectral_csv, read_state_csv,
                             write_beams_json, write_spectral_csv,
                             write_state_csv)
-from axiwave.grids import (SpectralProfile, convert_rep, gaussian_packet,
-                           make_grid)
+from axiwave.grids import (AxialField, SpectralProfile, convert_rep,
+                           gaussian_packet, make_grid)
 from axiwave.relativity import BeamState
 from axiwave.spectral import analyze
 
@@ -142,14 +142,13 @@ def test_cli_propagate_methods_agree(tmp_path):
 
 
 def test_cli_maxwell_constraint_violation(tmp_path, capsys):
-    from axiwave.fileio import write_components_csv
     from axiwave.grids import AxialField
     grid = make_grid(32, 10.0)
     w = gaussian_packet(grid, 3.0, width=3.0).values
     comps = [AxialField(grid, "g", w), AxialField(grid, "g", 1j * w),
              AxialField(grid, "g", 0.3 * w)]
     src = tmp_path / "f3.csv"
-    write_components_csv(comps, src)
+    write_state_csv(comps, src)
     code = main(["propagate", "--kind", "maxwell", "--in", str(src),
                  "--out", str(tmp_path / "out")])
     assert code == 2
@@ -163,12 +162,17 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     for flag, value in (("--t-max", "inf"), ("--t-max", "nan"),
                         ("--t-max", "0"), ("--t-max", "-1"),
                         ("--snapshots", "0"),
+                        ("--k0", "nan"), ("--k0", "inf"),
+                        ("--width", "0"), ("--width", "-1"),
+                        ("--width", "nan"), ("--width", "inf"),
+                        ("--method", "rk4"),
                         ("--in", str(tmp_path / "missing.csv"))):
-        kind = "wave" if flag == "--in" else "scalar"
+        kind = "wave" if flag in ("--in", "--method") else "scalar"
         assert main(["propagate", "--kind", kind, flag, value,
                      "--grid-size", "16", "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+        assert not (tmp_path / "run").exists()
 
 
 def test_cli_transform_rejects_oversized_header(tmp_path, capsys):
@@ -186,7 +190,21 @@ def test_cli_transform_rejects_oversized_header(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("payload", [[3], {"beams": 3}, {"beams": [3]}])
+def _beam(**overrides):
+    """One valid beam entry (16 half-offset nodes, dk 0.5), fields replaced."""
+    kappa = [(j - 7.5) * 0.5 for j in range(16)]
+    beam = {"direction": [0.0, 0.0, 1.0], "dk": 0.5, "kappa": kappa,
+            "re": [1.0] * 16, "im": [0.0] * 16}
+    beam.update(overrides)
+    return {"beams": [beam]}
+
+
+@pytest.mark.parametrize("payload", [
+    [3], {"beams": 3}, {"beams": [3]},
+    _beam(dk=None), _beam(kappa={"a": 1}), _beam(re={"a": 1}),
+    _beam(im={"a": 1}), _beam(direction={"a": 1}),
+    _beam(direction=[0.0, 0.0, float("nan")]),
+    _beam(re=[float("inf")] * 16), _beam(dk=float("nan"))])
 def test_cli_boost_malformed_beams_json(tmp_path, capsys, payload):
     src = tmp_path / "beams.json"
     src.write_text(json.dumps(payload))
@@ -217,3 +235,102 @@ def test_cli_verify_zero_tolerance_fails(tmp_path):
     code = main(["verify", "--grid-size", "64", "--tol-scale", "0",
                  "--out", str(tmp_path / "r.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("n_comp", [1, 2, 3])
+def test_state_csv_components_round_trip(tmp_path, n_comp):
+    grid = make_grid(32, 10.0)
+    rng = np.random.default_rng(n_comp)
+    fields = [AxialField(grid, "f", rng.normal(size=64) + 1j * rng.normal(size=64))
+              for _ in range(n_comp)]
+    path = tmp_path / "state.csv"
+    write_state_csv(fields, path)
+    back = read_state_csv(path)
+    back = back if isinstance(back, list) else [back]
+    assert len(back) == n_comp
+    for a, b in zip(back, fields):
+        assert a.rep == "f" and a.grid.same_as(grid)
+        assert np.array_equal(a.values, b.values)
+    if n_comp == 1:  # a list of one writes the single-field layout
+        single = tmp_path / "single.csv"
+        write_state_csv(fields[0], single)
+        assert single.read_bytes() == path.read_bytes()
+
+
+_PROPAGATE = ["propagate", "--grid-size", "128", "--extent", "20", "--k0", "3",
+              "--t-max", "2", "--snapshots", "4"]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "rk4", "wave", "weyl", "maxwell"])
+def test_cli_propagate_diagnostics_have_no_blank_cells(tmp_path, kind):
+    flags = ["--method", "rk4"] if kind == "rk4" else ["--kind", kind]
+    assert main(_PROPAGATE + flags + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert lines[0].startswith("time,norm,") and len(header) >= 4
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 4
+    for i, row in enumerate(rows):
+        assert len(row) == len(header)
+        for name, cell in zip(header, row):
+            edge = i in (0, len(rows) - 1)
+            assert cell != "" or (edge and name == "continuity_residual")
+    norms = np.array([float(row[1]) for row in rows])
+    tol = 1e-4 if kind == "rk4" else 1e-10
+    assert np.max(np.abs(norms - norms[0])) <= tol * norms[0]
+    assert all(float(row[2]) >= 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "weyl", "maxwell"])
+def test_cli_propagate_in_round_trip(tmp_path, kind):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(_PROPAGATE + ["--kind", kind, "--out", str(first)]) == 0
+    snap = first / "snapshot_002.csv"
+    assert main(["propagate", "--kind", kind, "--in", str(snap), "--t-max", "1",
+                 "--snapshots", "2", "--out", str(second)]) == 0
+    # same layout: state header and column names, diagnostics columns
+    for name, n in (("snapshot_001.csv", 2), ("diagnostics.csv", 1)):
+        assert ((second / name).read_text().splitlines()[:n]
+                == (first / name).read_text().splitlines()[:n])
+
+
+@pytest.mark.parametrize("kind,other", [("scalar", "weyl"), ("weyl", "maxwell"),
+                                        ("maxwell", "scalar")])
+def test_cli_propagate_in_wrong_component_count(tmp_path, capsys, kind, other):
+    assert main(_PROPAGATE + ["--kind", other, "--out", str(tmp_path / "a")]) == 0
+    code = main(["propagate", "--kind", kind, "--in",
+                 str(tmp_path / "a" / "snapshot_000.csv"),
+                 "--out", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"--kind {kind}" in err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("column", [0, 2])
+@pytest.mark.parametrize("command", ["transform", "propagate"])
+def test_cli_rejects_non_finite_csv_cell(tmp_path, capsys, column, command):
+    grid = make_grid(32, 10.0)
+    src = tmp_path / "state.csv"
+    write_state_csv(convert_rep(gaussian_packet(grid, 3.0, width=3.0), "f"), src)
+    lines = src.read_text().splitlines()
+    cells = lines[10].split(",")
+    cells[column] = "nan"
+    lines[10] = ",".join(cells)
+    src.write_text("\n".join(lines) + "\n")
+    code = main([command, "--in", str(src), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "state.csv:11" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--grid-size", "64", "--in", "x.csv"],
+    ["boost", "--extent", "20", "--v", "0.5", "--in", "x.json"],
+    ["propagate", "--seed", "3"],
+    ["propagate", "--tol-scale", "2"]])
+def test_cli_flag_only_where_read(tmp_path, capsys, argv):
+    # a flag that the subcommand would ignore is a usage error
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
