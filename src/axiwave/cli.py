@@ -90,7 +90,26 @@ def _parse_axis(text: str) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+# snapshots x components x nodes held in memory before any file is written:
+# 2**25 complex128 samples is 512 MiB
+_MAX_SNAPSHOT_SAMPLES = 2 ** 25
+
+
+def _require(checks):
+    """Raise ValueError with the message of the first failed check."""
+    for message, ok in checks:
+        if not ok:
+            raise ValueError(message)
+
+
+def _grid_checks(args):
+    return (("--grid-size must be at least 8", args.grid_size >= 8),
+            ("--extent must be finite and positive",
+             0.0 < args.extent < np.inf))
+
+
 def cmd_verify(args) -> int:
+    _require(_grid_checks(args))
     cfg = RunConfig(n_half=args.grid_size, extent=args.extent, seed=args.seed,
                     n_half_fine=max(2 * args.grid_size, 16),
                     tol_scale=args.tol_scale)
@@ -161,18 +180,16 @@ def _write_diag(path, times, diag, columns):
 
 def cmd_propagate(args) -> int:
     default, run, accepts_in, columns = KINDS[args.kind]
-    for message, ok in (
-            ("--t-max must be finite and positive", 0.0 < args.t_max < np.inf),
-            ("--snapshots must be at least 1", args.snapshots >= 1),
-            ("--k0 must be finite", np.isfinite(args.k0)),
-            ("--width must be finite and positive",
-             args.width is None or 0.0 < args.width < np.inf),
-            ("--method rk4 is only available for --kind scalar",
-             args.method != "rk4" or args.kind == "scalar"),
-            (f"--in is not supported for --kind {args.kind}",
-             accepts_in or not args.infile)):
-        if not ok:
-            raise ValueError(message)
+    _require(_grid_checks(args) + (
+        ("--t-max must be finite and positive", 0.0 < args.t_max < np.inf),
+        ("--snapshots must be at least 1", args.snapshots >= 1),
+        ("--k0 must be finite", np.isfinite(args.k0)),
+        ("--width must be finite and positive",
+         args.width is None or 0.0 < args.width < np.inf),
+        ("--method rk4 is only available for --kind scalar",
+         args.method != "rk4" or args.kind == "scalar"),
+        (f"--in is not supported for --kind {args.kind}",
+         accepts_in or not args.infile)))
 
     if args.infile:
         comps = read_state_csv(args.infile)
@@ -187,6 +204,12 @@ def cmd_propagate(args) -> int:
         win = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0)
         w = win * np.exp(1j * args.k0 * grid.nodes)
         comps = [AxialField(grid, "g", v) for v in default(w)]
+    size = comps[0].grid.size
+    if args.snapshots * len(comps) * size > _MAX_SNAPSHOT_SAMPLES:
+        raise ValueError(
+            f"--snapshots {args.snapshots} x {len(comps)} component(s) x "
+            f"{size} nodes exceeds the limit of {_MAX_SNAPSHOT_SAMPLES} "
+            "samples (512 MiB)")
     times = np.linspace(0.0, args.t_max, args.snapshots)
     snaps, diag = run(comps, times, args.method)
 

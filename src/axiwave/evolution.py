@@ -32,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import AxialField, AxisGrid, convert_rep, parity_join, parity_split
+from .grids import AxialField, AxisGrid, convert_rep, fold
 from .spectral import fourier_full, fourier_full_inverse
-from .transforms import _trig_pair, hilbert_signed
+from .transforms import _r2r_pair, hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
 
@@ -177,34 +177,65 @@ def _hamiltonian_g(grid: AxisGrid):
     """
     h, n = grid.h, grid.n_half
     sg = grid.conjugate()
-    dk, k = sg.dk, sg.positive_nodes()
+    k = sg.positive_nodes()
+    # the scale factors of the two trig transforms, as `_trig_pair` forms them
+    scales = [np.sqrt(2.0 / np.pi) * 0.5 * s for s in (h, sg.dk)]
+    kinds = ("cos", "sin")
 
-    def apply(g):
-        ce, so = _trig_pair(*parity_split(g, n), h, ("cos", "sin"))
-        return parity_join(*_trig_pair(k * ce, k * so, dk, ("cos", "sin")))
+    def apply(g, out=None, work=None):
+        """H g, written into `out` (2 n_half) with `work` ((2, n_half),
+        complex) as scratch; either is allocated when not given.  The same
+        float operations as the parity split, two `_trig_pair` calls and the
+        parity join, so the result is bit-identical to them."""
+        out = np.empty(2 * n, dtype=complex) if out is None else out
+        w = np.empty((2, n), dtype=complex) if work is None else work
+        plus, minus = fold(g, n)
+        # even part, and the odd part reversed as its sin transform reads it
+        np.add(plus, minus, out=w[0])
+        np.subtract(plus[::-1], minus[::-1], out=w[1])
+        np.multiply(0.5, w, out=w)
+        w = _r2r_pair(w, kinds)
+        np.multiply(scales[0], w, out=w)
+        np.multiply(k, w, out=w)
+        w[1] = w[1, ::-1]
+        w = _r2r_pair(w, kinds)
+        np.multiply(scales[1], w, out=w)
+        np.add(w[0], w[1], out=out[n:])
+        np.subtract(w[0], w[1], out=out[n - 1::-1])
+        return out
 
     return apply
 
 
 def _rk4(grid, g0, t, dt):
-    """Classical RK4 of i dg/dt = H g, yielding [g] at each time in t."""
+    """Classical RK4 of i dg/dt = H g, yielding [g] at each time in t.
+
+    The stages k1..k4, the stage argument and the Hamiltonian's work rows
+    are allocated once per call and overwritten in place, with the operand
+    order of g + step/6 (k1 + 2 k2 + 2 k3 + k4).
+    """
     ham = _hamiltonian_g(grid)
+    g = np.array(g0, dtype=complex)
+    k1, k2, k3, k4, arg = (np.empty_like(g) for _ in range(5))
+    work = np.empty((2, grid.n_half), dtype=complex)
 
-    def rhs(g):
-        return -1j * ham(g)
+    def rhs(x, out):
+        return np.multiply(-1j, ham(x, out=out, work=work), out=out)
 
-    g = g0.copy()
     t_now = 0.0
     for ti in t:
         while t_now < ti - 1e-12:
             step = min(dt, ti - t_now)
-            k1 = rhs(g)
-            k2 = rhs(g + 0.5 * step * k1)
-            k3 = rhs(g + 0.5 * step * k2)
-            k4 = rhs(g + step * k3)
-            g = g + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            rhs(g, k1)
+            rhs(np.add(g, np.multiply(0.5 * step, k1, out=arg), out=arg), k2)
+            rhs(np.add(g, np.multiply(0.5 * step, k2, out=arg), out=arg), k3)
+            rhs(np.add(g, np.multiply(step, k3, out=arg), out=arg), k4)
+            np.add(k1, np.multiply(2, k2, out=k2), out=k2)
+            np.add(k2, np.multiply(2, k3, out=k3), out=k3)
+            np.add(k3, k4, out=k4)
+            np.add(g, np.multiply(step / 6.0, k4, out=k4), out=g)
             t_now += step
-        yield [g]
+        yield [g.copy()]
 
 
 def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],

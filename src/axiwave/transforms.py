@@ -27,6 +27,16 @@ with two independent realizations:
     handled by singularity subtraction f(t) -> f(t) - f(r), plus the exact
     log correction of the truncated  pv integral dt/(r^2-t^2).
 
+The quadrature never forms its n x n kernel.  On the offset grid
+r_i = (i + 1/2) h the partial fractions
+
+    1/(r_i^2 - r_j^2) = [1/((i-j) h) + 1/((i+j+1) h)] / (2 r_i)
+
+split it into a Toeplitz kernel 1/(i-j) and a Hankel kernel 1/(i+j+1),
+and each acts by one FFT convolution of length 2n: O(n log n) time and
+O(n) memory per call, with an O(n) plan cached per grid.  It calls no
+DCT/DST, so it stays independent of the spectral backend it checks.
+
 The signed full-line combinations act on axis fields:
 
     Hplus  = (1/2) [ (He + Ho) + (He - Ho) P ]
@@ -115,11 +125,22 @@ def _trig_pair(a: np.ndarray, b: np.ndarray, spacing: float, kinds):
     buf = _pair_buffer(len(a), threading.get_ident())
     for row, x, kind in zip(buf, (a, b), kinds):
         row[:] = x if kind == "cos" else x[::-1]
+    core = _r2r_pair(buf, kinds)
+    return tuple(np.sqrt(2.0 / np.pi) * 0.5 * spacing * row for row in core)
+
+
+def _r2r_pair(buf: np.ndarray, kinds) -> np.ndarray:
+    """The unscaled DCT-IV / DST-IV core of `_trig_pair`, in place.
+
+    Each sin row of `buf` must hold its input reversed.  Returns the
+    transformed (2, n) array, which is `buf` itself for a C-contiguous
+    complex buffer.
+    """
     core = dct(buf, type=4, overwrite_x=True)
     for row, kind in zip(core, kinds):
         if kind == "sin":
             np.negative(row[1::2], out=row[1::2])
-    return tuple(np.sqrt(2.0 / np.pi) * 0.5 * spacing * row for row in core)
+    return core
 
 
 def trig_transform(f: HalfLineFunction, kind: str = "cos") -> HalfLineFunction:
@@ -152,34 +173,55 @@ def _warn_if_not_decayed(values: np.ndarray, edge_decay_tol: float, label: str):
         )
 
 
-# dense principal-value kernels, cached per (n, spacing, parity kind)
-_PV_CACHE: dict = {}
+@functools.lru_cache(maxsize=8)
+def _pv_plan(n: int, spacing: float):
+    """(r, kernel spectra, kernel row sums, log correction) of one grid.
+
+    The spectra are the length-2n FFTs of the circulant embedding of the
+    Toeplitz kernel 1/(i-j) (0 on the diagonal) and of the Hankel kernel
+    1/(i+j+1) padded with one zero, stacked as one (2, 2n) array.  All
+    arrays are read-only: every caller on the grid shares them.
+    """
+    r = (np.arange(n) + 0.5) * spacing
+    inv_d = 1.0 / np.arange(1, n)
+    kernels = np.zeros((2, 2 * n))
+    kernels[0, 1:n] = inv_d
+    kernels[0, n + 1:] = -inv_d[::-1]
+    kernels[1, :-1] = 1.0 / np.arange(1, 2 * n)
+    spectra = np.fft.fft(kernels)
+    rowsum = _pv_matvec(r, spectra, spacing, np.ones(n)).real
+    big_l = n * spacing
+    logcorr = np.log((big_l + r) / (big_l - r))
+    plan = (r, spectra, rowsum, logcorr)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
 
 
-def _pv_parts(n: int, spacing: float):
-    key = (n, spacing)
-    parts = _PV_CACHE.get(key)
-    if parts is None:
-        r = (np.arange(n) + 0.5) * spacing
-        diff = r[:, None] ** 2 - r[None, :] ** 2  # r_i^2 - t_j^2
-        inv = np.zeros_like(diff)
-        off = ~np.eye(n, dtype=bool)
-        inv[off] = 1.0 / diff[off]
-        big_l = n * spacing
-        logcorr = np.log((big_l + r) / (big_l - r))
-        parts = (r, inv, inv.sum(axis=1), logcorr)
-        _PV_CACHE[key] = parts
-    return parts
+def _pv_matvec(r, spectra, spacing, u):
+    """sum_{j != i} u_j / (r_i^2 - r_j^2) by two FFT convolutions.
+
+    Row 0 convolves u with the Toeplitz kernel (entries [:n]); row 1
+    convolves u reversed with the Hankel kernel (entries [n-1:2n-1]).  The
+    Hankel sum includes j = i, whose term u_i/(2r)^2 is taken back out.
+    """
+    n = u.size
+    padded = np.zeros((2, 2 * n), dtype=complex)
+    padded[0, :n] = u
+    padded[1, :n] = u[::-1]
+    conv = np.fft.ifft(np.fft.fft(padded) * spectra)
+    return ((conv[0, :n] + conv[1, n - 1:2 * n - 1]) / (2.0 * r * spacing)
+            - u / (2.0 * r) ** 2)
 
 
 def _hilbert_quadrature(f: HalfLineFunction, odd_kernel: bool) -> np.ndarray:
-    r, inv, inv_rowsum, logcorr = _pv_parts(f.n, f.spacing)
+    r, spectra, rowsum, logcorr = _pv_plan(f.n, f.spacing)
     h = f.spacing
     u = r * f.values if odd_kernel else f.values
     du = derivative(u, h)
     # subtracted singularity: columns carry u(t)-u(r); diagonal cell takes
     # the limiting value -u'(r)/(2r)
-    total = inv @ u - u * inv_rowsum
+    total = _pv_matvec(r, spectra, h, u) - u * rowsum
     total += -du / (2.0 * r) * 1.0
     total *= h
     # exact pv integral of the bare kernel over the truncated domain

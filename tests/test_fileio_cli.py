@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -166,13 +167,42 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
                         ("--width", "0"), ("--width", "-1"),
                         ("--width", "nan"), ("--width", "inf"),
                         ("--method", "rk4"),
-                        ("--in", str(tmp_path / "missing.csv"))):
+                        ("--in", str(tmp_path / "missing.csv"))) + GRID_FLAGS:
         kind = "wave" if flag in ("--in", "--method") else "scalar"
-        assert main(["propagate", "--kind", kind, flag, value,
-                     "--grid-size", "16", "--out", str(tmp_path / "run")]) == 2
+        assert main(["propagate", "--kind", kind, "--grid-size", "16",
+                     flag, value, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
         assert not (tmp_path / "run").exists()
+    for flag, value in GRID_FLAGS:
+        assert main(["verify", flag, value,
+                     "--out", str(tmp_path / "report.json")]) == 2
+        cap = capsys.readouterr()
+        assert cap.err.startswith("error: ") and flag in cap.err
+        assert not cap.out and not (tmp_path / "report.json").exists()
+
+
+GRID_FLAGS = (("--grid-size", "0"), ("--grid-size", "7"), ("--grid-size", "-4"),
+              ("--extent", "nan"), ("--extent", "inf"),
+              ("--extent", "0"), ("--extent", "-1"))
+
+
+def test_cli_propagate_rejects_too_many_snapshots(tmp_path, capsys):
+    # every snapshot is held in memory until the files are written, so the
+    # sample count is bounded before anything is propagated or allocated
+    start = time.perf_counter()
+    code = main(["propagate", "--snapshots", "100000000",
+                 "--out", str(tmp_path / "run")])
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --snapshots") and str(2 ** 25) in err
+    assert not (tmp_path / "run").exists()
+    # the bound counts every component: 3 x 16 nodes at grid size 8
+    assert main(["propagate", "--grid-size", "8", "--kind", "maxwell",
+                 "--snapshots", str(2 ** 25 // 48 + 1),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "--snapshots" in capsys.readouterr().err
 
 
 def test_cli_transform_rejects_oversized_header(tmp_path, capsys):

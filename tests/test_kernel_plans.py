@@ -1,11 +1,12 @@
-"""Cached FFT plans and paired DCT-IV kernels: the same bits as the
-unplanned formulas, bounded caches, and the r2r call counts they save."""
+"""Cached FFT plans, paired DCT-IV kernels and the in-place RK4 stepper:
+the same bits as the unplanned formulas, bounded read-only caches, and the
+r2r call counts they save."""
 
 import numpy as np
 import pytest
 
 from axiwave import evolution, spectral, transforms
-from axiwave.grids import make_grid, random_packet
+from axiwave.grids import make_grid, parity_join, parity_split, random_packet
 
 SIZES = (8, 1000, 4096)
 KIND_PAIRS = [(a, b) for a in ("cos", "sin") for b in ("cos", "sin")]
@@ -54,11 +55,54 @@ def test_trig_pair_is_bit_identical(n, kinds):
     assert all(np.array_equal(p, q) for p, q in zip(pair, first))
 
 
+def reference_hamiltonian(grid):
+    """The out-of-place RK4 Hamiltonian: parity split, two trig pairs, join."""
+    n, sg = grid.n_half, grid.conjugate()
+    k = sg.positive_nodes()
+
+    def apply(g):
+        ce, so = transforms._trig_pair(*parity_split(g, n), grid.h,
+                                       ("cos", "sin"))
+        return parity_join(*transforms._trig_pair(k * ce, k * so, sg.dk,
+                                                  ("cos", "sin")))
+
+    return apply
+
+
+def reference_rk4(grid, g0, t, dt):
+    ham = reference_hamiltonian(grid)
+    g, t_now = g0.copy(), 0.0
+    for ti in t:
+        while t_now < ti - 1e-12:
+            step = min(dt, ti - t_now)
+            k1 = -1j * ham(g)
+            k2 = -1j * ham(g + 0.5 * step * k1)
+            k3 = -1j * ham(g + 0.5 * step * k2)
+            k4 = -1j * ham(g + step * k3)
+            g = g + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t_now += step
+        yield [g]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_in_place_rk4_is_bit_identical(n):
+    grid = make_grid(n, 0.17 * n)
+    g = random_packet(grid, np.random.default_rng(n), rep="g").values
+    assert np.array_equal(evolution._hamiltonian_g(grid)(g),
+                          reference_hamiltonian(grid)(g))
+    times, dt = np.array([0.0, 2.0, 5.3]) * grid.h, grid.h / 4.0
+    # whole runs first: a snapshot must not change as the stepper goes on
+    got = list(evolution._rk4(grid, g, times, dt))
+    want = list(reference_rk4(grid, g, times, dt))
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(got, want))
+
+
 def test_plan_arrays_are_read_only():
     grid = make_grid(64, 10.0)
     sg = grid.conjugate()
     plans = (spectral._forward_plan(grid.n_half, grid.h)
-             + spectral._inverse_plan(sg.n_half, sg.dk))
+             + spectral._inverse_plan(sg.n_half, sg.dk)
+             + transforms._pv_plan(grid.n_half, grid.h))
     for arr in plans:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -77,6 +121,8 @@ def test_caches_bounded_by_size_not_grids_seen():
         psi = random_packet(grid, np.random.default_rng(i), rep="g")
         spectral.synthesize_fast(spectral.analyze_fast(psi))
         transforms.hilbert_signed(psi)
+        transforms.hilbert_signed(psi, backend="quadrature")
+    assert not hasattr(transforms, "_PV_CACHE")
     caches = [obj for mod in (spectral, transforms)
               for obj in vars(mod).values() if hasattr(obj, "cache_info")]
     assert caches

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from axiwave import transforms
 from axiwave.grids import AxialField, apply_parity, gaussian_packet, make_grid
 from axiwave.operators import boost_generator_config, pbar0
 from axiwave.transforms import (BackendMismatchError, HalfLineFunction,
@@ -246,3 +249,64 @@ def test_hilbert_linearity():
     rhs = alpha * hilbert_signed(a, "plus").values \
         + beta * hilbert_signed(b, "plus").values
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def dense_pv_kernel(n, h):
+    """The n x n principal-value kernel 1/(r_i^2 - r_j^2), 0 on the diagonal."""
+    r = (np.arange(n) + 0.5) * h
+    diff = r[:, None] ** 2 - r[None, :] ** 2
+    inv = np.zeros_like(diff)
+    off = ~np.eye(n, dtype=bool)
+    inv[off] = 1.0 / diff[off]
+    return r, inv
+
+
+def dense_hilbert_quadrature(f, odd_kernel):
+    """The midpoint pv rule with a dense kernel, term for term."""
+    r, inv = dense_pv_kernel(f.n, f.spacing)
+    h, big_l = f.spacing, f.extent
+    u = r * f.values if odd_kernel else f.values
+    total = (inv @ u - u * inv.sum(axis=1)
+             - half_line_derivative(HalfLineFunction(h, u)).values / (2.0 * r))
+    total = h * total + u * np.log((big_l + r) / (big_l - r)) / (2.0 * r)
+    return -(2.0 / np.pi) * total if odd_kernel else -(2.0 * r / np.pi) * total
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 255, 1024])
+def test_pv_plan_matches_dense_kernel(n):
+    h = 23.0 / n
+    r, inv = dense_pv_kernel(n, h)
+    plan_r, spectra, rowsum, _ = transforms._pv_plan(n, h)
+    np.testing.assert_array_equal(plan_r, r)
+    assert max_rel(rowsum, inv.sum(axis=1)) <= 1e-14
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert max_rel(transforms._pv_matvec(r, spectra, h, u), inv @ u) <= 1e-14
+    f = HalfLineFunction(h, u)
+    for odd_kernel in (False, True):
+        assert max_rel(transforms._hilbert_quadrature(f, odd_kernel),
+                       dense_hilbert_quadrature(f, odd_kernel)) <= 1e-12
+
+
+def test_quadrature_large_grid_in_linear_memory():
+    # a dense kernel at this size would take 32 GiB
+    n, extent = 65536, 640.0
+    h = extent / n
+    r = (np.arange(n) + 0.5) * h
+    f = HalfLineFunction(h, np.exp(-((r - 200.0) / 30.0) ** 2)
+                         * np.exp(2.5j * r))
+    interior = np.arange(n) < int(0.8 * n)
+    for fn in (hilbert_even, hilbert_odd):
+        transforms._pv_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            quad = fn(f, backend="quadrature").values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert rel_err(fn(f).values, quad, interior) <= 1e-2
