@@ -13,16 +13,19 @@ Hilbert transform) is diagonal in momentum space with symbol |kappa|:
 
 Every spectral propagator is the one modal core `_evolve` with its own
 C x C momentum-space transfer matrix, exactly the identity at t = 0, and
-is exact in time.  A classical RK4 stepper of
-the composed Hamiltonian is kept as a cross-check for the scalar case;
-its step must respect dt <= 2 sqrt(2) h / pi, obtained from |R(iy)| <= 1
-for RK4 on the imaginary axis (|y| <= 2 sqrt 2) and the spectral radius
-max|kappa| < pi/h of the discrete Hamiltonian.
+is exact in time; the entries mirror one cos and one sin of kappa t on
+the N positive nodes (the closed forms, bit for bit).  A classical RK4
+stepper of the composed Hamiltonian is kept as a cross-check for the
+scalar case; its step must respect dt <= 2 sqrt(2) h / pi, obtained from
+|R(iy)| <= 1 for RK4 on the imaginary axis (|y| <= 2 sqrt 2) and the
+spectral radius max|kappa| < pi/h of the discrete Hamiltonian.
 
 The scalar density rho = |g|^2 + |Hg|^2 is pointwise non-negative by
 construction and satisfies a discrete continuity law with the axial
 current J = -2 Im(conj(g) Hg); the residual of that law converges at
-second order in the joint (h, dt) refinement.
+second order in the joint (h, dt) refinement.  The spectral route evolves
+Hg in momentum space (H is the multiplier -i sgn kappa); the RK4 route
+takes it from the trig-route Hilbert transform, so each checks the other.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import AxialField, AxisGrid, convert_rep, fold
+from .grids import AxialField, AxisGrid, convert_rep, fold, unfold
 from .spectral import fourier_full, fourier_full_inverse
 from .transforms import _r2r_pair, hilbert_signed
 
@@ -121,12 +124,17 @@ def hilbert_full_line(g: np.ndarray, grid: AxisGrid,
 
 
 def _scalar_diagnostics(grid, g, backend="spectral"):
-    """rho, J and the flat norm of one g-snapshot, from one Hilbert transform.
+    """rho, J and the flat norm of one g-snapshot, from one Hilbert transform
+    (`density_current` and the RK4 route; the spectral route has Hg)."""
+    return _rho_j_norm(grid, g, hilbert_full_line(g, grid, backend))
+
+
+def _rho_j_norm(grid, g, hg):
+    """rho, J and the flat norm of g, given its Hilbert transform hg.
 
     rho = |g|^2 + |Hg|^2  (pointwise >= 0 by construction),
     J   = -2 Im(conj(g) Hg), positive for forward-moving waves.
     """
-    hg = hilbert_full_line(g, grid, backend)
     g2 = g.real ** 2 + g.imag ** 2
     rho = g2 + (hg.real ** 2 + hg.imag ** 2)
     j = -2.0 * np.imag(np.conj(g) * hg)
@@ -146,20 +154,47 @@ def sigma_density(psi: AxialField, dpsi_dt: AxialField) -> np.ndarray:
     return -2.0 * np.imag(np.conj(g) * gdot)
 
 
-def _evolve(grid, g0s, transfer, t):
+def _evolve(sg, ghats, transfer, t):
     """The modal core shared by the spectral propagators.
 
-    Fourier-transforms the C input components once; at each time ti,
-    `transfer(ti)` gives a C x C matrix (rows of (2N,) momentum symbols, or
-    None for a zero entry) that mixes them, and each output row is
-    transformed back.  Yields one list of C g-arrays per time.
+    At each time ti, `transfer(c, s, k)`, given the N positive momentum
+    nodes k and c, s = cos(k ti), sin(k ti), mirrors them into a C x C matrix
+    (rows of (2N,) momentum symbols, or None for a zero entry) that mixes
+    the C momentum components `ghats`; each output row is transformed back
+    on its own.  Yields one list of C g-arrays per time.
     """
-    sg = grid.conjugate()
-    ghats = [fourier_full(g, grid) for g in g0s]
+    k = sg.positive_nodes()
     for ti in t:
+        x = k * ti
         yield [fourier_full_inverse(
-            sum(s * gh for s, gh in zip(row, ghats) if s is not None), sg)
-            for row in transfer(ti)]
+            sum(e * gh for e, gh in zip(row, ghats) if e is not None), sg)
+            for row in transfer(np.cos(x), np.sin(x), k)]
+
+
+def _scalar_transfer(c, s, k):
+    """exp(-i |kappa| t), even in kappa, on both rows of (g-hat, Hg-hat)."""
+    e = c - 1j * s
+    e = unfold(e, e)
+    return [[e, None], [None, e]]
+
+
+def _weyl_transfer(c, s, k):
+    """exp(-i kappa t) for the upper component, its conjugate for the lower."""
+    e = c - 1j * s
+    up = unfold(e, np.conj(e))
+    return [[up, None], [None, np.conj(up)]]
+
+
+def _wave_transfer(c, s, k):
+    """The (g-hat, g-hat-dot) propagator of cos(|k| t), sin(|k| t)/|k|."""
+    c, sk, ks = (unfold(x, x) for x in (c, s / k, -k * s))
+    return [[c, sk], [ks, c]]
+
+
+def _maxwell_transfer(c, s, k):
+    """Rotation of (F1-hat, F2-hat) by kappa t: cos even, sin odd."""
+    c, s = unfold(c, c), unfold(s, -s)
+    return [[c, -s], [s, c]]
 
 
 def _hamiltonian_g(grid: AxisGrid):
@@ -252,8 +287,11 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
     grid = psi0.grid
     g0 = _g_of(psi0)
     if method == "spectral":
-        absk = np.abs(grid.conjugate().nodes)
-        flow = _evolve(grid, [g0], lambda ti: [[np.exp(-1j * absk * ti)]], t)
+        sg = grid.conjugate()
+        gh = fourier_full(g0, grid)
+        pairs = _evolve(sg, [gh, -1j * np.sign(sg.nodes) * gh],
+                        _scalar_transfer, t)
+        flow = ((g, _rho_j_norm(grid, g, hg)) for g, hg in pairs)
     elif method == "rk4":
         dt_max = RK4_STABILITY_FACTOR * grid.h
         dt = grid.h / 4.0 if dt is None else float(dt)
@@ -261,14 +299,14 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
             raise ValueError(
                 f"rk4 step {dt:.3e} violates the stability bound "
                 f"2*sqrt(2)*h/pi = {dt_max:.3e}")
-        flow = _rk4(grid, g0, t, dt)
+        flow = ((g, _scalar_diagnostics(grid, g))
+                for (g,) in _rk4(grid, g0, t, dt))
     else:
         raise ValueError(f"unknown method {method!r}")
 
     snaps, rhos, js, rows = [], [], [], []
-    for (g,) in flow:
+    for g, (rho, j, nrm) in flow:
         snaps.append(_field_from_g(grid, g, psi0.rep))
-        rho, j, nrm = _scalar_diagnostics(grid, g)
         rhos.append(rho); js.append(j); rows.append((nrm, rho.min(), rho.max()))
     return _result(t, snaps, rows, ("norm", "min_rho", "max_rho"),
                    continuity_residual=continuity_residuals(t, rhos, js, grid))
@@ -282,13 +320,17 @@ def continuity_residuals(times, rhos, js, grid, mask_fraction: float = 0.6):
     """
     n = len(rhos)
     out = np.full(n, np.nan)
-    mask = grid.interior_mask(mask_fraction)
+    # the mask is one central band [lo, hi); widened by a node each side,
+    # the gradient's central differences on it are the full-length ones
+    band = np.flatnonzero(grid.interior_mask(mask_fraction))
+    lo, hi = band[0], band[-1] + 1
+    wide = slice(max(lo - 1, 0), min(hi + 1, grid.size))
+    inner = slice(lo - wide.start, hi - wide.start)
     for i in range(1, n - 1):
         dt2 = times[i + 1] - times[i - 1]
-        drho = (rhos[i + 1] - rhos[i - 1]) / dt2
-        dj = np.gradient(js[i], grid.h)
-        resid = (drho + dj)[mask]
-        scale = np.max(np.abs(drho[mask]))
+        drho = (rhos[i + 1][lo:hi] - rhos[i - 1][lo:hi]) / dt2
+        resid = drho + np.gradient(js[i][wide], grid.h)[inner]
+        scale = np.max(np.abs(drho))
         out[i] = np.max(np.abs(resid)) / scale if scale > 0 else 0.0
     return out
 
@@ -306,14 +348,9 @@ def propagate_wave(psi0: AxialField, dpsi0_dt: AxialField,
     grid = psi0.grid
     if not grid.same_as(dpsi0_dt.grid):
         raise ValueError("initial data live on different grids")
-    absk = np.abs(grid.conjugate().nodes)
-
-    def transfer(ti):
-        c, s = np.cos(absk * ti), np.sin(absk * ti)
-        return [[c, s / absk], [-absk * s, c]]
-
+    ghats = [fourier_full(_g_of(x), grid) for x in (psi0, dpsi0_dt)]
     snaps, rows = [], []
-    for g, gdot in _evolve(grid, [_g_of(psi0), _g_of(dpsi0_dt)], transfer, t):
+    for g, gdot in _evolve(grid.conjugate(), ghats, _wave_transfer, t):
         snaps.append((_field_from_g(grid, g, psi0.rep),
                       _field_from_g(grid, gdot, psi0.rep)))
         sig = -2.0 * np.imag(np.conj(g) * gdot)
@@ -332,14 +369,9 @@ def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResul
     """
     t = _check_times(t_grid)
     grid = psi0.grid
-    kap = grid.conjugate().nodes
-    g0s = [_g_of(psi0.component(0)), _g_of(psi0.component(1))]
-
-    def transfer(ti):
-        return [[np.exp(-1j * kap * ti), None], [None, np.exp(+1j * kap * ti)]]
-
+    ghats = [fourier_full(_g_of(psi0.component(i)), grid) for i in (0, 1)]
     snaps, rows = [], []
-    for u, d in _evolve(grid, g0s, transfer, t):
+    for u, d in _evolve(grid.conjugate(), ghats, _weyl_transfer, t):
         snaps.append(SpinorField(grid, psi0.rep, *(
             _field_from_g(grid, x, psi0.rep).values for x in (u, d))))
         su, sd = np.sum(np.abs(u) ** 2), np.sum(np.abs(d) ** 2)
@@ -381,25 +413,23 @@ def propagate_maxwell(f0: VectorField3, t_grid: Sequence[float],
     scale = np.max(np.abs(f0.values)) or 1.0
     if np.max(np.abs(f0.values[2])) > constraint_tol * scale:
         raise ValueError(MAXWELL_CONSTRAINT_MSG)
-    kap = grid.conjugate().nodes
+    ghats = [fourier_full(_g_of(f0.component(i)), grid) for i in (0, 1)]
+    # F1 -+ i F2 itself, not the cancelling |F1|^2 + |F2|^2 +- 2 Im <F1, F2>:
+    # a vanishing circular mode then reads at rounding, not its square root
+    mode = np.empty(grid.size, dtype=complex)
 
-    def transfer(ti):
-        c, s = np.cos(kap * ti), np.sin(kap * ti)
-        return [[c, -s], [s, c]]
+    def mode_norm(c1, c2, sign):
+        np.add(c1, np.multiply(sign, c2, out=mode), out=mode)
+        return np.sqrt(np.vdot(mode, mode).real * grid.h / 2.0)
 
-    g0s = [_g_of(f0.component(0)), _g_of(f0.component(1))]
     snaps, rows = [], []
-    for c1, c2 in _evolve(grid, g0s, transfer, t):
+    for c1, c2 in _evolve(grid.conjugate(), ghats, _maxwell_transfer, t):
         snaps.append(VectorField3(grid, f0.rep, [
             _field_from_g(grid, c, f0.rep).values for c in (c1, c2)]
             + [np.zeros(grid.size, dtype=complex)]))
         s12 = np.sum(np.abs(c1) ** 2) + np.sum(np.abs(c2) ** 2)
-        # |F1 -+ i F2|^2 = |F1|^2 + |F2|^2 +- 2 Im <F1, F2>, no temporaries;
-        # clamped, since one mode is zero up to rounding for circular data
-        cross = 2.0 * np.vdot(c1, c2).imag
         rows.append((np.sqrt(s12 * grid.h),
-                     np.sqrt(max(s12 + cross, 0.0) * grid.h / 2.0),
-                     np.sqrt(max(s12 - cross, 0.0) * grid.h / 2.0)))
+                     mode_norm(c1, c2, -1j), mode_norm(c1, c2, 1j)))
     return _result(t, snaps, rows, ("norm", "norm_fwd", "norm_back"))
 
 

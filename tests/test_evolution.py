@@ -349,17 +349,26 @@ def test_maxwell_rotation_matches_circular_modes():
 
 @pytest.mark.parametrize("method", ["spectral", "rk4"])
 def test_scalar_hilbert_once_per_snapshot(monkeypatch, method):
-    calls = []
-    real = evolution.hilbert_signed
+    calls = {"hilbert": 0, "fft": 0, "ifft": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def fn(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return fn
 
-    monkeypatch.setattr(evolution, "hilbert_signed", counting)
+    monkeypatch.setattr(evolution, "hilbert_signed",
+                        counting("hilbert", evolution.hilbert_signed))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     times = np.linspace(0.0, 1.0, 5)
     propagate_scalar(fwd_packet(k0=3.0), times, method=method)
-    assert len(calls) == len(times)
+    if method == "rk4":
+        assert calls["hilbert"] == len(times)
+    else:
+        # Hg comes from momentum space: no Hilbert transform, one forward
+        # FFT, and one inverse FFT each for g and Hg per snapshot
+        assert calls == {"hilbert": 0, "fft": 1, "ifft": 2 * len(times)}
 
 
 def _flat_norm(g):
@@ -403,3 +412,10 @@ def test_weyl_and_maxwell_mode_norms():
                                   rel=1e-12)
         assert b == pytest.approx(_flat_norm(g1 + 1j * g2) / np.sqrt(2),
                                   rel=1e-12)
+    # circular data: the vanishing mode sits at the rounding floor of the norm
+    for f0, vanishing in (([up, 1j * up], "norm_back"),
+                          ([up, -1j * up], "norm_fwd")):
+        f0 = VectorField3(GRID, "g", np.stack(
+            f0 + [np.zeros(GRID.size, dtype=complex)]))
+        diag = propagate_maxwell(f0, times).diagnostics
+        assert np.max(diag[vanishing] / diag["norm"]) <= 1e-14

@@ -1,12 +1,15 @@
-"""Cached FFT plans, paired DCT-IV kernels and the in-place RK4 stepper:
-the same bits as the unplanned formulas, bounded read-only caches, and the
-r2r call counts they save."""
+"""Cached FFT plans, paired DCT-IV kernels, the in-place RK4 stepper and
+the half-grid transfer symbols: the same bits as the unplanned formulas,
+bounded read-only caches, and the kernel call counts they save."""
 
 import numpy as np
 import pytest
 
 from axiwave import evolution, spectral, transforms
-from axiwave.grids import make_grid, parity_join, parity_split, random_packet
+from axiwave.evolution import (SpinorField, VectorField3, propagate_maxwell,
+                               propagate_scalar, propagate_wave, propagate_weyl)
+from axiwave.grids import (AxialField, make_grid, parity_join, parity_split,
+                           random_packet)
 
 SIZES = (8, 1000, 4096)
 KIND_PAIRS = [(a, b) for a in ("cos", "sin") for b in ("cos", "sin")]
@@ -176,3 +179,143 @@ def test_trig_route_map_makes_one_r2r_call_each_way(r2r_calls):
     r2r_calls.clear()
     spectral.synthesize(phi)
     assert len(r2r_calls) == 1
+
+
+def closed_form_transfer(kind, kap, t):
+    """The transfer matrices as closed forms over all 2N momentum nodes."""
+    if kind == "scalar":
+        e = np.exp(-1j * np.abs(kap) * t)
+        return [[e, None], [None, e]]
+    if kind == "weyl":
+        return [[np.exp(-1j * kap * t), None], [None, np.exp(+1j * kap * t)]]
+    if kind == "wave":
+        a = np.abs(kap)
+        c, s = np.cos(a * t), np.sin(a * t)
+        return [[c, s / a], [-a * s, c]]
+    c, s = np.cos(kap * t), np.sin(kap * t)
+    return [[c, -s], [s, c]]
+
+
+TRANSFERS = {"scalar": evolution._scalar_transfer,
+             "weyl": evolution._weyl_transfer,
+             "wave": evolution._wave_transfer,
+             "maxwell": evolution._maxwell_transfer}
+TIMES = np.concatenate([np.linspace(0.0, 60.0, 41), [1e-9, 0.37, 1e3, 1e5]])
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", TRANSFERS)
+def test_half_grid_transfers_equal_closed_forms(n, kind):
+    sg = make_grid(n, 0.17 * n).conjugate()
+    k = sg.positive_nodes()
+    for t in TIMES:
+        got = TRANSFERS[kind](np.cos(k * t), np.sin(k * t), k)
+        want = closed_form_transfer(kind, sg.nodes, t)
+        for row_got, row_want in zip(got, want):
+            for a, b in zip(row_got, row_want):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def reference_evolve(grid, g0s, kind, t):
+    """The modal loop on the closed-form transfers."""
+    sg = grid.conjugate()
+    ghats = [spectral.fourier_full(g, grid) for g in g0s]
+    for ti in t:
+        rows = closed_form_transfer(kind, sg.nodes, ti)[:len(g0s)]
+        yield [spectral.fourier_full_inverse(
+            sum(s * gh for s, gh in zip(row, ghats) if s is not None), sg)
+            for row in rows]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_propagator_snapshots_equal_closed_form_evolution(n):
+    grid = make_grid(n, 0.17 * n)
+    rng = np.random.default_rng(n)
+    a, b = (random_packet(grid, rng, rep="g").values for _ in range(2))
+    t = np.array([0.0, 0.37, 5.0, 60.0])
+    zero = np.zeros(grid.size, dtype=complex)
+    got = {
+        "scalar": [[s.values] for s in propagate_scalar(
+            AxialField(grid, "g", a), t).snapshots],
+        "wave": [[p.values, q.values] for p, q in propagate_wave(
+            AxialField(grid, "g", a), AxialField(grid, "g", b), t).snapshots],
+        "weyl": [[s.up, s.down] for s in propagate_weyl(
+            SpinorField(grid, "g", a, b), t).snapshots],
+        "maxwell": [list(s.values[:2]) for s in propagate_maxwell(
+            VectorField3(grid, "g", np.stack([a, b, zero])), t).snapshots],
+    }
+    for kind, snaps in got.items():
+        g0s = [a] if kind == "scalar" else [a, b]
+        want = list(reference_evolve(grid, g0s, kind, t))
+        assert len(snaps) == len(want)
+        for comps, ref in zip(snaps, want):
+            assert all(np.array_equal(x, y) for x, y in zip(comps, ref, strict=True))
+
+
+@pytest.mark.parametrize("n", (8, 64, 1000, 8192))
+def test_momentum_space_density_matches_trig_route(monkeypatch, n):
+    grid = make_grid(n, 0.17 * n)
+    psi = random_packet(grid, np.random.default_rng(n), rep="g")
+    seen = []
+
+    def capture(times, rhos, js, grid, mask_fraction=0.6):
+        seen.append((rhos, js))
+        return np.full(len(times), np.nan)
+
+    monkeypatch.setattr(evolution, "continuity_residuals", capture)
+    res = propagate_scalar(psi, [0.0, 0.37, 5.0, 60.0])
+    (rhos, js), = seen
+    for snap, rho, j in zip(res.snapshots, rhos, js, strict=True):
+        rho_t, j_t, nrm = evolution._scalar_diagnostics(grid, snap.values)
+        assert np.max(np.abs(rho - rho_t)) <= 1e-10 * np.max(rho_t)
+        assert np.max(np.abs(j - j_t)) <= 1e-10 * np.max(np.abs(j_t))
+    assert np.array_equal(res.diagnostics["norm"], [
+        evolution._scalar_diagnostics(grid, s.values)[2] for s in res.snapshots])
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+def test_spectral_scalar_kernel_calls(r2r_calls, fft_calls):
+    times = np.linspace(0.0, 3.0, 7)
+    propagate_scalar(_packet(), times)
+    assert len(r2r_calls) == 0
+    assert fft_calls == {"fft": 1, "ifft": 2 * len(times)}
+
+
+def masked_continuity_residuals(times, rhos, js, grid, mask_fraction=0.6):
+    """Full-length arrays reduced through a boolean-mask copy."""
+    n = len(rhos)
+    out = np.full(n, np.nan)
+    mask = grid.interior_mask(mask_fraction)
+    for i in range(1, n - 1):
+        dt2 = times[i + 1] - times[i - 1]
+        drho = (rhos[i + 1] - rhos[i - 1]) / dt2
+        dj = np.gradient(js[i], grid.h)
+        resid = (drho + dj)[mask]
+        scale = np.max(np.abs(drho[mask]))
+        out[i] = np.max(np.abs(resid)) / scale if scale > 0 else 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("fraction", (0.15, 0.6, 0.99, 1.0))
+def test_continuity_on_interior_slice_is_bit_identical(n, fraction):
+    grid = make_grid(n, 0.17 * n)
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.uniform(0.1, 1.0, 5)) - 0.1
+    rhos = [rng.uniform(0.0, 2.0, grid.size) for _ in times]
+    js = [rng.normal(size=grid.size) for _ in times]
+    assert np.array_equal(
+        evolution.continuity_residuals(times, rhos, js, grid, fraction),
+        masked_continuity_residuals(times, rhos, js, grid, fraction),
+        equal_nan=True)
