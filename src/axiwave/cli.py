@@ -21,7 +21,7 @@ from .fileio import (FileFormatError, read_beams_json, read_spectral_csv,
                      write_state_csv)
 from .grids import AxialField, convert_rep, make_grid
 from .relativity import BoostParams, boost_beam
-from .spectral import analyze, fourier_full, fourier_full_inverse, synthesize
+from .spectral import analyze, spectral_derivative, synthesize
 from .transforms import cosine_taper
 from .verify import RunConfig, run_verification
 
@@ -130,9 +130,8 @@ def _run_scalar(comps, times, method):
 
 def _run_wave(comps, times, method):
     # initial rate dg/dt = -i kappa g: the packet moves rigidly along +n
-    g, sg = comps[0], comps[0].grid.conjugate()
-    gdot = fourier_full_inverse(
-        -1j * sg.nodes * fourier_full(g.values, g.grid), sg)
+    g = comps[0]
+    gdot = -spectral_derivative(g.values, g.grid)
     res = propagate_wave(g, AxialField(g.grid, "g", gdot), times)
     return [[s] for s, _ in res.snapshots], res.diagnostics
 

@@ -116,17 +116,12 @@ def _field_from_g(grid, g, rep):
     return convert_rep(AxialField(grid, "g", g), rep)
 
 
-def hilbert_full_line(g: np.ndarray, grid: AxisGrid,
-                      backend: str = "spectral") -> np.ndarray:
-    """Plain full-line Hilbert transform H = -sgn . Hplus on raw samples."""
-    out = hilbert_signed(AxialField(grid, "g", g), "plus", backend=backend)
-    return -np.sign(grid.nodes) * out.values
-
-
 def _scalar_diagnostics(grid, g, backend="spectral"):
     """rho, J and the flat norm of one g-snapshot, from one Hilbert transform
-    (`density_current` and the RK4 route; the spectral route has Hg)."""
-    return _rho_j_norm(grid, g, hilbert_full_line(g, grid, backend))
+    H = -sgn . Hplus (`density_current` and the RK4 route; the spectral
+    route has Hg)."""
+    hplus = hilbert_signed(AxialField(grid, "g", g), "plus", backend=backend)
+    return _rho_j_norm(grid, g, -np.sign(grid.nodes) * hplus.values)
 
 
 def _rho_j_norm(grid, g, hg):
@@ -213,15 +208,15 @@ def _hamiltonian_g(grid: AxisGrid):
     h, n = grid.h, grid.n_half
     sg = grid.conjugate()
     k = sg.positive_nodes()
-    # the scale factors of the two trig transforms, as `_trig_pair` forms them
+    # the scale factors of the two trig transforms, as `_trig_rows` forms them
     scales = [np.sqrt(2.0 / np.pi) * 0.5 * s for s in (h, sg.dk)]
     kinds = ("cos", "sin")
 
     def apply(g, out=None, work=None):
         """H g, written into `out` (2 n_half) with `work` ((2, n_half),
         complex) as scratch; either is allocated when not given.  The same
-        float operations as the parity split, two `_trig_pair` calls and the
-        parity join, so the result is bit-identical to them."""
+        float operations as the parity split, two two-row `_trig_rows` calls
+        and the parity join, so the result is bit-identical to them."""
         out = np.empty(2 * n, dtype=complex) if out is None else out
         w = np.empty((2, n), dtype=complex) if work is None else work
         plus, minus = fold(g, n)
@@ -312,8 +307,9 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
                    continuity_residual=continuity_residuals(t, rhos, js, grid))
 
 
-def continuity_residuals(times, rhos, js, grid, mask_fraction: float = 0.6):
-    """Centered-difference residual dt rho + dlambda J per interior snapshot.
+def continuity_residuals(times, rhos, js, grid):
+    """Centered-difference residual dt rho + dlambda J per interior snapshot,
+    over the band |lambda| <= 0.6 extent.
 
     Entries for the first and last snapshot are NaN (no centered stencil).
     Relative to the peak |dt rho| of the triple.
@@ -322,7 +318,7 @@ def continuity_residuals(times, rhos, js, grid, mask_fraction: float = 0.6):
     out = np.full(n, np.nan)
     # the mask is one central band [lo, hi); widened by a node each side,
     # the gradient's central differences on it are the full-length ones
-    band = np.flatnonzero(grid.interior_mask(mask_fraction))
+    band = np.flatnonzero(grid.interior_mask(0.6))
     lo, hi = band[0], band[-1] + 1
     wide = slice(max(lo - 1, 0), min(hi + 1, grid.size))
     inner = slice(lo - wide.start, hi - wide.start)

@@ -87,6 +87,14 @@ def compose(a: LinearOperatorHandle, b: LinearOperatorHandle,
                                 apply=lambda fld: a.apply(b.apply(fld)))
 
 
+def _route_gap(outs, mask) -> float:
+    """Worst pairwise interior gap among route outputs, relative to the
+    largest interior norm."""
+    scale = max(np.linalg.norm(o[mask]) for o in outs)
+    return max(np.linalg.norm((a - b)[mask])
+               for a, b in itertools.combinations(outs, 2)) / scale
+
+
 def _cross_check(grid: AxisGrid, kernel, requested, variants, tol: float,
                  what: str):
     """Raise BackendMismatchError if the requested g-kernel disagrees with
@@ -100,11 +108,9 @@ def _cross_check(grid: AxisGrid, kernel, requested, variants, tol: float,
     probe = gaussian_packet(grid, 0.025 * np.pi / grid.h,
                             0.2 * grid.extent).values
     mask = grid.interior_mask(0.6)
-    want = kernel(grid, *requested)(probe)[mask]
+    want = kernel(grid, *requested)(probe)
     for route in itertools.product(variants, _BACKENDS):
-        got = kernel(grid, *route)(probe)[mask]
-        gap = np.linalg.norm(want - got) / max(np.linalg.norm(want),
-                                               np.linalg.norm(got))
+        gap = _route_gap([want, kernel(grid, *route)(probe)], mask)
         if gap > tol:
             raise BackendMismatchError(
                 f"{what}[{', '.join(requested)}] and {what}[{', '.join(route)}]"
@@ -181,20 +187,13 @@ def _pbar0_kernel(grid: AxisGrid, form: str, backend: str):
     return lambda g: -_hilbert(sgn * _dhalf(g, grid), grid, "minus", backend)
 
 
-def pbar0_triangle_residual(grid: AxisGrid, probes: Sequence[AxialField],
-                            mask_fraction: float = 0.6) -> float:
+def pbar0_triangle_residual(grid: AxisGrid,
+                            probes: Sequence[AxialField]) -> float:
     """Worst pairwise interior disagreement among the three pbar0 forms."""
-    forms = [pbar0(grid, f) for f in ("left", "right", "spectral")]
-    mask = grid.interior_mask(mask_fraction)
-    worst = 0.0
-    for f in probes:
-        outs = [convert_rep(h.apply(f), "g").values for h in forms]
-        scale = max(np.linalg.norm(o[mask]) for o in outs)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                gap = np.linalg.norm((outs[i] - outs[j])[mask])
-                worst = max(worst, gap / scale)
-    return worst
+    forms = [pbar0(grid, f) for f in _PBAR0_FORMS]
+    mask = grid.interior_mask(0.6)
+    return max([0.0] + [_route_gap([convert_rep(h.apply(f), "g").values
+                                    for h in forms], mask) for f in probes])
 
 
 def four_vector_ops(grid: AxisGrid, which: str):
@@ -268,18 +267,13 @@ def _boost_kernel(grid: AxisGrid, ordering: str, backend: str):
     return lambda g: dilation(_hilbert(g, grid, "plus", backend))
 
 
-def boost_ordering_residual(grid: AxisGrid, probes: Sequence[AxialField],
-                            mask_fraction: float = 0.6) -> float:
-    n1 = boost_generator_config(grid, "h_first")
-    n2 = boost_generator_config(grid, "h_last")
-    mask = grid.interior_mask(mask_fraction)
-    worst = 0.0
-    for f in probes:
-        a = convert_rep(n1.apply(f), "g").values
-        b = convert_rep(n2.apply(f), "g").values
-        scale = max(np.linalg.norm(a[mask]), np.linalg.norm(b[mask]))
-        worst = max(worst, np.linalg.norm((a - b)[mask]) / scale)
-    return worst
+def boost_ordering_residual(grid: AxisGrid,
+                            probes: Sequence[AxialField]) -> float:
+    """Worst interior disagreement between the two orderings of N."""
+    orderings = [boost_generator_config(grid, o) for o in _BOOST_ORDERINGS]
+    mask = grid.interior_mask(0.6)
+    return max([0.0] + [_route_gap([convert_rep(n.apply(f), "g").values
+                                    for n in orderings], mask) for f in probes])
 
 
 def linearity_residual(handle: LinearOperatorHandle, rng,

@@ -26,10 +26,9 @@ factors are folded into the post vector in the left-to-right order of
 the defining formula, so the planned transform is bit-identical to that
 formula evaluated in full.
 
-The trig route runs its cosine and sine transforms as one paired DCT-IV
-(`transforms._trig_pair`, through DST-IV(x)_m = (-1)^m DCT-IV(x
-reversed)_m): one r2r call per analysis or synthesis instead of two,
-with the same bits.
+The trig route runs its cosine and sine transforms as one DCT-IV over
+both rows (`transforms._trig_rows`, through DST-IV(x)_m = (-1)^m
+DCT-IV(x reversed)_m): one r2r call per analysis or synthesis.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from .grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
                     convert_rep, parity_join, parity_split, unfold)
-from .transforms import _trig_pair
+from .transforms import _trig_rows
 
 _PLAN_CACHE_SIZE = 8   # grids whose plans stay cached at once
 
@@ -107,7 +106,7 @@ def analyze(psi: AxialField) -> SpectralProfile:
     grid = psi.grid
     sgrid = grid.conjugate()
     even, odd = parity_split(convert_rep(psi, "g").values, grid.n_half)
-    ce, so = _trig_pair(even, odd, grid.h, ("cos", "sin"))
+    ce, so = _trig_rows([even, odd], grid.h, ("cos", "sin"))
     root = np.sqrt(sgrid.positive_nodes())
     phi_plus = (ce - 1j * so) / root
     phi_minus = (ce + 1j * so) / root
@@ -119,7 +118,7 @@ def synthesize(phi: SpectralProfile) -> AxialField:
     sgrid = phi.grid
     even, odd = parity_split(np.sqrt(np.abs(sgrid.nodes)) * phi.values,
                              sgrid.n_half)
-    g = parity_join(*_trig_pair(even, 1j * odd, sgrid.dk, ("cos", "sin")))
+    g = parity_join(*_trig_rows([even, 1j * odd], sgrid.dk, ("cos", "sin")))
     return convert_rep(AxialField(sgrid.axis_grid(), "g", g), "f")
 
 

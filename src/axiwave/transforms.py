@@ -27,6 +27,9 @@ with two independent realizations:
     handled by singularity subtraction f(t) -> f(t) - f(r), plus the exact
     log correction of the truncated  pv integral dt/(r^2-t^2).
 
+`_hilbert_core` is the one backend switch behind every Hilbert transform,
+and every trig transform runs on the one DCT-IV kernel `_trig_rows`.
+
 The quadrature never forms its n x n kernel.  On the offset grid
 r_i = (i + 1/2) h the partial fractions
 
@@ -54,7 +57,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, dst
+from scipy.fft import dct
 
 from ._fd import derivative
 from .grids import AxialField, parity_join, parity_split
@@ -101,19 +104,18 @@ class HalfLineFunction:
 def _trig_sum(values: np.ndarray, spacing: float, kind: str) -> np.ndarray:
     # sqrt(2/pi) * sum_j f_j ker(k_m r_j) * spacing, ker(x)=cos/sin(x);
     # DCT-IV/DST-IV carry a conventional factor 2.
-    core = dct(values, type=4) if kind == "cos" else dst(values, type=4)
-    return np.sqrt(2.0 / np.pi) * 0.5 * spacing * core
+    return _trig_rows([values], spacing, [kind])[0]
 
 
 @functools.lru_cache(maxsize=4)
-def _pair_buffer(n: int, thread: int) -> np.ndarray:
+def _row_buffer(n: int, thread: int) -> np.ndarray:
     # per thread: the r2r kernel runs without the interpreter lock
     return np.empty((2, n), dtype=complex)
 
 
-def _trig_pair(a: np.ndarray, b: np.ndarray, spacing: float, kinds):
-    """(_trig_sum(a, spacing, kinds[0]), _trig_sum(b, spacing, kinds[1])),
-    bit for bit, from one DCT-IV over both rows.
+def _trig_rows(rows, spacing: float, kinds) -> list:
+    """Trig transform kinds[i] ("cos"/"sin") of rows[i], for one or two
+    rows, from one DCT-IV over all of them.
 
     DST-IV(x)_m = (-1)^m DCT-IV(x reversed)_m is how the r2r kernel itself
     evaluates a DST-IV, so a sin row is reversed on the way in and its odd
@@ -122,18 +124,18 @@ def _trig_pair(a: np.ndarray, b: np.ndarray, spacing: float, kinds):
     allocator's mmap threshold and costs a page fault storm per call); the
     results are fresh arrays.
     """
-    buf = _pair_buffer(len(a), threading.get_ident())
-    for row, x, kind in zip(buf, (a, b), kinds):
+    buf = _row_buffer(len(rows[0]), threading.get_ident())[:len(rows)]
+    for row, x, kind in zip(buf, rows, kinds):
         row[:] = x if kind == "cos" else x[::-1]
     core = _r2r_pair(buf, kinds)
-    return tuple(np.sqrt(2.0 / np.pi) * 0.5 * spacing * row for row in core)
+    return [np.sqrt(2.0 / np.pi) * 0.5 * spacing * row for row in core]
 
 
 def _r2r_pair(buf: np.ndarray, kinds) -> np.ndarray:
-    """The unscaled DCT-IV / DST-IV core of `_trig_pair`, in place.
+    """The unscaled DCT-IV / DST-IV core of `_trig_rows`, in place.
 
     Each sin row of `buf` must hold its input reversed.  Returns the
-    transformed (2, n) array, which is `buf` itself for a C-contiguous
+    transformed (rows, n) array, which is `buf` itself for a C-contiguous
     complex buffer.
     """
     core = dct(buf, type=4, overwrite_x=True)
@@ -160,12 +162,12 @@ def half_line_derivative(f: HalfLineFunction) -> HalfLineFunction:
     return HalfLineFunction(f.spacing, derivative(f.values, f.spacing))
 
 
-def _warn_if_not_decayed(values: np.ndarray, edge_decay_tol: float, label: str):
+def _warn_if_not_decayed(values: np.ndarray, label: str):
     n_edge = max(1, values.size // 20)
     peak = np.max(np.abs(values))
     if peak == 0.0:
         return
-    if np.max(np.abs(values[-n_edge:])) > edge_decay_tol * peak:
+    if np.max(np.abs(values[-n_edge:])) > 1e-3 * peak:
         warnings.warn(
             f"{label}: input has not decayed at the grid edge; the "
             "finite-domain transform is unreliable near truncation",
@@ -232,7 +234,6 @@ def _hilbert_quadrature(f: HalfLineFunction, odd_kernel: bool) -> np.ndarray:
 
 
 def hilbert_even(f: HalfLineFunction, backend: str = "spectral",
-                 edge_decay_tol: float = 1e-3,
                  cross_check_tol: float | None = None) -> HalfLineFunction:
     """Hilbert transform of an even function, He f.
 
@@ -242,14 +243,13 @@ def hilbert_even(f: HalfLineFunction, backend: str = "spectral",
     the tolerance (relative, interior 80% of nodes) raises
     BackendMismatchError instead of being ignored.
     """
-    return _hilbert_dispatch(f, "even", backend, edge_decay_tol, cross_check_tol)
+    return _hilbert_dispatch(f, "even", backend, cross_check_tol)
 
 
 def hilbert_odd(f: HalfLineFunction, backend: str = "spectral",
-                edge_decay_tol: float = 1e-3,
                 cross_check_tol: float | None = None) -> HalfLineFunction:
     """Hilbert transform of an odd function, Ho f."""
-    return _hilbert_dispatch(f, "odd", backend, edge_decay_tol, cross_check_tol)
+    return _hilbert_dispatch(f, "odd", backend, cross_check_tol)
 
 
 def _check_backend(backend: str):
@@ -262,22 +262,26 @@ def _check_backend(backend: str):
 _SPECTRAL_KINDS = {"even": ("cos", "sin"), "odd": ("sin", "cos")}
 
 
-def _hilbert_core(f: HalfLineFunction, parity: str, backend: str) -> np.ndarray:
+def _hilbert_core(parts, kernels, backend: str) -> list:
+    """He ("even") or Ho ("odd") by kernels[i] of parts[i], one or two
+    half-line functions on one grid; spectral parts share each trig stage."""
     _check_backend(backend)
     if backend == "quadrature":
-        return _hilbert_quadrature(f, odd_kernel=parity == "odd")
-    first, second = _SPECTRAL_KINDS[parity]
-    out = _trig_sum(_trig_sum(f.values, f.spacing, first),
-                    f.conjugate_spacing(), second)
-    return -out if parity == "even" else out
+        return [_hilbert_quadrature(f, odd_kernel=k == "odd")
+                for f, k in zip(parts, kernels)]
+    first, second = zip(*(_SPECTRAL_KINDS[k] for k in kernels))
+    outs = _trig_rows(_trig_rows([f.values for f in parts], parts[0].spacing,
+                                 first),
+                      parts[0].conjugate_spacing(), second)
+    return [-out if k == "even" else out for out, k in zip(outs, kernels)]
 
 
-def _hilbert_dispatch(f, parity, backend, edge_decay_tol, cross_check_tol):
-    _warn_if_not_decayed(f.values, edge_decay_tol, f"hilbert_{parity}")
-    out = _hilbert_core(f, parity, backend)
+def _hilbert_dispatch(f, parity, backend, cross_check_tol):
+    _warn_if_not_decayed(f.values, f"hilbert_{parity}")
+    out, = _hilbert_core([f], [parity], backend)
     if cross_check_tol is not None:
-        other = _hilbert_core(f, parity,
-                              "quadrature" if backend == "spectral" else "spectral")
+        other_backend = "quadrature" if backend == "spectral" else "spectral"
+        other, = _hilbert_core([f], [parity], other_backend)
         n_int = int(0.8 * f.n)
         scale = max(np.max(np.abs(out[:n_int])), np.max(np.abs(f.values)))
         gap = np.max(np.abs(out[:n_int] - other[:n_int]))
@@ -313,20 +317,10 @@ def hilbert_signed(fld: AxialField, sign: str = "plus",
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"unknown sign {sign!r}")
-    _check_backend(backend)
-    h = fld.grid.h
-    even, odd = (HalfLineFunction(h, part)
-                 for part in parity_split(fld.values, fld.grid.n_half))
+    parts = [HalfLineFunction(fld.grid.h, part)
+             for part in parity_split(fld.values, fld.grid.n_half)]
     # plus: even part -> He (even output), odd part -> Ho (odd output);
     # minus: even part through the odd kernel (even output), odd part
     # through the even kernel (odd output)
     kernels = ("even", "odd") if sign == "plus" else ("odd", "even")
-    if backend == "quadrature":
-        return fld.copy_with(parity_join(_hilbert_core(even, kernels[0], backend),
-                                         _hilbert_core(odd, kernels[1], backend)))
-    # spectral: both halves through each trig stage together
-    first, second = zip(*(_SPECTRAL_KINDS[k] for k in kernels))
-    outs = _trig_pair(*_trig_pair(even.values, odd.values, h, first),
-                      even.conjugate_spacing(), second)
-    return fld.copy_with(parity_join(*(-out if k == "even" else out
-                                       for out, k in zip(outs, kernels))))
+    return fld.copy_with(parity_join(*_hilbert_core(parts, kernels, backend)))

@@ -159,31 +159,26 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
 
     # --- half-line transform ledger -------------------------------------
     halves = _half_packets(cfg.n_half, grid.h, rng, max(cfg.probe_count, 50))
-    r_self_c = r_self_s = 0.0
+    r_self = {"cos": 0.0, "sin": 0.0}
     r_he = r_ho = r_eo = r_oe = 0.0
     r_backend = 0.0
     for f in halves:
-        for kind in ("cos", "sin"):
+        for kind in r_self:
             back = trig_transform(trig_transform(f, kind), kind)
-            val = rel_err(back.values, f.values)
-            if kind == "cos":
-                r_self_c = max(r_self_c, val)
-            else:
-                r_self_s = max(r_self_s, val)
+            r_self[kind] = max(r_self[kind], rel_err(back.values, f.values))
         he_q = hilbert_even(f, backend="quadrature").values
         ho_q = hilbert_odd(f, backend="quadrature").values
         he_s = hilbert_even(f, backend="spectral").values
         ho_s = hilbert_odd(f, backend="spectral").values
-        r_he = max(r_he, rel_err(he_s, he_q, mask80))
-        r_ho = max(r_ho, rel_err(ho_s, ho_q, mask80))
-        r_backend = max(r_backend, rel_err(he_s, he_q, mask80) / 2.0,
-                        rel_err(ho_s, ho_q, mask80) / 2.0)
+        e_he, e_ho = rel_err(he_s, he_q, mask80), rel_err(ho_s, ho_q, mask80)
+        r_he, r_ho = max(r_he, e_he), max(r_ho, e_ho)
+        r_backend = max(r_backend, e_he / 2.0, e_ho / 2.0)
         eo = hilbert_even(hilbert_odd(f)).values
         oe = hilbert_odd(hilbert_even(f)).values
         r_eo = max(r_eo, rel_err(eo, -f.values, mask80))
         r_oe = max(r_oe, rel_err(oe, -f.values, mask80))
-    add("trig cos self-inverse", "Fc~ Fc = 1", r_self_c, 1e-10)
-    add("trig sin self-inverse", "Fs~ Fs = 1", r_self_s, 1e-10)
+    add("trig cos self-inverse", "Fc~ Fc = 1", r_self["cos"], 1e-10)
+    add("trig sin self-inverse", "Fs~ Fs = 1", r_self["sin"], 1e-10)
     add("ledger even hilbert", "Fs~ Fc = -He", r_he, 1e-2)
     add("ledger odd hilbert", "Fc~ Fs = Ho", r_ho, 1e-2)
     add("hilbert backends agree", "spectral vs quadrature within 2x estimate",
@@ -445,11 +440,14 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     add("parallel doppler", "gamma (1 - v) at v = 0.6 equals 1/2",
         abs(doppler_factor(np.array([0.0, 0.0, 1.0]), b6) - 0.5), 1e-12)
 
-    kap = sg.nodes
-    phi = SpectralProfile(sg, np.where(
-        kap > 0, np.exp(-(((kap - cfg.packet_k) / 1.0) ** 2)), 0.0
-    ).astype(complex))
-    beam = BeamState(np.array([0.0, 0.0, 1.0]), phi)
+    def forward_beam(sgrid):
+        kap = sgrid.nodes
+        phi = SpectralProfile(sgrid, np.where(
+            kap > 0, np.exp(-(((kap - cfg.packet_k) / 1.0) ** 2)), 0.0
+        ).astype(complex))
+        return phi, BeamState(np.array([0.0, 0.0, 1.0]), phi)
+
+    phi, beam = forward_beam(sg)
     out_b = boost_beam(beam, b6)[0]
     drift = abs(spectral_norm(out_b.profile, "inv_k")
                 - spectral_norm(phi, "inv_k")) / spectral_norm(phi, "inv_k")
@@ -466,12 +464,7 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
         "|boost(dv) - (1 - i dv N_k)| = O(dv^2), stable constant",
         abs(consts[0] - consts[1]) / consts[1], 0.2)
 
-    fine_sg = fine.conjugate()
-    fkap = fine_sg.nodes
-    fphi = SpectralProfile(fine_sg, np.where(
-        fkap > 0, np.exp(-(((fkap - cfg.packet_k) / 1.0) ** 2)), 0.0
-    ).astype(complex))
-    fbeam = BeamState(np.array([0.0, 0.0, 1.0]), fphi)
+    fphi, fbeam = forward_beam(fine.conjugate())
     psi = synthesize(fphi)
     psi_g = convert_rep(psi, "g").values
     dv = 2e-4
