@@ -15,8 +15,8 @@ from .spectral import (analyze, analyze_fast, fourier_full,
                        synthesize_fast)
 from .operators import (LinearOperatorHandle, adjoint_residual,
                         boost_generator_config, boost_generator_local,
-                        commutator_residual, compose, four_vector_ops, pbar,
-                        pbar0, pbar0_triangle_residual, radial_momentum_tilde,
+                        commutator_residual, four_vector_ops, pbar, pbar0,
+                        pbar0_triangle_residual, radial_momentum_tilde,
                         rayleigh_quotient)
 from .evolution import (EvolutionResult, SpinorField, VectorField3,
                         density_current, packet_centroid, propagate_maxwell,

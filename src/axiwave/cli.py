@@ -85,7 +85,7 @@ def _parse_axis(text: str) -> np.ndarray:
         vec = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise FileFormatError(f"cannot parse axis {text!r}") from None
-    if vec.shape != (3,) or not np.linalg.norm(vec) > 0:
+    if vec.shape != (3,) or not 0.0 < np.linalg.norm(vec) < np.inf:
         raise FileFormatError(f"cannot parse axis {text!r}")
     return vec / np.linalg.norm(vec)
 
@@ -109,7 +109,9 @@ def _grid_checks(args):
 
 
 def cmd_verify(args) -> int:
-    _require(_grid_checks(args))
+    _require(_grid_checks(args) + (
+        ("--tol-scale must be finite and non-negative",
+         0.0 <= args.tol_scale < np.inf),))
     cfg = RunConfig(n_half=args.grid_size, extent=args.extent, seed=args.seed,
                     n_half_fine=max(2 * args.grid_size, 16),
                     tol_scale=args.tol_scale)
@@ -190,25 +192,26 @@ def cmd_propagate(args) -> int:
         (f"--in is not supported for --kind {args.kind}",
          accepts_in or not args.infile)))
 
+    n_comp = len(default(np.zeros(0)))
     if args.infile:
         comps = read_state_csv(args.infile)
         comps = comps if isinstance(comps, list) else [comps]
-        n_comp = len(default(np.zeros(0)))
         if len(comps) != n_comp:
             raise FileFormatError(f"{args.infile}: --kind {args.kind} needs "
                                   f"{n_comp} component(s), found {len(comps)}")
-    else:
+    # the built-in packet is bounded before its grid is allocated
+    size = comps[0].grid.size if args.infile else 2 * args.grid_size
+    if args.snapshots * n_comp * size > _MAX_SNAPSHOT_SAMPLES:
+        raise ValueError(
+            f"--snapshots {args.snapshots} x {n_comp} component(s) x "
+            f"{size} nodes exceeds the limit of {_MAX_SNAPSHOT_SAMPLES} "
+            "samples (512 MiB)")
+    if not args.infile:
         grid = make_grid(args.grid_size, args.extent)
         width = args.extent / 4.0 if args.width is None else args.width
         win = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0)
         w = win * np.exp(1j * args.k0 * grid.nodes)
         comps = [AxialField(grid, "g", v) for v in default(w)]
-    size = comps[0].grid.size
-    if args.snapshots * len(comps) * size > _MAX_SNAPSHOT_SAMPLES:
-        raise ValueError(
-            f"--snapshots {args.snapshots} x {len(comps)} component(s) x "
-            f"{size} nodes exceeds the limit of {_MAX_SNAPSHOT_SAMPLES} "
-            "samples (512 MiB)")
     times = np.linspace(0.0, args.t_max, args.snapshots)
     snaps, diag = run(comps, times, args.method)
 

@@ -136,9 +136,10 @@ def _rho_j_norm(grid, g, hg):
     return rho, j, float(np.sqrt(np.sum(g2) * grid.h))
 
 
-def density_current(psi: AxialField, backend: str = "spectral"):
-    """Non-negative density rho and axial current J of the first-order flow."""
-    rho, j, _ = _scalar_diagnostics(psi.grid, _g_of(psi), backend)
+def density_current(psi: AxialField):
+    """Non-negative density rho and axial current J of the first-order flow,
+    from the spectral Hilbert transform."""
+    rho, j, _ = _scalar_diagnostics(psi.grid, _g_of(psi))
     return rho, j
 
 

@@ -114,9 +114,6 @@ class SpectralGrid:
     def positive_nodes(self) -> np.ndarray:
         return self.nodes[self.n_half:]
 
-    def interior_mask(self, fraction: float = 0.6) -> np.ndarray:
-        return np.abs(self.nodes) <= fraction * self.extent
-
     def same_as(self, other: "SpectralGrid") -> bool:
         return self.n_half == other.n_half and self.dk == other.dk
 

@@ -62,9 +62,6 @@ class LinearOperatorHandle:
     grid: AxisGrid
     apply: Callable[[AxialField], AxialField] = field(repr=False)
 
-    def __call__(self, fld: AxialField) -> AxialField:
-        return self.apply(fld)
-
 
 def _wrap(label: str, grid: AxisGrid, fn: Callable[[np.ndarray], np.ndarray],
           rep: str = "g") -> LinearOperatorHandle:
@@ -79,20 +76,19 @@ def _wrap(label: str, grid: AxisGrid, fn: Callable[[np.ndarray], np.ndarray],
     return LinearOperatorHandle(label=label, grid=grid, apply=apply)
 
 
-def compose(a: LinearOperatorHandle, b: LinearOperatorHandle,
-            label: str | None = None) -> LinearOperatorHandle:
-    """Handle applying b first, then a."""
-    lab = label or f"{a.label}*{b.label}"
-    return LinearOperatorHandle(label=lab, grid=b.grid,
-                                apply=lambda fld: a.apply(b.apply(fld)))
-
-
 def _route_gap(outs, mask) -> float:
     """Worst pairwise interior gap among route outputs, relative to the
     largest interior norm."""
     scale = max(np.linalg.norm(o[mask]) for o in outs)
     return max(np.linalg.norm((a - b)[mask])
                for a, b in itertools.combinations(outs, 2)) / scale
+
+
+def _routes_residual(handles, probes) -> float:
+    """Worst interior route gap among the handles' g-outputs over probes."""
+    mask = handles[0].grid.interior_mask(0.6)
+    return max([0.0] + [_route_gap([convert_rep(h.apply(f), "g").values
+                                    for h in handles], mask) for f in probes])
 
 
 def _cross_check(grid: AxisGrid, kernel, requested, variants, tol: float,
@@ -190,10 +186,7 @@ def _pbar0_kernel(grid: AxisGrid, form: str, backend: str):
 def pbar0_triangle_residual(grid: AxisGrid,
                             probes: Sequence[AxialField]) -> float:
     """Worst pairwise interior disagreement among the three pbar0 forms."""
-    forms = [pbar0(grid, f) for f in _PBAR0_FORMS]
-    mask = grid.interior_mask(0.6)
-    return max([0.0] + [_route_gap([convert_rep(h.apply(f), "g").values
-                                    for h in forms], mask) for f in probes])
+    return _routes_residual([pbar0(grid, f) for f in _PBAR0_FORMS], probes)
 
 
 def four_vector_ops(grid: AxisGrid, which: str):
@@ -270,18 +263,15 @@ def _boost_kernel(grid: AxisGrid, ordering: str, backend: str):
 def boost_ordering_residual(grid: AxisGrid,
                             probes: Sequence[AxialField]) -> float:
     """Worst interior disagreement between the two orderings of N."""
-    orderings = [boost_generator_config(grid, o) for o in _BOOST_ORDERINGS]
-    mask = grid.interior_mask(0.6)
-    return max([0.0] + [_route_gap([convert_rep(n.apply(f), "g").values
-                                    for n in orderings], mask) for f in probes])
+    return _routes_residual(
+        [boost_generator_config(grid, o) for o in _BOOST_ORDERINGS], probes)
 
 
-def linearity_residual(handle: LinearOperatorHandle, rng,
-                       n_pairs: int = 5) -> float:
-    """max |H(aa+bb) - a H a - b H b| / scale over random probe pairs."""
+def linearity_residual(handle: LinearOperatorHandle, rng) -> float:
+    """max |H(aa+bb) - a H a - b H b| / scale over five random probe pairs."""
     grid = handle.grid
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(5):
         a = AxialField(grid, "f", rng.normal(size=grid.size)
                        + 1j * rng.normal(size=grid.size))
         b = AxialField(grid, "f", rng.normal(size=grid.size)
@@ -348,9 +338,9 @@ def adjoint_residual(a: LinearOperatorHandle, b: LinearOperatorHandle,
     return worst
 
 
-def rayleigh_quotient(handle: LinearOperatorHandle, f: AxialField,
-                      weight: str = "inv_r") -> float:
-    num = inner_product(f, handle.apply(f), weight).real
-    den = inner_product(f, f, weight).real
+def rayleigh_quotient(handle: LinearOperatorHandle, f: AxialField) -> float:
+    """<f, H f> / <f, f> in the 1/r inner product."""
+    num = inner_product(f, handle.apply(f), "inv_r").real
+    den = inner_product(f, f, "inv_r").real
     return num / den
 

@@ -38,7 +38,7 @@ def _as_unit(vec) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError("expected a 3-vector")
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:
         raise ValueError("direction must be a unit vector")
     return v / n
 
@@ -54,9 +54,12 @@ class FourMomentum:
         object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
         if self.k.shape != (3,):
             raise ValueError("spatial part must be a 3-vector")
-        if self.k0 < 0.0:
+        if not (np.isfinite(self.k0) and np.isfinite(self.k).all()):
+            raise ValueError("4-momentum must be finite")
+        if not self.k0 >= 0.0:
             raise ValueError("k0 must be non-negative")
-        if abs(self.k0 - np.linalg.norm(self.k)) > _UNIT_TOL * max(self.k0, 1e-300):
+        if not abs(self.k0 - np.linalg.norm(self.k)) <= \
+                _UNIT_TOL * max(self.k0, 1e-300):
             raise ValueError("4-momentum is not null")
 
 
@@ -145,42 +148,35 @@ def _resample_half(k_nodes: np.ndarray, values: np.ndarray,
     return out
 
 
-def boost_beam(beam: BeamState, b: BoostParams,
-               parallel_tol: float = 1e-12) -> tuple[BeamState, ...]:
+def boost_beam(beam: BeamState, b: BoostParams) -> tuple[BeamState, ...]:
     """Boost a beam; scalar profile transformation phi'(kappa') = phi(kappa).
 
-    Returns one beam when the boost is parallel (or v = 0); otherwise the
-    forward (kappa > 0) and backward (kappa < 0) branches aberrate to
-    different axes and a pair of single-sided beams comes back.
+    Returns one beam when the boost is parallel to the beam axis
+    (|cos| within 1e-12 of 1) or v = 0; otherwise the forward (kappa > 0)
+    and backward (kappa < 0) branches aberrate to different axes and a
+    pair of single-sided beams comes back.
     """
     if b.v == 0.0:
         return (beam,)
     sg = beam.profile.grid
-    n_half = sg.n_half
     kpos = sg.positive_nodes()
     # phi at the +kappa and at the -kappa nodes, by |kappa|
-    fwd, bwd = fold(beam.profile.values, n_half)
+    fwd, bwd = fold(beam.profile.values, sg.n_half)
     c = float(beam.direction @ b.axis)
-    a_fwd = b.gamma * (1.0 - b.v * c)   # Doppler of the +n branch
-    a_bwd = b.gamma * (1.0 + b.v * c)   # Doppler of the -n branch
-
-    if abs(abs(c) - 1.0) <= parallel_tol:
-        # one axis survives; kappa' = alpha(branch) * kappa
-        new_fwd = _resample_half(kpos, fwd, kpos / a_fwd, "forward")
-        new_bwd = _resample_half(kpos, bwd, kpos / a_bwd, "backward")
+    # kappa' = alpha(branch) * kappa, alpha the branch's Doppler factor
+    new_fwd = _resample_half(kpos, fwd, kpos / (b.gamma * (1.0 - b.v * c)),
+                             "forward")
+    new_bwd = _resample_half(kpos, bwd, kpos / (b.gamma * (1.0 + b.v * c)),
+                             "backward")
+    if abs(abs(c) - 1.0) <= _UNIT_TOL:
+        # one axis survives
         return (BeamState(beam.direction,
                           SpectralProfile(sg, unfold(new_fwd, new_bwd))),)
-
-    beams = []
-    for branch_vals, alpha, nhat, label in (
-            (fwd, a_fwd, beam.direction, "forward"),
-            (bwd, a_bwd, -beam.direction, "backward")):
-        new_dir = aberrate_direction(nhat, b)
-        new_vals = np.zeros(sg.size, dtype=complex)
-        new_vals[n_half:] = _resample_half(kpos, branch_vals, kpos / alpha,
-                                           label)
-        beams.append(BeamState(new_dir, SpectralProfile(sg, new_vals)))
-    return tuple(beams)
+    zeros = np.zeros(sg.n_half, dtype=complex)
+    return tuple(BeamState(aberrate_direction(nhat, b),
+                           SpectralProfile(sg, unfold(vals, zeros)))
+                 for vals, nhat in ((new_fwd, beam.direction),
+                                    (new_bwd, -beam.direction)))
 
 
 def momentum_boost_generator(profile: SpectralProfile,

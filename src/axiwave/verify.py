@@ -61,8 +61,8 @@ class RunConfig:
             raise ValueError("grids too coarse")
         if self.extent <= 0 or not np.isfinite(self.extent):
             raise ValueError("bad extent")
-        if self.tol_scale < 0:
-            raise ValueError("tol_scale must be non-negative")
+        if not 0.0 <= self.tol_scale < np.inf:
+            raise ValueError("tol_scale must be finite and non-negative")
         if self.probe_count < 2:
             raise ValueError("need at least two probes")
 
@@ -125,19 +125,6 @@ def rel_err(got, want, mask=None) -> float:
     return float(np.linalg.norm(got - want) / den)
 
 
-def _half_packets(n, h, rng, count):
-    r = (np.arange(n) + 0.5) * h
-    big_l = n * h
-    out = []
-    for _ in range(count):
-        k0 = rng.uniform(1.5, 4.0)
-        w = rng.uniform(0.05, 0.1) * big_l
-        c = rng.uniform(0.2, 0.4) * big_l
-        out.append(HalfLineFunction(
-            h, np.exp(-(((r - c) / w) ** 2)) * np.exp(1j * k0 * r)))
-    return out
-
-
 def run_verification(config: RunConfig | None = None) -> VerificationReport:
     cfg = config or RunConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -158,7 +145,13 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     mask80 = np.arange(cfg.n_half) < int(0.8 * cfg.n_half)
 
     # --- half-line transform ledger -------------------------------------
-    halves = _half_packets(cfg.n_half, grid.h, rng, max(cfg.probe_count, 50))
+    halves = []
+    for _ in range(max(cfg.probe_count, 50)):
+        k0 = rng.uniform(1.5, 4.0)
+        w = rng.uniform(0.05, 0.1) * grid.extent
+        c = rng.uniform(0.2, 0.4) * grid.extent
+        halves.append(HalfLineFunction(
+            grid.h, gaussian_packet(grid, k0, w, c).values[cfg.n_half:]))
     r_self = {"cos": 0.0, "sin": 0.0}
     r_he = r_ho = r_eo = r_oe = 0.0
     r_backend = 0.0

@@ -205,6 +205,22 @@ def test_cli_propagate_rejects_too_many_snapshots(tmp_path, capsys):
     assert "--snapshots" in capsys.readouterr().err
 
 
+def test_cli_propagate_cap_checked_before_grid(tmp_path, capsys,
+                                               monkeypatch):
+    # a refused run must not allocate its grid first; without the patch
+    # this grid size would ask for gigabytes
+    def no_grid(*args):
+        raise AssertionError("make_grid called before the sample cap")
+
+    monkeypatch.setattr("axiwave.cli.make_grid", no_grid)
+    code = main(["propagate", "--grid-size", str(2 ** 30), "--snapshots", "1",
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --snapshots") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_transform_rejects_oversized_header(tmp_path, capsys):
     # the header declares a grid far larger than the rows present; the row
     # count must be checked before any grid is allocated
@@ -243,6 +259,30 @@ def test_cli_boost_malformed_beams_json(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("axis", ["inf,0,0", "nan,0,0", "1,-inf,0",
+                                  "1e200,1e200,0"])
+def test_cli_boost_rejects_non_finite_axis(tmp_path, capsys, axis):
+    src = tmp_path / "beams.json"
+    src.write_text(json.dumps(_beam()))
+    code = main(["boost", "--v", "0.5", "--axis", axis, "--in", str(src),
+                 "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot parse axis") and \
+        len(err.splitlines()) == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cli_verify_rejects_bad_tol_scale(tmp_path, capsys, value):
+    code = main(["verify", "--tol-scale", value,
+                 "--out", str(tmp_path / "r.json")])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.err == "error: --tol-scale must be finite and non-negative\n"
+    assert not cap.out and not (tmp_path / "r.json").exists()
 
 
 def test_cli_verify_small_grid_and_determinism(tmp_path):

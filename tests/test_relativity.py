@@ -22,6 +22,10 @@ def test_four_momentum_validation():
         FourMomentum(1.0, [0.0, 0.0, 0.5])
     with pytest.raises(ValueError):
         FourMomentum(-1.0, [0.0, 0.0, -1.0])
+    for k0, k in ((np.nan, [0.0, 0.0, 1.0]), (np.inf, [0.0, 0.0, np.inf]),
+                  (np.inf, [0.0, 0.0, 1.0]), (1.0, [0.0, 0.0, np.nan])):
+        with pytest.raises(ValueError):
+            FourMomentum(k0, k)
 
 
 def test_boost_params_validation():
@@ -31,6 +35,9 @@ def test_boost_params_validation():
         BoostParams(1.0, EZ)
     with pytest.raises(ValueError):
         BoostParams(0.5, [1.0, 1.0, 0.0])
+    for axis in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="unit"):
+            BoostParams(0.5, axis)
 
 
 def test_boost_examples():
@@ -133,6 +140,15 @@ def test_parallel_boost_peak_halves():
     kap = new.profile.grid.nodes
     peak = kap[np.argmax(np.abs(new.profile.values))]
     assert abs(peak - 4.0) <= new.profile.grid.dk
+
+
+@pytest.mark.parametrize("tilt,count", [(1e-7, 1), (1e-5, 2)])
+def test_parallel_branch_threshold(tilt, count):
+    # the single-beam branch needs |cos| within 1e-12 of 1, a tilt below
+    # about 1.4e-6 rad
+    beam = forward_beam()
+    b = BoostParams(0.6, [np.sin(tilt), 0.0, np.cos(tilt)])
+    assert len(boost_beam(beam, b)) == count
 
 
 def test_boost_beam_v0_identity():
