@@ -111,7 +111,8 @@ def _grid_checks(args):
 def cmd_verify(args) -> int:
     _require(_grid_checks(args) + (
         ("--tol-scale must be finite and non-negative",
-         0.0 <= args.tol_scale < np.inf),))
+         0.0 <= args.tol_scale < np.inf),
+        ("--seed must be a non-negative integer", args.seed >= 0)))
     cfg = RunConfig(n_half=args.grid_size, extent=args.extent, seed=args.seed,
                     n_half_fine=max(2 * args.grid_size, 16),
                     tol_scale=args.tol_scale)

@@ -15,7 +15,9 @@ two branches aberrate to two different new axes, so `boost_beam` returns
 a pair of beams; only a boost parallel to the beam axis keeps one axis.
 Profiles transform as scalars (pure substitution phi'(kappa') =
 phi(kappa)), resampled with cubic splines; the scale-invariant norm
-sum |phi|^2 dk/|kappa| is preserved up to interpolation error.
+sum |phi|^2 dk/|kappa| is preserved up to interpolation error.  The splines
+are scipy.interpolate's, imported on the first resample, so only a boost
+loads that module.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._fd import derivative
 from .grids import SpectralProfile, fold, make_grid, unfold
@@ -141,6 +142,8 @@ def _resample_half(k_nodes: np.ndarray, values: np.ndarray,
             f"boost_beam: {label} branch resampled outside the source "
             "support; missing values extrapolated as zero", stacklevel=3)
     if np.any(inside):
+        from scipy.interpolate import CubicSpline  # only boosts load it
+
         sp_re = CubicSpline(k_nodes, values.real)
         sp_im = CubicSpline(k_nodes, values.imag)
         q = queries[inside]

@@ -28,7 +28,9 @@ with two independent realizations:
     log correction of the truncated  pv integral dt/(r^2-t^2).
 
 `_hilbert_core` is the one backend switch behind every Hilbert transform,
-and every trig transform runs on the one DCT-IV kernel `_trig_rows`.
+and every trig transform runs on the one DCT-IV kernel `_trig_rows`.  That
+kernel is `scipy.fft.dct`, looked up at call time: importing the package
+loads no scipy, and `scipy.fft` loads on the first r2r call.
 
 The quadrature never forms its n x n kernel.  On the offset grid
 r_i = (i + 1/2) h the partial fractions
@@ -57,7 +59,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct
 
 from ._fd import derivative
 from .grids import AxialField, parity_join, parity_split
@@ -138,7 +139,9 @@ def _r2r_pair(buf: np.ndarray, kinds) -> np.ndarray:
     transformed (rows, n) array, which is `buf` itself for a C-contiguous
     complex buffer.
     """
-    core = dct(buf, type=4, overwrite_x=True)
+    import scipy.fft  # loaded on the first r2r call, not at import
+
+    core = scipy.fft.dct(buf, type=4, overwrite_x=True)
     for row, kind in zip(core, kinds):
         if kind == "sin":
             np.negative(row[1::2], out=row[1::2])

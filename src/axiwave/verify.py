@@ -63,6 +63,8 @@ class RunConfig:
             raise ValueError("bad extent")
         if not 0.0 <= self.tol_scale < np.inf:
             raise ValueError("tol_scale must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.probe_count < 2:
             raise ValueError("need at least two probes")
 

@@ -14,6 +14,7 @@ from axiwave.grids import (AxialField, SpectralProfile, convert_rep,
                            gaussian_packet, make_grid)
 from axiwave.relativity import BeamState
 from axiwave.spectral import analyze
+from axiwave.verify import RunConfig
 
 
 def test_state_csv_round_trip(tmp_path):
@@ -283,6 +284,17 @@ def test_cli_verify_rejects_bad_tol_scale(tmp_path, capsys, value):
     assert code == 2
     assert cap.err == "error: --tol-scale must be finite and non-negative\n"
     assert not cap.out and not (tmp_path / "r.json").exists()
+
+
+def test_cli_verify_rejects_negative_seed(tmp_path, capsys):
+    code = main(["verify", "--grid-size", "16", "--seed", "-1",
+                 "--out", str(tmp_path / "r.json")])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.err == "error: --seed must be a non-negative integer\n"
+    assert not cap.out and not (tmp_path / "r.json").exists()
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(seed=-1)
 
 
 def test_cli_verify_small_grid_and_determinism(tmp_path):
