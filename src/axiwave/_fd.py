@@ -1,7 +1,8 @@
 """Finite-difference first derivative on a uniformly spaced open segment.
 
 Fourth-order centered stencil in the interior, fourth-order one-sided
-stencils at the two nodes next to each end.  Used wherever a derivative
+stencils at the two nodes next to each end; the grid rule of
+`grids.check_grid` leaves at least 8 nodes.  Used wherever a derivative
 must not reach across the origin (the integrands of this calculus jump
 there), and for the explicit derivative factors of composed operators.
 """
@@ -18,9 +19,6 @@ _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 def derivative(values: np.ndarray, spacing: float) -> np.ndarray:
     """d/dx of samples on x_j = x0 + j*spacing, no periodic wrap."""
     f = np.asarray(values)
-    n = f.shape[0]
-    if n < 5:
-        raise ValueError("need at least 5 nodes for the 4th-order stencil")
     out = np.empty_like(f, dtype=complex if np.iscomplexobj(f) else float)
     out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / 12.0
     out[0] = _EDGE0 @ f[:5]

@@ -19,7 +19,7 @@ from .evolution import (SpinorField, VectorField3, propagate_maxwell,
 from .fileio import (FileFormatError, read_beams_json, read_spectral_csv,
                      read_state_csv, write_beams_json, write_spectral_csv,
                      write_state_csv)
-from .grids import AxialField, convert_rep, make_grid
+from .grids import MIN_N_HALF, AxialField, axis_spacing, convert_rep, make_grid
 from .relativity import BoostParams, boost_beam
 from .spectral import analyze, spectral_derivative, synthesize
 from .transforms import cosine_taper
@@ -78,11 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_axis(text: str) -> np.ndarray:
-    named = {"x": [1.0, 0.0, 0.0], "y": [0.0, 1.0, 0.0], "z": [0.0, 0.0, 1.0]}
-    if text in named:
-        return np.array(named[text])
+    named = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
     try:
-        vec = np.array([float(x) for x in text.split(",")])
+        vec = np.array([float(x) for x in named.get(text, text).split(",")])
     except ValueError:
         raise FileFormatError(f"cannot parse axis {text!r}") from None
     if vec.shape != (3,) or not 0.0 < np.linalg.norm(vec) < np.inf:
@@ -102,20 +100,23 @@ def _require(checks):
             raise ValueError(message)
 
 
-def _grid_checks(args):
-    return (("--grid-size must be at least 8", args.grid_size >= 8),
-            ("--extent must be finite and positive",
-             0.0 < args.extent < np.inf))
+def _grid_flags(args, minimum, build):
+    """build() once --grid-size >= minimum, naming --extent on a fault."""
+    if args.grid_size < minimum:
+        raise ValueError(f"--grid-size must be at least {minimum}")
+    try:
+        return build()
+    except ValueError as exc:
+        raise ValueError(f"--extent {args.extent!r}: {exc}") from None
 
 
 def cmd_verify(args) -> int:
-    _require(_grid_checks(args) + (
-        ("--tol-scale must be finite and non-negative",
-         0.0 <= args.tol_scale < np.inf),
-        ("--seed must be a non-negative integer", args.seed >= 0)))
-    cfg = RunConfig(n_half=args.grid_size, extent=args.extent, seed=args.seed,
-                    n_half_fine=max(2 * args.grid_size, 16),
-                    tol_scale=args.tol_scale)
+    _require((("--tol-scale must be finite and non-negative",
+               0.0 <= args.tol_scale < np.inf),
+              ("--seed must be a non-negative integer", args.seed >= 0)))
+    cfg = _grid_flags(args, 2 * MIN_N_HALF, lambda: RunConfig(
+        n_half=args.grid_size, extent=args.extent, seed=args.seed,
+        n_half_fine=2 * args.grid_size, tol_scale=args.tol_scale))
     report = run_verification(cfg)
     print(report.to_text())
     out = args.out or "verify_report.json"
@@ -182,7 +183,9 @@ def _write_diag(path, times, diag, columns):
 
 def cmd_propagate(args) -> int:
     default, run, accepts_in, columns = KINDS[args.kind]
-    _require(_grid_checks(args) + (
+    _grid_flags(args, MIN_N_HALF,
+                lambda: axis_spacing(args.grid_size, args.extent))
+    _require((
         ("--t-max must be finite and positive", 0.0 < args.t_max < np.inf),
         ("--snapshots must be at least 1", args.snapshots >= 1),
         ("--k0 must be finite", np.isfinite(args.k0)),
@@ -215,6 +218,8 @@ def cmd_propagate(args) -> int:
         comps = [AxialField(grid, "g", v) for v in default(w)]
     times = np.linspace(0.0, args.t_max, args.snapshots)
     snaps, diag = run(comps, times, args.method)
+    if not all(np.isfinite(c.values).all() for snap in snaps for c in snap):
+        raise ValueError("the run overflowed; lower --k0, --t-max or --extent")
 
     outdir = args.out or "propagation"
     os.makedirs(outdir, exist_ok=True)

@@ -21,7 +21,7 @@ import re
 
 import numpy as np
 
-from .grids import (AxialField, SpectralProfile, make_grid,
+from .grids import (AxialField, SpectralProfile, check_grid, make_grid,
                     make_spectral_grid)
 from .relativity import BeamState
 
@@ -57,11 +57,6 @@ _STATE_HEADER = re.compile(
 _SPECTRAL_HEADER = re.compile(r"#\s*dk=(?P<dk>[^\s]+)\s*$")
 
 
-def _read_lines(path):
-    with open(path) as fh:
-        return fh.read().splitlines()
-
-
 def _parse_floats(path, lineno, line, expected):
     parts = line.split(",")
     if len(parts) != expected:
@@ -77,7 +72,8 @@ def _parse_floats(path, lineno, line, expected):
 
 
 def _read_table(path, header_re, expected_cols_fn):
-    lines = _read_lines(path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     if not lines:
         raise FileFormatError(f"{path}:1: empty file")
     m = header_re.match(lines[0])
@@ -93,7 +89,24 @@ def _read_table(path, header_re, expected_cols_fn):
         if not line.strip():
             continue
         rows.append(_parse_floats(path, i, line, ncols))
-    return meta, np.array(rows)
+    return meta, np.array(rows).reshape(len(rows), ncols)
+
+
+def _file_grid(prefix, name, text, n_half, column, build):
+    """The grid `build(n_half, spacing)` of a file's spacing `name`=`text`,
+    by the grid rule; `column` must hold its nodes."""
+    try:
+        spacing = float(text)
+        check_grid(n_half, spacing, name, conjugate=True)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{prefix}{name}={text}: {exc}") from None
+    if column.shape != (2 * n_half,):
+        raise FileFormatError(
+            f"{prefix}expected {2 * n_half} nodes, found {column.size}")
+    grid = build(n_half, spacing)
+    if np.max(np.abs(column - grid.nodes)) > 1e-9 * spacing:
+        raise FileFormatError(f"{prefix}nodes do not match the half-offset grid")
+    return grid
 
 
 def read_state_csv(path) -> AxialField | list[AxialField]:
@@ -101,15 +114,8 @@ def read_state_csv(path) -> AxialField | list[AxialField]:
     meta, data = _read_table(
         path, _STATE_HEADER,
         lambda m: 1 + 2 * (int(m["c"]) if m["c"] else 1))
-    n_half = int(meta["n"])
-    h = float(meta["h"])
-    if data.shape[0] != 2 * n_half:
-        raise FileFormatError(
-            f"{path}: expected {2 * n_half} rows, found {data.shape[0]}")
-    grid = make_grid(n_half, n_half * h)
-    if np.max(np.abs(data[:, 0] - grid.nodes)) > 1e-9 * grid.h:
-        raise FileFormatError(f"{path}: lambda column does not match the "
-                              "half-offset grid declared in the header")
+    grid = _file_grid(f"{path}:1: ", "h", meta["h"], int(meta["n"]), data[:, 0],
+                      lambda n, h: make_grid(n, n * h))
     rep = "f" if meta["rep"] == "F" else "g"
     n_comp = int(meta["c"]) if meta["c"] else 1
     fields = [AxialField(grid, rep, data[:, 1 + 2 * i] + 1j * data[:, 2 + 2 * i])
@@ -124,13 +130,8 @@ def write_spectral_csv(profile: SpectralProfile, path):
 
 def read_spectral_csv(path) -> SpectralProfile:
     meta, data = _read_table(path, _SPECTRAL_HEADER, lambda m: 3)
-    dk = float(meta["dk"])
-    if data.shape[0] % 2 != 0:
-        raise FileFormatError(f"{path}: kappa node count must be even")
-    sg = make_spectral_grid(data.shape[0] // 2, dk)
-    if np.max(np.abs(data[:, 0] - sg.nodes)) > 1e-9 * dk:
-        raise FileFormatError(f"{path}: kappa column does not match the "
-                              "half-offset grid declared in the header")
+    sg = _file_grid(f"{path}:1: ", "dk", meta["dk"], len(data) // 2, data[:, 0],
+                    make_spectral_grid)
     return SpectralProfile(sg, data[:, 1] + 1j * data[:, 2])
 
 
@@ -153,12 +154,9 @@ def read_beams_json(path) -> list[BeamState]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    if not isinstance(payload, dict):
-        raise FileFormatError(f"{path}: top level must be a JSON object")
-    if "beams" not in payload:
-        raise FileFormatError(f"{path}: missing 'beams' key")
-    if not isinstance(payload["beams"], list):
-        raise FileFormatError(f"{path}: 'beams' must be a list")
+    if not isinstance(payload, dict) or \
+            not isinstance(payload.get("beams"), list):
+        raise FileFormatError(f"{path}: need an object with a 'beams' list")
     beams = []
     for i, entry in enumerate(payload["beams"]):
         where = f"{path}: beam {i}"
@@ -168,13 +166,11 @@ def read_beams_json(path) -> list[BeamState]:
             arrays = [np.asarray(entry[key], dtype=float)
                       for key in ("kappa", "re", "im", "direction")]
             kappa, re_, im_, direction = arrays
-            dk = float(entry["dk"] if "dk" in entry else np.diff(kappa).min())
-            if not all(np.isfinite(a).all() for a in arrays + [dk]):
+            if not all(np.isfinite(a).all() for a in arrays):
                 raise ValueError("non-finite number")
-            sg = make_spectral_grid(kappa.size // 2, dk)
-            if np.max(np.abs(kappa - sg.nodes)) > 1e-9 * dk:
-                raise ValueError(
-                    "kappa nodes are not a symmetric half-offset grid")
+            sg = _file_grid("", "dk", entry["dk"] if "dk" in entry else
+                            np.diff(kappa).min(), kappa.size // 2, kappa,
+                            make_spectral_grid)
             beams.append(BeamState(direction,
                                    SpectralProfile(sg, re_ + 1j * im_)))
         except KeyError as exc:

@@ -8,7 +8,10 @@ sampled at half-integer offsets
 so no node sits at the origin and every factor 1/lambda, 1/sqrt|lambda|
 stays finite on the grid.  The conjugate momentum grid uses the same offset
 pattern with spacing dk = pi / extent; with that choice the discrete
-Fourier map between the two grids is exactly unitary.
+Fourier map between the two grids is exactly unitary.  The grid rule that
+`check_grid` applies to every grid: n_half is an integer >= 8 and the
+spacing s has 0 < s/2 and (n_half - 1/2) s < inf, so all nodes are finite,
+nonzero and distinct; on an axis grid pi / extent passes too.
 
 Fields come in two representations:
 
@@ -41,14 +44,27 @@ G_REP = "g"
 _REPS = (F_REP, G_REP)
 _FIELD_WEIGHTS = ("unit", "inv_r")
 _SPECTRAL_WEIGHTS = ("inv_k", "k")
+MIN_N_HALF = 8
 
 
 class GridMismatchError(ValueError):
     """Raised when two fields/profiles do not share a grid."""
 
 
+class _HalfOffset:
+    """What both grids share: n_half nodes per side, from `offset_nodes`."""
+
+    @property
+    def size(self) -> int:
+        return 2 * self.n_half
+
+    def positive_nodes(self) -> np.ndarray:
+        """(j + 1/2) times the spacing: the positive half of the grid."""
+        return self.nodes[self.n_half:]
+
+
 @dataclass(frozen=True, eq=False)
-class AxisGrid:
+class AxisGrid(_HalfOffset):
     """Symmetric half-offset sampling of a line through the origin."""
 
     n_half: int
@@ -61,20 +77,12 @@ class AxisGrid:
     def extent(self) -> float:
         return self.n_half * self.h
 
-    @property
-    def size(self) -> int:
-        return 2 * self.n_half
-
     def conjugate(self) -> "SpectralGrid":
         """The conjugate momentum grid, built on first use and kept."""
         if self._conjugate is None:
             object.__setattr__(self, "_conjugate", make_spectral_grid(
                 self.n_half, np.pi / self.extent, axis=self))
         return self._conjugate
-
-    def positive_nodes(self) -> np.ndarray:
-        """r_j = (j + 1/2) h, the positive half of the grid."""
-        return self.nodes[self.n_half:]
 
     def interior_mask(self, fraction: float = 0.6) -> np.ndarray:
         """Boolean mask keeping the central `fraction` of nodes.
@@ -89,17 +97,13 @@ class AxisGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralGrid:
+class SpectralGrid(_HalfOffset):
     """Signed momentum grid conjugate to an AxisGrid (same offset pattern)."""
 
     n_half: int
     dk: float
     nodes: np.ndarray = field(repr=False)
     axis: "AxisGrid | None" = field(default=None, repr=False)
-
-    @property
-    def size(self) -> int:
-        return 2 * self.n_half
 
     @property
     def extent(self) -> float:
@@ -111,49 +115,50 @@ class SpectralGrid:
             return self.axis
         return make_grid(self.n_half, np.pi / self.dk)
 
-    def positive_nodes(self) -> np.ndarray:
-        return self.nodes[self.n_half:]
-
     def same_as(self, other: "SpectralGrid") -> bool:
         return self.n_half == other.n_half and self.dk == other.dk
 
 
-def _offset_nodes(n_half: int, spacing: float) -> np.ndarray:
+def check_grid(n_half, spacing, name="spacing", conjugate=False) -> None:
+    """The module's grid rule (pi / extent too if `conjugate`), O(1); its
+    ValueError names `name`."""
+    if not (isinstance(n_half, (int, np.integer)) and n_half >= MIN_N_HALF):
+        raise ValueError(f"grid too coarse: n_half must be an integer >= "
+                         f"{MIN_N_HALF}, got {n_half!r}")
+    n, step = int(n_half), float(spacing)
+    for label in ("spacing", "pi/extent") if conjugate else ("spacing",):
+        if not (0.0 < step / 2 and (n - 0.5) * step < np.inf):
+            raise ValueError(f"{name} is out of range: {label} {step!r} "
+                             f"gives no {n} finite, nonzero, distinct nodes")
+        step = np.pi / (n * step)
+
+
+def axis_spacing(n_half, extent) -> float:
+    """h = extent / n_half of a usable axis grid; errors name `extent`."""
+    h = float(extent) / max(n_half, 1)   # a bad n_half fails the check
+    check_grid(n_half, h, "extent", conjugate=True)
+    return h
+
+
+def offset_nodes(n_half: int, spacing: float) -> np.ndarray:
+    """The read-only nodes +/-(j + 1/2) spacing, j < n_half, increasing."""
     half = (np.arange(n_half) + 0.5) * spacing
-    return np.concatenate([-half[::-1], half])
+    nodes = np.concatenate([-half[::-1], half])
+    nodes.setflags(write=False)
+    return nodes
 
 
 def make_grid(n_half: int, extent: float) -> AxisGrid:
-    """Build the symmetric half-offset grid with n_half nodes per side.
-
-    The spacing is h = extent / n_half; nodes are +/-(j + 1/2) h.  Grids
-    coarser than 8 nodes per side cannot support any of the quadratures
-    used here and are rejected.
-    """
-    if not isinstance(n_half, (int, np.integer)) or n_half < 8:
-        raise ValueError("grid too coarse: need n_half >= 8")
-    extent = float(extent)
-    if not np.isfinite(extent) or extent <= 0.0:
-        raise ValueError("extent must be finite and positive")
-    h = extent / n_half
-    nodes = _offset_nodes(n_half, h)
-    nodes.setflags(write=False)
-    # construction-time invariants: antisymmetric, increasing, no origin node
-    assert np.all(nodes[1:] > nodes[:-1])
-    assert np.array_equal(nodes, -nodes[::-1])
-    assert np.all(nodes != 0.0)
-    return AxisGrid(n_half=int(n_half), h=h, nodes=nodes)
+    """The axis grid with h = extent / n_half, if it passes the grid rule."""
+    h = axis_spacing(n_half, extent)
+    return AxisGrid(n_half=int(n_half), h=h, nodes=offset_nodes(n_half, h))
 
 
 def make_spectral_grid(n_half: int, dk: float,
                        axis: AxisGrid | None = None) -> SpectralGrid:
-    if n_half < 8:
-        raise ValueError("grid too coarse: need n_half >= 8")
-    if not np.isfinite(dk) or dk <= 0.0:
-        raise ValueError("dk must be finite and positive")
-    nodes = _offset_nodes(n_half, float(dk))
-    nodes.setflags(write=False)
-    return SpectralGrid(n_half=int(n_half), dk=float(dk), nodes=nodes, axis=axis)
+    check_grid(n_half, dk, "dk")
+    return SpectralGrid(n_half=int(n_half), dk=float(dk),
+                        nodes=offset_nodes(int(n_half), float(dk)), axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +283,6 @@ def apply_parity(fld: AxialField) -> AxialField:
     return fld.copy_with(fld.values[::-1].copy())
 
 
-def _check_same_grid(a: AxialField, b: AxialField):
-    if not a.grid.same_as(b.grid):
-        raise GridMismatchError("fields live on different grids")
-
-
 def inner_product(a: AxialField, b: AxialField, weight: str = "unit") -> complex:
     """Weighted nodal inner product, conjugate-linear in the first argument.
 
@@ -290,7 +290,8 @@ def inner_product(a: AxialField, b: AxialField, weight: str = "unit") -> complex
     (measure lambda^2 h); weight="inv_r" restricts the 1/r-weighted product
     (measure |lambda| h).  Fields are converted to f-rep internally.
     """
-    _check_same_grid(a, b)
+    if not a.grid.same_as(b.grid):
+        raise GridMismatchError("fields live on different grids")
     if weight not in _FIELD_WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
     fa = convert_rep(a, F_REP).values

@@ -317,10 +317,8 @@ def adjoint_residual(a: LinearOperatorHandle, b: LinearOperatorHandle,
 
     The denominator carries the operator output norms so that residuals of
     operators with very different scales are comparable.  weight must be
-    "unit" or "inv_r".
+    "unit" or "inv_r" (`grids.inner_product` checks it).
     """
-    if weight not in ("unit", "inv_r"):
-        raise ValueError("adjoint weight must be 'unit' or 'inv_r'")
     if len(probes) < 2:
         raise ValueError("need at least two probes")
     worst = 0.0

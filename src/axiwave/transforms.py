@@ -11,7 +11,8 @@ discretized by the midpoint rule on nodes r_j = (j+1/2) h with conjugate
 nodes k_m = (m+1/2) dk, dk = pi/(N h).  On these offset grids the kernel
 matrices are the orthogonal DCT-IV / DST-IV, so the inverse transform is
 the same kernel with r and k exchanged, exactly:  Fc~ Fc = Fs~ Fs = 1 to
-rounding.
+rounding.  A `HalfLineFunction` passes the grid rule of `grids.check_grid`
+(pi / extent included); its nodes are half of `grids.offset_nodes`.
 
 Hilbert transforms
 ------------------
@@ -61,7 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fd import derivative
-from .grids import AxialField, parity_join, parity_split
+from .grids import (AxialField, check_grid, offset_nodes, parity_join,
+                    parity_split)
 
 _KINDS = ("cos", "sin")
 _BACKENDS = ("spectral", "quadrature")
@@ -81,10 +83,9 @@ class HalfLineFunction:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 8:
-            raise ValueError("need a 1-d array with at least 8 samples")
-        if not np.all(self.spacing > 0.0):
-            raise ValueError("spacing must be positive")
+        if vals.ndim != 1:
+            raise ValueError("need a 1-d array of samples")
+        check_grid(vals.size, self.spacing, conjugate=True)
 
     @property
     def n(self) -> int:
@@ -92,7 +93,7 @@ class HalfLineFunction:
 
     @property
     def nodes(self) -> np.ndarray:
-        return (np.arange(self.n) + 0.5) * self.spacing
+        return offset_nodes(self.n, self.spacing)[self.n:]
 
     @property
     def extent(self) -> float:
@@ -174,7 +175,7 @@ def _warn_if_not_decayed(values: np.ndarray, label: str):
         warnings.warn(
             f"{label}: input has not decayed at the grid edge; the "
             "finite-domain transform is unreliable near truncation",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -187,7 +188,7 @@ def _pv_plan(n: int, spacing: float):
     1/(i+j+1) padded with one zero, stacked as one (2, 2n) array.  All
     arrays are read-only: every caller on the grid shares them.
     """
-    r = (np.arange(n) + 0.5) * spacing
+    r = offset_nodes(n, spacing)[n:]
     inv_d = 1.0 / np.arange(1, n)
     kernels = np.zeros((2, 2 * n))
     kernels[0, 1:n] = inv_d

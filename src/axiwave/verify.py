@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grids import (convert_rep, gaussian_packet, inner_product, make_grid,
-                    random_packet, sample_field, spectral_inner_product,
-                    spectral_norm, SpectralProfile)
+from .grids import (MIN_N_HALF, axis_spacing, convert_rep, gaussian_packet,
+                    inner_product, make_grid, random_packet, sample_field,
+                    spectral_inner_product, spectral_norm, SpectralProfile)
 from .operators import (_hilbert, _wrap, adjoint_residual,
                         boost_generator_config, boost_generator_local,
                         boost_ordering_residual, commutator_residual,
@@ -57,10 +57,11 @@ class RunConfig:
     tol_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n_half < 8 or self.n_half_fine < 8:
-            raise ValueError("grids too coarse")
-        if self.extent <= 0 or not np.isfinite(self.extent):
-            raise ValueError("bad extent")
+        if not self.n_half >= 2 * MIN_N_HALF:   # the ledger runs n_half // 2
+            raise ValueError(f"n_half must be at least {2 * MIN_N_HALF}")
+        for n in (self.n_half // 2, self.n_half, 2 * self.n_half,
+                  self.n_half_fine):
+            axis_spacing(n, self.extent)
         if not 0.0 <= self.tol_scale < np.inf:
             raise ValueError("tol_scale must be finite and non-negative")
         if self.seed < 0:

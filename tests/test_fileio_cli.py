@@ -1,10 +1,16 @@
 import json
 import os
+import re
+import subprocess
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import axiwave
 from axiwave.cli import main
 from axiwave.fileio import (FileFormatError, read_beams_json,
                             read_spectral_csv, read_state_csv,
@@ -49,6 +55,29 @@ def test_malformed_csv_reports_line(tmp_path):
     path2.write_text("no header here\n")
     with pytest.raises(FileFormatError, match="malformed header"):
         read_state_csv(path2)
+
+
+@pytest.mark.parametrize("layout,spacing", [
+    ("state", "h=abc"), ("state", "h=0"), ("state", "h=-1"),
+    ("state", "h=nan"), ("state", "h=5e-324"),
+    ("spectral", "dk=0"), ("spectral", "dk=abc")])
+def test_malformed_header_spacing_reports_line_1(tmp_path, layout, spacing):
+    grid = make_grid(8, 4.0)
+    fld = convert_rep(gaussian_packet(grid, 1.0, width=1.0), "f")
+    path = tmp_path / "bad.csv"
+    if layout == "state":
+        write_state_csv(fld, path)
+        read = read_state_csv
+    else:
+        write_spectral_csv(analyze(fld), path)
+        read = read_spectral_csv
+    lines = path.read_text().splitlines()
+    lines[0] = re.sub(r"\b(h|dk)=\S+", spacing, lines[0])
+    path.write_text("\n".join(lines) + "\n")
+    name = spacing.split("=")[0]
+    with pytest.raises(FileFormatError,
+                       match=rf"^{re.escape(str(path))}:1: .*\b{name}\b"):
+        read(path)
 
 
 def test_beams_json_round_trip(tmp_path):
@@ -185,7 +214,57 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
 
 GRID_FLAGS = (("--grid-size", "0"), ("--grid-size", "7"), ("--grid-size", "-4"),
               ("--extent", "nan"), ("--extent", "inf"),
-              ("--extent", "0"), ("--extent", "-1"))
+              ("--extent", "0"), ("--extent", "-1"),
+              ("--extent", "5e-324"), ("--extent", "1e-310"))
+
+
+@pytest.mark.parametrize("size", ["8", "15"])
+def test_cli_verify_grid_size_minimum(tmp_path, capsys, size):
+    # the ledger also runs at --grid-size // 2, which the grid rule bounds
+    code = main(["verify", "--grid-size", size,
+                 "--out", str(tmp_path / "r.json")])
+    cap = capsys.readouterr()
+    assert code == 2
+    assert cap.err == "error: --grid-size must be at least 16\n"
+    assert not cap.out and not (tmp_path / "r.json").exists()
+
+
+def test_run_config_applies_grid_rule():
+    for bad in ({"n_half": 8}, {"n_half": 15}, {"extent": 1e-320},
+                {"extent": 5e-324}, {"n_half_fine": 7}):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+
+def test_cli_tiny_extent_without_asserts(tmp_path):
+    # under -O no assert guards the nodes, so only the grid rule stands
+    # between a tiny extent and a division by zero
+    src = str(Path(axiwave.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "axiwave.cli", "propagate",
+         "--grid-size", "8", "--extent", "5e-324",
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: --extent 5e-324")
+    assert len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag", ["--k0", "--t-max", "--extent"])
+def test_cli_propagate_rejects_overflowing_run(tmp_path, capsys, flag):
+    # the run itself overflows: no snapshot file may carry nan cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["propagate", flag, "1e308",
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and flag in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_propagate_rejects_too_many_snapshots(tmp_path, capsys):
