@@ -40,6 +40,7 @@ from .spectral import fourier_full, fourier_full_inverse
 from .transforms import _r2r_pair, hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
+RK4_MAX_NODE_STEPS = 2 ** 32  # bound on ceil(t_end / dt) x node count
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +278,8 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
     method="spectral" multiplies by exp(-i |kappa| t), exact in time;
     method="rk4" steps the composed left-form Hamiltonian and serves as an
     independent cross-check.  The RK4 substep obeys
-    dt <= 2 sqrt(2) h / pi (spectral radius bound); default h/4.
+    dt <= 2 sqrt(2) h / pi (spectral radius bound); default h/4.  A run of
+    more than RK4_MAX_NODE_STEPS steps x nodes is refused before stepping.
     """
     t = _check_times(t_grid)
     grid = psi0.grid
@@ -291,10 +293,15 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
     elif method == "rk4":
         dt_max = RK4_STABILITY_FACTOR * grid.h
         dt = grid.h / 4.0 if dt is None else float(dt)
-        if dt > dt_max:
+        if not 0.0 < dt <= dt_max:
             raise ValueError(
-                f"rk4 step {dt:.3e} violates the stability bound "
-                f"2*sqrt(2)*h/pi = {dt_max:.3e}")
+                f"rk4 step {dt:.3e} is not positive or violates the stability "
+                f"bound 2*sqrt(2)*h/pi = {dt_max:.3e}")
+        steps = np.ceil(t[-1] / dt)
+        if not steps * grid.size <= RK4_MAX_NODE_STEPS:
+            raise ValueError(
+                f"rk4 run of {steps:.3g} steps x {grid.size} nodes exceeds "
+                f"the limit of 2**32 node-steps")
         flow = ((g, _scalar_diagnostics(grid, g))
                 for (g,) in _rk4(grid, g0, t, dt))
     else:

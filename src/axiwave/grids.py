@@ -156,7 +156,11 @@ def make_grid(n_half: int, extent: float) -> AxisGrid:
 
 def make_spectral_grid(n_half: int, dk: float,
                        axis: AxisGrid | None = None) -> SpectralGrid:
+    """The momentum grid of spacing dk; without `axis`, the axis grid that
+    `axis_grid()` builds at extent pi / dk must pass the grid rule too."""
     check_grid(n_half, dk, "dk")
+    if axis is None:   # the spacing axis_spacing(n_half, pi / dk) computes
+        check_grid(n_half, np.pi / float(dk) / n_half, "dk", conjugate=True)
     return SpectralGrid(n_half=int(n_half), dk=float(dk),
                         nodes=offset_nodes(int(n_half), float(dk)), axis=axis)
 

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from axiwave.grids import AxialField, convert_rep, gaussian_packet, make_grid
 from axiwave.evolution import propagate_scalar
 from axiwave.operators import (boost_generator_config, commutator_residual,
                                pbar, pbar0)
-from axiwave.verify import RunConfig, rel_err, run_verification
+from axiwave.verify import (PACKET_K, PACKET_WIDTH, RunConfig, rel_err,
+                            run_verification)
 
 TOL = {}
 
@@ -64,8 +66,7 @@ def test_criterion_3_hamiltonian_triangle(report):
 
 
 def test_criterion_4_eigenaction(report):
-    cfg = RunConfig()
-    assert (cfg.packet_k / 2.0) * cfg.packet_width >= 20
+    assert (PACKET_K / 2.0) * PACKET_WIDTH >= 20
     check(report, ["hamiltonian eigenaction"],
           4, "p0 on windowed wave = k (k*width >= 20)")
 
@@ -175,9 +176,61 @@ def test_seed_robustness_verdicts_stable():
     outcomes = []
     residuals = []
     for seed in (3, 5, 7, 11, 13):
-        rep = run_verification(RunConfig(seed=seed, probe_count=4))
+        rep = run_verification(RunConfig(seed=seed))
         outcomes.append(tuple(e.passed for e in rep.entries))
         residuals.append(tuple(e.residual for e in rep.entries))
     assert all(o == outcomes[0] for o in outcomes)
     assert all(all(o) for o in outcomes)
     assert any(r != residuals[0] for r in residuals[1:])
+
+
+# the ledger in report order, by section; "*" marks the fine-grid entries
+LEDGER = {
+    "half-line transforms": [
+        "trig cos self-inverse", "trig sin self-inverse",
+        "ledger even hilbert", "ledger odd hilbert", "hilbert backends agree",
+        "even-odd inversion", "odd-even inversion", "signed inversion +-",
+        "signed inversion -+", "derivative intertwining"],
+    "unitary map": [
+        "unitary round-trip", "unitary round-trip order",
+        "profile round-trip", "fast route equals structural",
+        "unitarity of the weighted pair"],
+    "hamiltonian forms": [
+        "hamiltonian triangle", "squared hamiltonian",
+        "hamiltonian eigenaction", "hamiltonian positivity"],
+    "adjoint suite": [
+        "radial momentum symmetric*", "origin surface term*",
+        "weighted momentum self-adjoint", "signed hilbert adjoints",
+        "boost generator hermitian*", "boost generator orderings*"],
+    "commutator suite": [
+        "boost-energy commutator*", "boost-momentum commutator*",
+        "local boost with 1/r pair (time)*",
+        "local boost with 1/r pair (axial)*",
+        "local boost with derivative pair (time)*",
+        "local boost with derivative pair (axial)*",
+        "noncommutation witness"],
+    "evolution": [
+        "norm conservation (spectral)", "density positivity",
+        "packet speed (scalar)", "norm conservation (rk4)",
+        "continuity order", "packet speed (spinor)", "packet speed (vector)",
+        "vector wave translates"],
+    "kinematics": [
+        "null preservation", "aberration consistency", "doppler consistency",
+        "parallel doppler", "beam norm invariance",
+        "finite vs infinitesimal boost",
+        "generator cancellation across modules*"],
+}
+
+
+def test_run_config_is_the_four_values_callers_set():
+    assert [f.name for f in fields(RunConfig)] == [
+        "n_half", "extent", "seed", "tol_scale"]
+
+
+def test_ledger_order_and_grids(report):
+    want = [label for section in LEDGER.values() for label in section]
+    assert len(want) == 47
+    assert [e.label for e in report.entries] == [w.rstrip("*") for w in want]
+    for e, w in zip(report.entries, want):
+        n_half = 512 if w.endswith("*") else 256
+        assert e.grid == {"n_half": n_half, "extent": 40.0}, e.label

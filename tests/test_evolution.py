@@ -90,9 +90,9 @@ def test_rk4_norm_drift_and_cfl():
                            dt=GRID.h / 4.0)
     norms = res.diagnostics["norm"]
     assert np.max(np.abs(norms - norms[0])) <= 1e-4 * norms[0]
-    with pytest.raises(ValueError, match="stability"):
-        propagate_scalar(pkt, [0.0, 1.0], method="rk4",
-                         dt=1.01 * RK4_STABILITY_FACTOR * GRID.h)
+    for dt in (1.01 * RK4_STABILITY_FACTOR * GRID.h, 0.0, -GRID.h):
+        with pytest.raises(ValueError, match="stability"):
+            propagate_scalar(pkt, [0.0, 1.0], method="rk4", dt=dt)
 
 
 def test_density_current_uniform_on_window():

@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,22 +230,26 @@ def test_cli_verify_grid_size_minimum(tmp_path, capsys, size):
 
 def test_run_config_applies_grid_rule():
     for bad in ({"n_half": 8}, {"n_half": 15}, {"extent": 1e-320},
-                {"extent": 5e-324}, {"n_half_fine": 7}):
+                {"extent": 5e-324}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+
+
+def _cli(*argv, timeout=120):
+    """Run the CLI in a fresh interpreter (under -O), stderr unfiltered."""
+    src = str(Path(axiwave.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-m", "axiwave.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def test_cli_tiny_extent_without_asserts(tmp_path):
     # under -O no assert guards the nodes, so only the grid rule stands
     # between a tiny extent and a division by zero
-    src = str(Path(axiwave.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-O", "-m", "axiwave.cli", "propagate",
-         "--grid-size", "8", "--extent", "5e-324",
-         "--out", str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = _cli("propagate", "--grid-size", "8", "--extent", "5e-324",
+                "--out", str(tmp_path / "run"))
     assert done.returncode == 2
     assert done.stderr.startswith("error: --extent 5e-324")
     assert len(done.stderr.splitlines()) == 1
@@ -254,17 +257,58 @@ def test_cli_tiny_extent_without_asserts(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--k0", "--t-max", "--extent"])
-def test_cli_propagate_rejects_overflowing_run(tmp_path, capsys, flag):
-    # the run itself overflows: no snapshot file may carry nan cells
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["propagate", flag, "1e308",
-                     "--out", str(tmp_path / "run")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and flag in err
-    assert len(err.splitlines()) == 1
+def test_cli_propagate_rejects_overflowing_run(tmp_path, flag):
+    # the run itself overflows: no snapshot file may carry nan cells, and
+    # no numpy warning comes before the one error line
+    done = _cli("propagate", flag, "1e308", "--out", str(tmp_path / "run"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and flag in done.stderr
+    assert len(done.stderr.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["propagate", "--method", "rk4", "--extent", "1e-300"],
+    ["verify", "--grid-size", "16", "--extent", "1e-300"]])
+def test_cli_refuses_unbounded_rk4_run(tmp_path, argv):
+    # about 1e303 RK4 steps: refused before the first one, not stepped
+    done = _cli(*argv, "--out", str(tmp_path / "out"), timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1].startswith("error: rk4 run of")
+    assert "2**32 node-steps" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_verify_degenerate_ledger_fails_without_traceback(tmp_path):
+    # h = 250 leaves the fixed-width packets with no density on the nodes
+    # (max rho = 0): the run fails its entries and still writes the report
+    done = _cli("verify", "--grid-size", "16", "--extent", "4000",
+                "--out", str(tmp_path / "r.json"))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["summary"]["failed"] > 0
+    assert len(report["entries"]) == 47
+    assert "summary:" in done.stdout
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--extent", "1e-310"), ("--grid-size", "3"), ("--k0", "nan"),
+    ("--width", "-1")])
+def test_cli_propagate_in_ignores_packet_flags(tmp_path, flag, value):
+    # with --in the file sets the grid and the packet: the packet flags are
+    # neither read nor checked
+    src = tmp_path / "state.csv"
+    write_state_csv(convert_rep(gaussian_packet(make_grid(32, 10.0), 3.0,
+                                                width=2.0), "f"), src)
+    args = ["propagate", "--in", str(src), "--t-max", "1", "--snapshots", "2"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + [flag, value, "--out", str(tmp_path / "b")]) == 0
+    for name in ("snapshot_001.csv", "diagnostics.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
 
 
 def test_cli_propagate_rejects_too_many_snapshots(tmp_path, capsys):

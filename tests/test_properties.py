@@ -71,6 +71,8 @@ def _assert_half_offset(nodes, n_half):
 @example(n_half=8.5, spacing=1.0, build="spectral")
 @example(n_half=8.0, spacing=4.0, build="axis")
 @example(n_half=8, spacing=np.inf, build="half-line")
+@example(n_half=8, spacing=1e-320, build="spectral")
+@example(n_half=8, spacing=1.70e-308, build="spectral")
 def test_grid_rule_raises_value_error_or_builds_a_usable_grid(n_half, spacing,
                                                              build):
     # the spacing is the extent for an axis grid, dk for a spectral grid and
@@ -95,3 +97,5 @@ def test_grid_rule_raises_value_error_or_builds_a_usable_grid(n_half, spacing,
     _assert_half_offset(grid.nodes, grid.n_half)
     if build == "axis":   # a built axis grid always has its conjugate
         _assert_half_offset(grid.conjugate().nodes, grid.n_half)
+    else:   # and a built spectral grid its axis grid
+        _assert_half_offset(grid.axis_grid().nodes, grid.n_half)
