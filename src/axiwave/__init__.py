@@ -4,8 +4,8 @@ configuration/momentum map, the positive nonlocal Hamiltonian, boost
 kinematics and spectral time propagation."""
 
 from .grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
-                    apply_parity, convert_rep, inner_product, line_density,
-                    make_grid, make_spectral_grid, norm, sample_field,
+                    apply_parity, convert_rep, inner_product, make_grid,
+                    make_spectral_grid, norm, sample_field,
                     spectral_inner_product, spectral_norm)
 from .transforms import (BackendMismatchError, HalfLineFunction, cosine_taper,
                          hilbert_even, hilbert_odd, hilbert_signed,

@@ -181,8 +181,8 @@ class AxialField:
             raise ValueError("values length must equal node count")
         object.__setattr__(self, "values", vals)
 
-    def copy_with(self, values: np.ndarray, rep: str | None = None) -> "AxialField":
-        return AxialField(self.grid, self.rep if rep is None else rep, values)
+    def copy_with(self, values: np.ndarray) -> "AxialField":
+        return AxialField(self.grid, self.rep, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +197,6 @@ class SpectralProfile:
         if vals.shape != (self.grid.size,):
             raise ValueError("values length must equal kappa node count")
         object.__setattr__(self, "values", vals)
-
-    def copy_with(self, values: np.ndarray) -> "SpectralProfile":
-        return SpectralProfile(self.grid, values)
 
 
 def sample_field(generator, grid: AxisGrid, rep: str = F_REP) -> AxialField:
@@ -329,13 +326,3 @@ def spectral_inner_product(a: SpectralProfile, b: SpectralProfile,
 
 def spectral_norm(a: SpectralProfile, weight: str = "inv_k") -> float:
     return float(np.sqrt(spectral_inner_product(a, a, weight).real))
-
-
-def line_density(fld: AxialField) -> np.ndarray:
-    """Per-node density |lambda| |f|^2 = |g|^2 in the 1/r line measure.
-
-    A unit-amplitude plane wave in g-rep has constant density, matching the
-    even distribution of an axis wave along its propagation axis.
-    """
-    g = convert_rep(fld, G_REP).values
-    return (g.real ** 2 + g.imag ** 2)

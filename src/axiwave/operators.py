@@ -267,24 +267,6 @@ def boost_ordering_residual(grid: AxisGrid,
         [boost_generator_config(grid, o) for o in _BOOST_ORDERINGS], probes)
 
 
-def linearity_residual(handle: LinearOperatorHandle, rng) -> float:
-    """max |H(aa+bb) - a H a - b H b| / scale over five random probe pairs."""
-    grid = handle.grid
-    worst = 0.0
-    for _ in range(5):
-        a = AxialField(grid, "f", rng.normal(size=grid.size)
-                       + 1j * rng.normal(size=grid.size))
-        b = AxialField(grid, "f", rng.normal(size=grid.size)
-                       + 1j * rng.normal(size=grid.size))
-        al, be = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-        combo = AxialField(grid, "f", al * a.values + be * b.values)
-        lhs = handle.apply(combo).values
-        rhs = al * handle.apply(a).values + be * handle.apply(b).values
-        scale = max(np.linalg.norm(rhs), 1e-30)
-        worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
-    return worst
-
-
 def commutator_residual(a: LinearOperatorHandle, b: LinearOperatorHandle,
                         expected: LinearOperatorHandle | None,
                         scale: complex, probes: Sequence[AxialField],

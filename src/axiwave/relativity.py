@@ -13,11 +13,14 @@ A BeamState carries a signed-momentum profile along one axis: kappa > 0
 photons travel along +n, kappa < 0 along -n.  Under a general boost the
 two branches aberrate to two different new axes, so `boost_beam` returns
 a pair of beams; only a boost parallel to the beam axis keeps one axis.
-Profiles transform as scalars (pure substitution phi'(kappa') =
-phi(kappa)), resampled with cubic splines; the scale-invariant norm
-sum |phi|^2 dk/|kappa| is preserved up to interpolation error.  The splines
-are scipy.interpolate's, imported on the first resample, so only a boost
-loads that module.
+Profiles transform as scalars, phi'(kappa) = phi(kappa / alpha) with alpha
+the branch's Doppler factor.  `_dilate` samples that dilation exactly: the
+Fourier sum behind `spectral.fourier_full` continues a profile to every
+kappa, and one chirp-z convolution (Rabiner, Schafer & Rader 1969;
+Bluestein 1970) sums it at every kappa_m / alpha on numpy FFTs.  Above the
+band (kappa_m / alpha > N dk) the value is zero, so a blue shift loses what
+it moves off the band top: a branch that keeps less than 1 - 1e-12 of its
+norm sum |phi|^2 dk/|kappa| raises one UserWarning giving the fraction.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fd import derivative
-from .grids import SpectralProfile, fold, make_grid, unfold
-from .spectral import spectral_derivative
+from .grids import SpectralGrid, SpectralProfile, fold, make_grid, unfold
+from .spectral import fourier_full_inverse, spectral_derivative
 
 _UNIT_TOL = 1e-12
 
@@ -111,44 +114,36 @@ def aberrate_direction(khat, b: BoostParams) -> np.ndarray:
     return (perp + g * (c - v) * b.axis) / denom
 
 
-def observation_aberration(cos_theta: float, v: float) -> float:
-    """cos theta' = (cos theta + v) / (1 + v cos theta).
-
-    theta is the angle the light is observed FROM (momentum along -khat),
-    which flips the sign relative to the propagation form.
-    """
-    return (cos_theta + v) / (1.0 + v * cos_theta)
-
-
 def doppler_factor(khat, b: BoostParams) -> float:
     """Momentum magnitude multiplier k'/k = gamma (1 - v khat.b)."""
     n = _as_unit(khat)
     return b.gamma * (1.0 - b.v * float(n @ b.axis))
 
 
-def _resample_half(k_nodes: np.ndarray, values: np.ndarray,
-                   queries: np.ndarray, label: str) -> np.ndarray:
-    """Cubic-spline the profile of one momentum branch at the query nodes."""
-    out = np.zeros(queries.shape, dtype=complex)
-    inside = (queries >= k_nodes[0]) & (queries <= k_nodes[-1])
-    peak = np.max(np.abs(values)) if values.size else 0.0
-    # warn only when the zero-extrapolated region actually carries weight
-    lost_high = np.any(queries > k_nodes[-1]) and \
-        np.abs(values[-1]) > 1e-12 * peak
-    lost_low = np.any(queries < k_nodes[0]) and \
-        np.abs(values[0]) > 1e-12 * peak
-    if peak > 0.0 and (lost_high or lost_low):
-        warnings.warn(
-            f"boost_beam: {label} branch resampled outside the source "
-            "support; missing values extrapolated as zero", stacklevel=3)
-    if np.any(inside):
-        from scipy.interpolate import CubicSpline  # only boosts load it
+def _dilate(sg: SpectralGrid, branches: np.ndarray,
+            alphas: np.ndarray) -> np.ndarray:
+    """phi(kappa_m / alpha) of each branch row at the positive nodes.
 
-        sp_re = CubicSpline(k_nodes, values.real)
-        sp_im = CubicSpline(k_nodes, values.imag)
-        q = queries[inside]
-        out[inside] = sp_re(q) + 1j * sp_im(q)
-    return out
+    ghat(kappa) = (h/sqrt(2 pi)) sum_j g_j exp(-i kappa lambda_j), g the
+    field of the row's one-sided profile, has the phase beta u v at
+    kappa_m / alpha, with u = m + 1/2, v = j - N + 1/2, beta = pi/(N alpha);
+    u v = [u^2 + v^2 - (u - v)^2] / 2 makes the sum a convolution in
+    u - v = m - j + N, which runs over 1 - N .. 2N - 1.
+    """
+    n, kpos = sg.n_half, sg.positive_nodes()
+    g = fourier_full_inverse(np.concatenate(
+        [np.zeros_like(branches), np.sqrt(kpos) * branches], axis=1), sg)
+    half_beta = np.pi / (2 * n) / alphas[:, None]
+    # FFTs of a power of two >= 3N - 1 run 2-5x faster than of 3N - 1 itself
+    size = 1 << (3 * n - 2).bit_length()
+    d = np.concatenate([np.arange(2 * n), np.arange(2 * n - size, 0)])
+    v = np.arange(2 * n) - (n - 0.5)
+    conv = np.fft.ifft(np.fft.fft(g * np.exp(-1j * half_beta * (v * v)), size)
+                       * np.fft.fft(np.exp(1j * half_beta * (d * d))))
+    ghat = (sg.axis_grid().h / np.sqrt(2.0 * np.pi) * conv[:, n:2 * n]
+            * np.exp(-1j * half_beta * (np.arange(n) + 0.5) ** 2))
+    q = kpos / alphas[:, None]
+    return np.where(q <= n * sg.dk, ghat / np.sqrt(q), 0.0)
 
 
 def boost_beam(beam: BeamState, b: BoostParams) -> tuple[BeamState, ...]:
@@ -162,15 +157,20 @@ def boost_beam(beam: BeamState, b: BoostParams) -> tuple[BeamState, ...]:
     if b.v == 0.0:
         return (beam,)
     sg = beam.profile.grid
-    kpos = sg.positive_nodes()
     # phi at the +kappa and at the -kappa nodes, by |kappa|
-    fwd, bwd = fold(beam.profile.values, sg.n_half)
+    branches = np.stack(fold(beam.profile.values, sg.n_half))
     c = float(beam.direction @ b.axis)
     # kappa' = alpha(branch) * kappa, alpha the branch's Doppler factor
-    new_fwd = _resample_half(kpos, fwd, kpos / (b.gamma * (1.0 - b.v * c)),
-                             "forward")
-    new_bwd = _resample_half(kpos, bwd, kpos / (b.gamma * (1.0 + b.v * c)),
-                             "backward")
+    new_fwd, new_bwd = new = _dilate(
+        sg, branches, b.gamma * (1.0 - b.v * np.array([c, -c])))
+    norms = np.linalg.norm(np.stack([branches, new])
+                           / np.sqrt(sg.positive_nodes()), axis=2)
+    for label, (before, after) in zip(("forward", "backward"), norms.T):
+        kept = after / before if before else 1.0
+        if kept < 1.0 - 1e-12:
+            warnings.warn(f"boost_beam: the {label} branch keeps {kept:.6g} "
+                          "of its 1/|kappa| norm below the band top",
+                          stacklevel=2)
     if abs(abs(c) - 1.0) <= _UNIT_TOL:
         # one axis survives
         return (BeamState(beam.direction,

@@ -161,11 +161,6 @@ def trig_transform(f: HalfLineFunction, kind: str = "cos") -> HalfLineFunction:
     return HalfLineFunction(spacing=f.conjugate_spacing(), values=out)
 
 
-def half_line_derivative(f: HalfLineFunction) -> HalfLineFunction:
-    """d/dr by the 4th-order open-segment stencil."""
-    return HalfLineFunction(f.spacing, derivative(f.values, f.spacing))
-
-
 def _warn_if_not_decayed(values: np.ndarray, label: str):
     n_edge = max(1, values.size // 20)
     peak = np.max(np.abs(values))

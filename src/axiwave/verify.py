@@ -124,6 +124,13 @@ def rel_err(got, want, mask=None) -> float:
     return float(np.linalg.norm(got - want) / den)
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den, read as 0 when both are 0 and inf when only den is."""
+    if den:
+        return num / den
+    return 0.0 if num == 0.0 else float("inf")
+
+
 def _draw_suites(cfg: RunConfig) -> dict:
     """The config, both grids and the probe suites the sections share, in
     the order of their draws from the seeded generator."""
@@ -352,7 +359,7 @@ def _evolution(cfg, grid, **_):
     rho_max = float(np.max(res.diagnostics["max_rho"]))
     # rho = |g|^2 + |Hg|^2 >= 0, so max rho = 0 leaves nothing negative
     yield ("density positivity", "rho >= 0 pointwise",
-           max(0.0, -rho_min / rho_max) if rho_max else 0.0, 1e-6)
+           max(0.0, _ratio(-rho_min, rho_max)), 1e-6)
     c = [packet_centroid(snap) for snap in res.snapshots]
     yield ("packet speed (scalar)", "centroid speed = 1",
            abs((c[2] - c[0]) / 8.0 - 1.0), 2e-2)
@@ -425,10 +432,10 @@ def _kinematics(cfg, grid, fine, **_):
 
     phi, beam = forward_beam(grid.conjugate())
     out_b = boost_beam(beam, b6)[0]
-    drift = abs(spectral_norm(out_b.profile, "inv_k")
-                - spectral_norm(phi, "inv_k")) / spectral_norm(phi, "inv_k")
     yield ("beam norm invariance", "sum |phi|^2 dk/k preserved by boosts",
-           drift, 5e-3)
+           _ratio(abs(spectral_norm(out_b.profile, "inv_k")
+                      - spectral_norm(phi, "inv_k")),
+                  spectral_norm(phi, "inv_k")), 5e-3)
 
     gen = momentum_boost_generator(phi).values
     consts = []
@@ -439,7 +446,7 @@ def _kinematics(cfg, grid, fine, **_):
                       / dv ** 2)
     yield ("finite vs infinitesimal boost",
            "|boost(dv) - (1 - i dv N_k)| = O(dv^2), stable constant",
-           abs(consts[0] - consts[1]) / consts[1], 0.2)
+           _ratio(abs(consts[0] - consts[1]), consts[1]), 0.2)
 
     fphi, fbeam = forward_beam(fine.conjugate())
     psi = synthesize(fphi)

@@ -15,6 +15,7 @@ from axiwave.grids import AxialField, convert_rep, gaussian_packet, make_grid
 from axiwave.evolution import propagate_scalar
 from axiwave.operators import (boost_generator_config, commutator_residual,
                                pbar, pbar0)
+from axiwave import verify
 from axiwave.verify import (PACKET_K, PACKET_WIDTH, RunConfig, rel_err,
                             run_verification)
 
@@ -126,6 +127,19 @@ def test_criterion_8_kinematics(report):
                    "doppler consistency", "parallel doppler",
                    "beam norm invariance"],
           8, "null/aberration/Doppler exactness, beam norm drift <= 0.5%")
+
+
+@pytest.mark.parametrize("n_half", [16, 32])
+def test_kinematics_on_an_empty_beam_does_not_raise(n_half):
+    # kappa nodes pi / 0.01 apart carry none of exp(-(kappa - 8)^2): the
+    # norm ratios read 0 / 0, which the ledger counts as 0
+    section = verify._kinematics(RunConfig(n_half, 0.01), make_grid(n_half, 0.01),
+                                 make_grid(2 * n_half, 0.01))
+    entries = {label: residual for label, _, residual, *_ in section}
+    assert len(entries) == 7
+    assert entries["beam norm invariance"] == 0.0
+    assert entries["finite vs infinitesimal boost"] == 0.0
+    assert verify._ratio(1.0, 0.0) == np.inf
 
 
 def test_criterion_9_lorentz_scalar(report):

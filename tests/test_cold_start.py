@@ -2,12 +2,12 @@
 
 Each check runs in a fresh interpreter, because this test process has
 imported scipy itself and would hide a module-level import.  `import
-axiwave` and a spectral `propagate` of every kind need numpy alone; the
-r2r routes (rk4, `transform`, `verify`) load `scipy.fft`, and only beam
-boosts (`boost`, and the ledger's kinematics entries) load
-`scipy.interpolate`.
+axiwave`, a spectral `propagate` of every kind and a beam `boost` need
+numpy alone; the r2r routes (rk4, `transform`, `verify`) load
+`scipy.fft`.  No module of the package imports `scipy.interpolate`.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -74,23 +74,24 @@ def file_routes(tmp_path_factory):
     write_beams_json([BeamState(np.array([0.0, 0.6, 0.8]),
                                 SpectralProfile(grid.conjugate(), vals))],
                      out / "beams.json")
-    steps = [["transform", ["transform", "--in", str(out / "state.csv"),
-                            "--out", str(out / "spec.csv")]],
-             ["boost", ["boost", "--v", "0.6", "--in", str(out / "beams.json"),
+    # boost runs first, so no earlier step has loaded scipy for it
+    steps = [["boost", ["boost", "--v", "0.6", "--in", str(out / "beams.json"),
                         "--out", str(out / "boosted.json")]],
+             ["transform", ["transform", "--in", str(out / "state.csv"),
+                            "--out", str(out / "spec.csv")]],
              ["verify", ["verify", "--out", str(out / "report.json")]]]
     return _run_fresh(steps, out)
 
 
 @pytest.mark.parametrize("label", ["import axiwave", "scalar", "wave", "weyl",
-                                   "maxwell"])
-def test_spectral_routes_load_no_scipy(spectral_and_rk4, label):
-    code, mods = spectral_and_rk4[label]
+                                   "maxwell", "boost"])
+def test_spectral_routes_load_no_scipy(spectral_and_rk4, file_routes, label):
+    code, mods = {**spectral_and_rk4, **file_routes}[label]
     assert code == 0
     assert not mods
 
 
-@pytest.mark.parametrize("label", ["rk4", "transform"])
+@pytest.mark.parametrize("label", ["rk4", "transform", "verify"])
 def test_r2r_routes_load_fft_but_no_spline(spectral_and_rk4, file_routes,
                                            label):
     code, mods = {**spectral_and_rk4, **file_routes}[label]
@@ -99,6 +100,19 @@ def test_r2r_routes_load_fft_but_no_spline(spectral_and_rk4, file_routes,
     assert "scipy.interpolate" not in mods
 
 
-@pytest.mark.parametrize("label", ["boost", "verify"])
-def test_scipy_routes_still_run(file_routes, label):
-    assert file_routes[label][0] == 0
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy_interpolate():
+    sources = sorted(Path(axiwave.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        names = _imported_modules(ast.parse(path.read_text()))
+        assert not any(n.split(".")[:2] == ["scipy", "interpolate"]
+                       for n in names), path.name

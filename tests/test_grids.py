@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from axiwave.grids import (AxialField, GridMismatchError, apply_parity,
-                           convert_rep, inner_product, line_density,
-                           make_grid, sample_field, spectral_inner_product,
+                           convert_rep, inner_product, make_grid, sample_field, spectral_inner_product,
                            SpectralProfile)
 
 
@@ -148,26 +147,6 @@ def test_parity_isometry_both_weights():
     for w in ("unit", "inv_r"):
         assert inner_product(apply_parity(a), apply_parity(b), w) == \
             pytest.approx(inner_product(a, b, w), rel=1e-13)
-
-
-def test_line_density_windowed_wave_uniform():
-    g = make_grid(256, 40.0)
-    lam = g.nodes
-    win = np.exp(-(lam / 12.0) ** 8)
-    gfield = AxialField(g, "g", win * np.exp(1j * 3.0 * lam))
-    f = convert_rep(gfield, "f")
-    dens = line_density(f)
-    inner = np.abs(lam) < 2.0  # deep window interior, taper factor < 1e-6
-    np.testing.assert_allclose(dens[inner], 1.0, rtol=1e-5)
-    # parity covariance of the density
-    np.testing.assert_allclose(line_density(apply_parity(f)), dens[::-1],
-                               rtol=1e-12)
-
-
-def test_line_density_zero_field():
-    g = make_grid(32, 8.0)
-    z = sample_field(lambda x: 0.0 * x, g)
-    assert np.all(line_density(z) == 0.0)
 
 
 def test_spectral_inner_product_weights_and_zero():
