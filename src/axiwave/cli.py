@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
-from .evolution import (SpinorField, VectorField3, propagate_maxwell,
-                        propagate_scalar, propagate_wave, propagate_weyl)
+from .evolution import (_field_from_g, _maxwell_stream, _scalar_stream,
+                        _wave_stream, _weyl_stream)
 from .fileio import (FileFormatError, read_beams_json, read_spectral_csv,
                      read_state_csv, write_beams_json, write_spectral_csv,
                      write_state_csv)
-from .grids import MIN_N_HALF, AxialField, axis_spacing, convert_rep, make_grid
+from .grids import MIN_N_HALF, AxialField, axis_spacing, make_grid
 from .relativity import BoostParams, boost_beam
 from .spectral import analyze, spectral_derivative, synthesize
 from .transforms import cosine_taper
@@ -88,8 +90,8 @@ def _parse_axis(text: str) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-# snapshots x components x nodes held in memory before any file is written:
-# 2**25 complex128 samples is 512 MiB
+# snapshots x components x nodes written by one run: 2**25 complex128
+# samples is 512 MiB of data, more as CSV text
 _MAX_SNAPSHOT_SAMPLES = 2 ** 25
 
 
@@ -128,62 +130,41 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _run_scalar(comps, times, method):
-    res = propagate_scalar(comps[0], times, method=method)
-    return [[s] for s in res.snapshots], res.diagnostics
-
-
-def _run_wave(comps, times, method):
+def _moving_wave(comps, times):
     # initial rate dg/dt = -i kappa g: the packet moves rigidly along +n
-    g = comps[0]
+    (g,) = comps
     gdot = -spectral_derivative(g.values, g.grid)
-    res = propagate_wave(g, AxialField(g.grid, "g", gdot), times)
-    return [[s] for s, _ in res.snapshots], res.diagnostics
-
-
-def _run_weyl(comps, times, method):
-    up, down = comps
-    res = propagate_weyl(
-        SpinorField(up.grid, up.rep, up.values, down.values), times)
-    return [[s.component(0), s.component(1)] for s in res.snapshots], \
-        res.diagnostics
-
-
-def _run_maxwell(comps, times, method):
-    res = propagate_maxwell(VectorField3(
-        comps[0].grid, comps[0].rep, [c.values for c in comps]), times)
-    return [[s.component(j) for j in range(3)] for s in res.snapshots], \
-        res.diagnostics
+    return _wave_stream([g, AxialField(g.grid, "g", gdot)], times)
 
 
 # --kind -> (default g-components from the windowed packet w, whose count
-# is the kind's component count; runner (components, times, method) ->
-# (components of each snapshot, diagnostics); whether --in is accepted;
-# the diagnostics.csv columns after `time`)
+# is the number of components written per snapshot; the evolution stream
+# (components, times) -> (g-rows, diagnostics) per time; whether --in is
+# accepted; the diagnostics.csv columns after `time`)
 KINDS = {
-    "scalar": (lambda w: [w], _run_scalar, True,
+    "scalar": (lambda w: [w], _scalar_stream, True,
                ("norm", "min_rho", "continuity_residual")),
-    "wave": (lambda w: [w], _run_wave, False,
+    "wave": (lambda w: [w], _moving_wave, False,
              ("norm", "charge", "sigma_min", "sigma_max")),
-    "weyl": (lambda w: [w, np.zeros_like(w)], _run_weyl, True,
+    "weyl": (lambda w: [w, np.zeros_like(w)], _weyl_stream, True,
              ("norm", "norm_up", "norm_down")),
-    "maxwell": (lambda w: [w, 1j * w, np.zeros_like(w)], _run_maxwell, True,
-                ("norm", "norm_fwd", "norm_back")),
+    "maxwell": (lambda w: [w, 1j * w, np.zeros_like(w)], _maxwell_stream,
+                True, ("norm", "norm_fwd", "norm_back")),
 }
 
 
-def _write_diag(path, times, diag, columns):
+def _write_diag(path, times, diags, columns):
     """One row per time; NaN (no centered stencil) is written blank."""
     lines = [",".join(("time",) + columns)]
-    for i, t in enumerate(times):
-        cells = [float(t)] + [float(diag[key][i]) for key in columns]
+    for t, diag in zip(times, diags):
+        cells = [float(t)] + [float(diag[key]) for key in columns]
         lines.append(",".join("" if np.isnan(x) else repr(x) for x in cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def cmd_propagate(args) -> int:
-    default, run, accepts_in, columns = KINDS[args.kind]
+    default, stream, accepts_in, columns = KINDS[args.kind]
     if not args.infile:   # with --in, the file sets the grid and the packet
         _grid_flags(args, MIN_N_HALF,
                     lambda: axis_spacing(args.grid_size, args.extent))
@@ -212,24 +193,38 @@ def cmd_propagate(args) -> int:
             f"--snapshots {args.snapshots} x {n_comp} component(s) x "
             f"{size} nodes exceeds the limit of {_MAX_SNAPSHOT_SAMPLES} "
             "samples (512 MiB)")
-    with np.errstate(all="ignore"):   # an overflow is reported below
-        if not args.infile:
-            grid = make_grid(args.grid_size, args.extent)
-            width = args.extent / 4.0 if args.width is None else args.width
-            win = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0)
-            w = win * np.exp(1j * args.k0 * grid.nodes)
-            comps = [AxialField(grid, "g", v) for v in default(w)]
-        times = np.linspace(0.0, args.t_max, args.snapshots)
-        snaps, diag = run(comps, times, args.method)
-    if not all(np.isfinite(c.values).all() for snap in snaps for c in snap):
-        raise ValueError("the run overflowed; lower --k0, --t-max or --extent")
-
+    # each snapshot goes to a scratch directory in --out (or its nearest
+    # existing ancestor) as it is made; all move into --out at the end
     outdir = args.out or "propagation"
-    os.makedirs(outdir, exist_ok=True)
-    for i, snap in enumerate(snaps):
-        write_state_csv([convert_rep(c, "f") for c in snap],
-                        os.path.join(outdir, f"snapshot_{i:03d}.csv"))
-    _write_diag(os.path.join(outdir, "diagnostics.csv"), times, diag, columns)
+    parent = os.path.abspath(outdir)
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    tmp = tempfile.mkdtemp(prefix=".axiwave-", dir=parent)
+    try:
+        with np.errstate(all="ignore"):   # an overflow is reported below
+            if not args.infile:
+                grid = make_grid(args.grid_size, args.extent)
+                width = args.extent / 4.0 if args.width is None else args.width
+                win = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0)
+                w = win * np.exp(1j * args.k0 * grid.nodes)
+                comps = [AxialField(grid, "g", v) for v in default(w)]
+            times = np.linspace(0.0, args.t_max, args.snapshots)
+            kw = {"method": args.method} if args.kind == "scalar" else {}
+            diags = []
+            for i, (rows, diag) in enumerate(stream(comps, times, **kw)):
+                snap = [_field_from_g(comps[0].grid, g, "f")
+                        for g in rows[:n_comp]]
+                if not all(np.isfinite(c.values).all() for c in snap):
+                    raise ValueError("the run overflowed; lower --k0, "
+                                     "--t-max or --extent")
+                write_state_csv(snap, os.path.join(tmp, f"snapshot_{i:03d}.csv"))
+                diags.append(diag)
+        _write_diag(os.path.join(tmp, "diagnostics.csv"), times, diags, columns)
+        os.makedirs(outdir, exist_ok=True)
+        for name in os.listdir(tmp):
+            os.replace(os.path.join(tmp, name), os.path.join(outdir, name))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     print(f"{len(times)} snapshots written to {outdir}")
     return 0
 

@@ -14,11 +14,13 @@ Hilbert transform) is diagonal in momentum space with symbol |kappa|:
 Every spectral propagator is the one modal core `_evolve` with its own
 C x C momentum-space transfer matrix, exactly the identity at t = 0, and
 is exact in time; the entries mirror one cos and one sin of kappa t on
-the N positive nodes (the closed forms, bit for bit).  A classical RK4
-stepper of the composed Hamiltonian is kept as a cross-check for the
-scalar case; its step must respect dt <= 2 sqrt(2) h / pi, obtained from
-|R(iy)| <= 1 for RK4 on the imaginary axis (|y| <= 2 sqrt 2) and the
-spectral radius max|kappa| < pi/h of the discrete Hamiltonian.
+the N positive nodes (the closed forms, bit for bit).  Each kind is one
+private stream of g-rows and diagnostics per time, which `propagate_*`
+collect and the CLI writes as it comes.  A classical RK4 stepper of the
+composed Hamiltonian is kept as a cross-check for the scalar case; its
+step must respect dt <= 2 sqrt(2) h / pi, obtained from |R(iy)| <= 1 for
+RK4 on the imaginary axis (|y| <= 2 sqrt 2) and the spectral radius
+max|kappa| < pi/h of the discrete Hamiltonian.
 
 The scalar density rho = |g|^2 + |Hg|^2 is pointwise non-negative by
 construction and satisfies a discrete continuity law with the axial
@@ -93,11 +95,11 @@ class EvolutionResult:
             raise ValueError("one snapshot per time")
 
 
-def _result(t, snaps, rows, keys, **extra) -> EvolutionResult:
-    """Diagnostics keyed by `keys`, from one row of values per time."""
-    cols = np.array(rows, dtype=float).T
-    return EvolutionResult(times=t, snapshots=snaps,
-                           diagnostics=dict(zip(keys, cols), **extra))
+def _collect(t, stream, snapshot) -> EvolutionResult:
+    """snapshot(g-rows) of each time, and each diagnostic as one array."""
+    snaps, diags = zip(*((snapshot(rows), diag) for rows, diag in stream))
+    return EvolutionResult(np.asarray(t, dtype=float), list(snaps), {
+        key: np.array([d[key] for d in diags], dtype=float) for key in diags[0]})
 
 
 def _check_times(t_grid) -> np.ndarray:
@@ -151,15 +153,22 @@ def sigma_density(psi: AxialField, dpsi_dt: AxialField) -> np.ndarray:
     return -2.0 * np.imag(np.conj(g) * gdot)
 
 
-def _evolve(sg, ghats, transfer, t):
+def _evolve(comps, t_grid, transfer, hilbert=False):
     """The modal core shared by the spectral propagators.
 
-    At each time ti, `transfer(c, s, k)`, given the N positive momentum
-    nodes k and c, s = cos(k ti), sin(k ti), mirrors them into a C x C matrix
-    (rows of (2N,) momentum symbols, or None for a zero entry) that mixes
-    the C momentum components `ghats`; each output row is transformed back
-    on its own.  Yields one list of C g-arrays per time.
+    Checks the times and takes the components `comps` (AxialFields on one
+    grid) to momentum space; `hilbert` appends the first one's Hilbert
+    transform -i sgn(kappa) ghat.  At each time ti, `transfer(c, s, k)`,
+    given the N positive momentum nodes k and c, s = cos(k ti), sin(k ti),
+    mirrors them into a C x C matrix (rows of (2N,) momentum symbols, or
+    None for a zero entry) that mixes those C components; each output row
+    is transformed back on its own.  Yields one list of C g-arrays per time.
     """
+    t = _check_times(t_grid)
+    sg = comps[0].grid.conjugate()
+    ghats = [fourier_full(_g_of(c), c.grid) for c in comps]
+    if hilbert:
+        ghats.append(-1j * np.sign(sg.nodes) * ghats[0])
     k = sg.positive_nodes()
     for ti in t:
         x = k * ti
@@ -270,26 +279,14 @@ def _rk4(grid, g0, t, dt):
         yield [g.copy()]
 
 
-def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
-                     method: str = "spectral",
-                     dt: float | None = None) -> EvolutionResult:
-    """First-order evolution i dt psi = p0 psi (positive branch only).
-
-    method="spectral" multiplies by exp(-i |kappa| t), exact in time;
-    method="rk4" steps the composed left-form Hamiltonian and serves as an
-    independent cross-check.  The RK4 substep obeys
-    dt <= 2 sqrt(2) h / pi (spectral radius bound); default h/4.  A run of
-    more than RK4_MAX_NODE_STEPS steps x nodes is refused before stepping.
-    """
+def _scalar_stream(comps, t_grid, method="spectral", dt=None):
+    """Per time, [g] and its diagnostics.  A time's "continuity_residual"
+    is filled in once the next time is made (NaN at the first and last)."""
     t = _check_times(t_grid)
-    grid = psi0.grid
-    g0 = _g_of(psi0)
+    grid = comps[0].grid
     if method == "spectral":
-        sg = grid.conjugate()
-        gh = fourier_full(g0, grid)
-        pairs = _evolve(sg, [gh, -1j * np.sign(sg.nodes) * gh],
-                        _scalar_transfer, t)
-        flow = ((g, _rho_j_norm(grid, g, hg)) for g, hg in pairs)
+        flow = ((g, _rho_j_norm(grid, g, hg)) for g, hg in
+                _evolve(comps, t, _scalar_transfer, hilbert=True))
     elif method == "rk4":
         dt_max = RK4_STABILITY_FACTOR * grid.h
         dt = grid.h / 4.0 if dt is None else float(dt)
@@ -303,16 +300,35 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
                 f"rk4 run of {steps:.3g} steps x {grid.size} nodes exceeds "
                 f"the limit of 2**32 node-steps")
         flow = ((g, _scalar_diagnostics(grid, g))
-                for (g,) in _rk4(grid, g0, t, dt))
+                for (g,) in _rk4(grid, _g_of(comps[0]), t, dt))
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    snaps, rhos, js, rows = [], [], [], []
-    for g, (rho, j, nrm) in flow:
-        snaps.append(_field_from_g(grid, g, psi0.rep))
-        rhos.append(rho); js.append(j); rows.append((nrm, rho.min(), rho.max()))
-    return _result(t, snaps, rows, ("norm", "min_rho", "max_rho"),
-                   continuity_residual=continuity_residuals(t, rhos, js, grid))
+    window = []   # (rho, J, diagnostics) of the two times before this one
+    for i, (g, (rho, j, nrm)) in enumerate(flow):
+        if len(window) == 2:
+            (rho0, _, _), (_, j1, diag1) = window
+            diag1["continuity_residual"] = continuity_residuals(
+                t[i - 2:i + 1], [rho0, None, rho], [None, j1, None], grid)[1]
+        diag = {"norm": nrm, "min_rho": rho.min(), "max_rho": rho.max(),
+                "continuity_residual": np.nan}
+        window = window[-1:] + [(rho, j, diag)]
+        yield [g], diag
+
+
+def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
+                     method: str = "spectral",
+                     dt: float | None = None) -> EvolutionResult:
+    """First-order evolution i dt psi = p0 psi (positive branch only).
+
+    method="spectral" multiplies by exp(-i |kappa| t), exact in time;
+    method="rk4" steps the composed left-form Hamiltonian and serves as an
+    independent cross-check.  The RK4 substep obeys
+    dt <= 2 sqrt(2) h / pi (spectral radius bound); default h/4.  A run of
+    more than RK4_MAX_NODE_STEPS steps x nodes is refused before stepping.
+    """
+    return _collect(t_grid, _scalar_stream([psi0], t_grid, method, dt),
+                    lambda rows: _field_from_g(psi0.grid, rows[0], psi0.rep))
 
 
 def continuity_residuals(times, rhos, js, grid):
@@ -324,10 +340,11 @@ def continuity_residuals(times, rhos, js, grid):
     """
     n = len(rhos)
     out = np.full(n, np.nan)
-    # the mask is one central band [lo, hi); widened by a node each side,
-    # the gradient's central differences on it are the full-length ones
-    band = np.flatnonzero(grid.interior_mask(0.6))
-    lo, hi = band[0], band[-1] + 1
+    # the band is [lo, hi) on the increasing, symmetric nodes; widened by a
+    # node each side, the gradient's central differences on it are the
+    # full-length ones
+    lo = int(np.searchsorted(grid.nodes, -0.6 * grid.extent))
+    hi = grid.size - lo
     wide = slice(max(lo - 1, 0), min(hi + 1, grid.size))
     inner = slice(lo - wide.start, hi - wide.start)
     for i in range(1, n - 1):
@@ -339,6 +356,18 @@ def continuity_residuals(times, rhos, js, grid):
     return out
 
 
+def _wave_stream(comps, t_grid):
+    """Per time, [g, g-dot] and their diagnostics."""
+    grid = comps[0].grid
+    if not grid.same_as(comps[1].grid):
+        raise ValueError("initial data live on different grids")
+    for g, gdot in _evolve(comps, t_grid, _wave_transfer):
+        sig = -2.0 * np.imag(np.conj(g) * gdot)
+        yield [g, gdot], {"norm": np.sqrt(np.vdot(g, g).real * grid.h),
+                          "charge": np.sum(sig) * grid.h,
+                          "sigma_min": np.min(sig), "sigma_max": np.max(sig)}
+
+
 def propagate_wave(psi0: AxialField, dpsi0_dt: AxialField,
                    t_grid: Sequence[float]) -> EvolutionResult:
     """Second-order wave form; supports both frequency signs.
@@ -348,19 +377,16 @@ def propagate_wave(psi0: AxialField, dpsi0_dt: AxialField,
     conserved for one-branch data only), "charge" (h sum sigma, conserved,
     positive for forward movers) and the extrema "sigma_min", "sigma_max".
     """
-    t = _check_times(t_grid)
-    grid = psi0.grid
-    if not grid.same_as(dpsi0_dt.grid):
-        raise ValueError("initial data live on different grids")
-    ghats = [fourier_full(_g_of(x), grid) for x in (psi0, dpsi0_dt)]
-    snaps, rows = [], []
-    for g, gdot in _evolve(grid.conjugate(), ghats, _wave_transfer, t):
-        snaps.append((_field_from_g(grid, g, psi0.rep),
-                      _field_from_g(grid, gdot, psi0.rep)))
-        sig = -2.0 * np.imag(np.conj(g) * gdot)
-        rows.append((np.sqrt(np.vdot(g, g).real * grid.h),
-                     np.sum(sig) * grid.h, np.min(sig), np.max(sig)))
-    return _result(t, snaps, rows, ("norm", "charge", "sigma_min", "sigma_max"))
+    return _collect(t_grid, _wave_stream([psi0, dpsi0_dt], t_grid), lambda rows:
+                    tuple(_field_from_g(psi0.grid, g, psi0.rep) for g in rows))
+
+
+def _weyl_stream(comps, t_grid):
+    """Per time, [upper, lower] and their diagnostics."""
+    for u, d in _evolve(comps, t_grid, _weyl_transfer):
+        su, sd = np.sum(np.abs(u) ** 2), np.sum(np.abs(d) ** 2)
+        yield [u, d], {key: np.sqrt(s * comps[0].grid.h) for key, s in (
+            ("norm", su + sd), ("norm_up", su), ("norm_down", sd))}
 
 
 def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResult:
@@ -371,16 +397,10 @@ def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResul
     Diagnostics: "norm" (flat g-norm) and its conserved parts "norm_up",
     "norm_down".
     """
-    t = _check_times(t_grid)
-    grid = psi0.grid
-    ghats = [fourier_full(_g_of(psi0.component(i)), grid) for i in (0, 1)]
-    snaps, rows = [], []
-    for u, d in _evolve(grid.conjugate(), ghats, _weyl_transfer, t):
-        snaps.append(SpinorField(grid, psi0.rep, *(
-            _field_from_g(grid, x, psi0.rep).values for x in (u, d))))
-        su, sd = np.sum(np.abs(u) ** 2), np.sum(np.abs(d) ** 2)
-        rows.append([np.sqrt(s * grid.h) for s in (su + sd, su, sd)])
-    return _result(t, snaps, rows, ("norm", "norm_up", "norm_down"))
+    grid, rep = psi0.grid, psi0.rep
+    stream = _weyl_stream([psi0.component(0), psi0.component(1)], t_grid)
+    return _collect(t_grid, stream, lambda rows: SpinorField(grid, rep, *(
+        _field_from_g(grid, x, rep).values for x in rows)))
 
 
 def weyl_hamiltonian(grid: AxisGrid):
@@ -396,9 +416,27 @@ def weyl_hamiltonian(grid: AxisGrid):
     return apply
 
 
-MAXWELL_CONSTRAINT_MSG = (
-    "transversality constraint violated: the axial evolution requires "
-    "pbar . F = 0, i.e. a vanishing axial component F3")
+def _maxwell_stream(comps, t_grid, constraint_tol=1e-12):
+    """Per time, [F1, F2, 0] and their diagnostics; F3 must vanish."""
+    scale = np.max([np.max(np.abs(c.values)) for c in comps]) or 1.0
+    if np.max(np.abs(comps[2].values)) > constraint_tol * scale:
+        raise ValueError("transversality constraint violated: the axial "
+                         "evolution requires pbar . F = 0, i.e. a vanishing "
+                         "axial component F3")
+    grid = comps[0].grid
+    # F1 -+ i F2 itself, not the cancelling |F1|^2 + |F2|^2 +- 2 Im <F1, F2>:
+    # a vanishing circular mode then reads at rounding, not its square root
+    mode = np.empty(grid.size, dtype=complex)
+
+    def mode_norm(c1, c2, sign):
+        np.add(c1, np.multiply(sign, c2, out=mode), out=mode)
+        return np.sqrt(np.vdot(mode, mode).real * grid.h / 2.0)
+
+    for c1, c2 in _evolve(comps[:2], t_grid, _maxwell_transfer):
+        s12 = np.sum(np.abs(c1) ** 2) + np.sum(np.abs(c2) ** 2)
+        yield [c1, c2, np.zeros_like(c1)], {
+            "norm": np.sqrt(s12 * grid.h), "norm_fwd": mode_norm(c1, c2, -1j),
+            "norm_back": mode_norm(c1, c2, 1j)}
 
 
 def propagate_maxwell(f0: VectorField3, t_grid: Sequence[float],
@@ -412,29 +450,11 @@ def propagate_maxwell(f0: VectorField3, t_grid: Sequence[float],
     Diagnostics: "norm" (flat g-norm) and the conserved circular-mode norms
     "norm_fwd" = |F1 - i F2| / sqrt 2, "norm_back" = |F1 + i F2| / sqrt 2.
     """
-    t = _check_times(t_grid)
-    grid = f0.grid
-    scale = np.max(np.abs(f0.values)) or 1.0
-    if np.max(np.abs(f0.values[2])) > constraint_tol * scale:
-        raise ValueError(MAXWELL_CONSTRAINT_MSG)
-    ghats = [fourier_full(_g_of(f0.component(i)), grid) for i in (0, 1)]
-    # F1 -+ i F2 itself, not the cancelling |F1|^2 + |F2|^2 +- 2 Im <F1, F2>:
-    # a vanishing circular mode then reads at rounding, not its square root
-    mode = np.empty(grid.size, dtype=complex)
-
-    def mode_norm(c1, c2, sign):
-        np.add(c1, np.multiply(sign, c2, out=mode), out=mode)
-        return np.sqrt(np.vdot(mode, mode).real * grid.h / 2.0)
-
-    snaps, rows = [], []
-    for c1, c2 in _evolve(grid.conjugate(), ghats, _maxwell_transfer, t):
-        snaps.append(VectorField3(grid, f0.rep, [
-            _field_from_g(grid, c, f0.rep).values for c in (c1, c2)]
-            + [np.zeros(grid.size, dtype=complex)]))
-        s12 = np.sum(np.abs(c1) ** 2) + np.sum(np.abs(c2) ** 2)
-        rows.append((np.sqrt(s12 * grid.h),
-                     mode_norm(c1, c2, -1j), mode_norm(c1, c2, 1j)))
-    return _result(t, snaps, rows, ("norm", "norm_fwd", "norm_back"))
+    grid, rep = f0.grid, f0.rep
+    return _collect(t_grid, _maxwell_stream(
+        [f0.component(i) for i in range(3)], t_grid, constraint_tol),
+        lambda rows: VectorField3(grid, rep, [
+            _field_from_g(grid, c, rep).values for c in rows]))
 
 
 def packet_centroid(psi: AxialField) -> float:

@@ -167,9 +167,9 @@ def boost_beam(beam: BeamState, b: BoostParams) -> tuple[BeamState, ...]:
                            / np.sqrt(sg.positive_nodes()), axis=2)
     for label, (before, after) in zip(("forward", "backward"), norms.T):
         kept = after / before if before else 1.0
-        if kept < 1.0 - 1e-12:
-            warnings.warn(f"boost_beam: the {label} branch keeps {kept:.6g} "
-                          "of its 1/|kappa| norm below the band top",
+        if abs(kept - 1.0) > 1e-12:
+            warnings.warn(f"boost_beam: the {label} branch keeps "
+                          f"{float(kept)!r} of its 1/|kappa| norm on the band",
                           stacklevel=2)
     if abs(abs(c) - 1.0) <= _UNIT_TOL:
         # one axis survives

@@ -32,7 +32,7 @@ from .operators import (_hilbert, _wrap, adjoint_residual,
                         rayleigh_quotient, LinearOperatorHandle)
 from .evolution import (packet_centroid, propagate_maxwell,
                         propagate_scalar, propagate_weyl, SpinorField,
-                        VectorField3)
+                        VectorField3, weyl_hamiltonian)
 from .relativity import (BeamState, BoostParams, FourMomentum,
                          aberrate_direction, boost_beam, boost_four_momentum,
                          doppler_factor, momentum_boost_generator)
@@ -383,6 +383,15 @@ def _evolution(cfg, grid, **_):
     cu = [packet_centroid(snap.component(0)) for snap in wres.snapshots]
     yield ("packet speed (spinor)", "upper component speed = +1",
            abs((cu[1] - cu[0]) / 6.0 - 1.0), 2e-2)
+
+    # i dPsi/dt at eps by a centered difference, second order in eps
+    ws = propagate_weyl(SpinorField(grid, "g", pkt.values, np.conj(
+        pkt.values)), [0.0, 1e-4, 2e-4]).snapshots
+    s0, s2, gen = (np.stack([s.up, s.down]) for s in (
+        ws[0], ws[2], weyl_hamiltonian(grid)(ws[1])))
+    gap = np.max(np.abs(1j * (s2 - s0) / 2e-4 - gen))
+    yield ("Weyl generator", "i dPsi/dt = sigma . pbar Psi",
+           _ratio(float(gap), float(np.max(np.abs(gen)))), 1e-6)
 
     wvals = pkt.values
     mres = propagate_maxwell(VectorField3(grid, "g", np.stack(

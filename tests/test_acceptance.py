@@ -226,8 +226,8 @@ LEDGER = {
     "evolution": [
         "norm conservation (spectral)", "density positivity",
         "packet speed (scalar)", "norm conservation (rk4)",
-        "continuity order", "packet speed (spinor)", "packet speed (vector)",
-        "vector wave translates"],
+        "continuity order", "packet speed (spinor)", "Weyl generator",
+        "packet speed (vector)", "vector wave translates"],
     "kinematics": [
         "null preservation", "aberration consistency", "doppler consistency",
         "parallel doppler", "beam norm invariance",
@@ -243,7 +243,7 @@ def test_run_config_is_the_four_values_callers_set():
 
 def test_ledger_order_and_grids(report):
     want = [label for section in LEDGER.values() for label in section]
-    assert len(want) == 47
+    assert len(want) == 48
     assert [e.label for e in report.entries] == [w.rstrip("*") for w in want]
     for e, w in zip(report.entries, want):
         n_half = 512 if w.endswith("*") else 256

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import axiwave
+from axiwave import cli
 from axiwave.cli import main
 from axiwave.fileio import (FileFormatError, read_beams_json,
                             read_spectral_csv, read_state_csv,
@@ -264,7 +265,64 @@ def test_cli_propagate_rejects_overflowing_run(tmp_path, flag):
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and flag in done.stderr
     assert len(done.stderr.splitlines()) == 1
-    assert not (tmp_path / "run").exists()
+    # neither --out nor the scratch directory beside it is left behind
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_propagate_writes_each_snapshot_as_it_is_made(tmp_path,
+                                                           monkeypatch):
+    default, stream, accepts_in, columns = cli.KINDS["scalar"]
+    before_last = []
+
+    def watched(comps, times, **kw):
+        rows = stream(comps, times, **kw)
+        for i in range(len(times)):
+            if i == len(times) - 1:   # what exists before the last request
+                before_last.extend(sorted(
+                    p.name for p in tmp_path.rglob("snapshot_*.csv")))
+            yield next(rows)
+
+    monkeypatch.setitem(cli.KINDS, "scalar",
+                        (default, watched, accepts_in, columns))
+    out = tmp_path / "run"
+    assert main(["propagate", "--grid-size", "16", "--snapshots", "4",
+                 "--out", str(out)]) == 0
+    assert before_last == ["snapshot_000.csv", "snapshot_001.csv",
+                           "snapshot_002.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+    assert len(list(out.glob("snapshot_*.csv"))) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["--t-max", "1e308"], ["--kind", "maxwell", "--in", "f3.csv"]])
+def test_cli_propagate_fault_keeps_existing_out(tmp_path, monkeypatch, argv):
+    # a faulting run leaves an --out that holds an older run as it was
+    monkeypatch.chdir(tmp_path)
+    grid = make_grid(16, 4.0)
+    w = gaussian_packet(grid, 3.0, width=1.0).values
+    write_state_csv([AxialField(grid, "g", v) for v in (w, 1j * w, 0.3 * w)],
+                    "f3.csv")
+    assert main(["propagate", "--grid-size", "16", "--snapshots", "2",
+                 "--out", "run"]) == 0
+    (tmp_path / "run" / "notes.txt").write_text("kept\n")
+    old = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    assert main(["propagate", "--snapshots", "3", *argv,
+                 "--out", "run"]) == 2
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f3.csv", "run"]
+    # a run that succeeds replaces its own files and leaves the others
+    assert main(["propagate", "--grid-size", "16", "--snapshots", "1",
+                 "--out", "run"]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(old)
+
+
+def test_cli_propagate_makes_missing_out_parents(tmp_path):
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["propagate", "--grid-size", "16", "--snapshots", "2",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics.csv", "snapshot_000.csv", "snapshot_001.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -290,7 +348,7 @@ def test_cli_verify_degenerate_ledger_fails_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["summary"]["failed"] > 0
-    assert len(report["entries"]) == 47
+    assert len(report["entries"]) == 48
     assert "summary:" in done.stdout
 
 
@@ -312,8 +370,8 @@ def test_cli_propagate_in_ignores_packet_flags(tmp_path, flag, value):
 
 
 def test_cli_propagate_rejects_too_many_snapshots(tmp_path, capsys):
-    # every snapshot is held in memory until the files are written, so the
-    # sample count is bounded before anything is propagated or allocated
+    # the sample count bounds what one run writes; it is checked before
+    # anything is propagated or allocated
     start = time.perf_counter()
     code = main(["propagate", "--snapshots", "100000000",
                  "--out", str(tmp_path / "run")])

@@ -279,15 +279,16 @@ def test_propagator_snapshots_equal_closed_form_evolution(n):
 def test_momentum_space_density_matches_trig_route(monkeypatch, n):
     grid = make_grid(n, 0.17 * n)
     psi = random_packet(grid, np.random.default_rng(n), rep="g")
-    seen = []
+    seen, rho_j_norm = [], evolution._rho_j_norm
 
-    def capture(times, rhos, js, grid):
-        seen.append((rhos, js))
-        return np.full(len(times), np.nan)
+    def capture(grid, g, hg):
+        seen.append(rho_j_norm(grid, g, hg))
+        return seen[-1]
 
-    monkeypatch.setattr(evolution, "continuity_residuals", capture)
-    res = propagate_scalar(psi, [0.0, 0.37, 5.0, 60.0])
-    (rhos, js), = seen
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "_rho_j_norm", capture)
+        res = propagate_scalar(psi, [0.0, 0.37, 5.0, 60.0])
+    rhos, js, _ = zip(*seen)
     for snap, rho, j in zip(res.snapshots, rhos, js, strict=True):
         rho_t, j_t, nrm = evolution._scalar_diagnostics(grid, snap.values)
         assert np.max(np.abs(rho - rho_t)) <= 1e-10 * np.max(rho_t)

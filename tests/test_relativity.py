@@ -216,13 +216,18 @@ def test_resample_outside_support_warns():
     assert said == pytest.approx(kept, rel=1e-5)
 
 
-def test_red_shift_near_band_top_does_not_warn():
-    # a packet pressed against the band top, red-shifted: every output
-    # node samples the band, so nothing is shifted off it
+def test_red_shift_near_band_top_warns_of_gain():
+    # a packet cut at its peak by the band top, red-shifted: its
+    # band-limited continuation rings between the nodes, and the branch
+    # comes out with more 1/|kappa| norm than it went in with
     beam = forward_beam(k0=20.0, width_k=2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        boost_beam(beam, BoostParams(0.6, EZ))
+    with pytest.warns(UserWarning, match="forward branch keeps") as caught:
+        out = boost_beam(beam, BoostParams(0.6, EZ))[0]
+    assert len(caught) == 1
+    kept = spectral_norm(out.profile) / spectral_norm(beam.profile)
+    assert kept > 1.0 + 1e-3
+    said = float(str(caught[0].message).split(" keeps ")[1].split()[0])
+    assert said == pytest.approx(kept, rel=1e-5)
 
 
 def direct_dilation(sg, branch, alpha):
