@@ -205,7 +205,7 @@ def _maxwell_transfer(c, s, k):
 
 def _hamiltonian_g(grid: AxisGrid):
     """g-level stepped Hamiltonian, left factorization with the
-    trig-interpolant radial derivative.
+    trig-interpolant radial derivative: apply(g, out=None) is H g.
 
     Differentiating the sine/cosine interpolants maps their coefficient
     spaces into each other exactly, which collapses
@@ -216,33 +216,44 @@ def _hamiltonian_g(grid: AxisGrid):
     finite-difference left/right factorizations keep their own ledger in
     the operators module.
     """
-    h, n = grid.h, grid.n_half
-    sg = grid.conjugate()
-    k = sg.positive_nodes()
-    # the scale factors of the two trig transforms, as `_trig_rows` forms them
-    scales = [np.sqrt(2.0 / np.pi) * 0.5 * s for s in (h, sg.dk)]
-    kinds = ("cos", "sin")
+    return _scaled_hamiltonian(grid, 1.0)
 
-    def apply(g, out=None, work=None):
-        """H g, written into `out` (2 n_half) with `work` ((2, n_half),
-        complex) as scratch; either is allocated when not given.  The same
-        float operations as the parity split, two two-row `_trig_rows` calls
-        and the parity join, so the result is bit-identical to them."""
+
+def _scaled_hamiltonian(grid, factor):
+    """apply(g, out=None): factor * H g (factor 1 or -1j), bit for bit the
+    parity split, two two-row `_trig_rows` calls, the parity join and a
+    last multiply by `factor`.  The three work rows are allocated once
+    here, so an apply serves one thread.
+
+    Each DCT-IV is followed by one multiply by a precomputed complex row
+    pair: the split's 1/2 and the first scale, then the second scale and
+    `factor`, both with the sin row's odd entries negated (the DST-IV sign,
+    so `_r2r_pair` runs both rows as cos).  Powers of 2, signs and 1 or -i
+    are exact, so every product still rounds once.  The x k and the sin
+    row's reversal are one multiply into the third row."""
+    n = grid.n_half
+    sg = grid.conjugate()
+    k = sg.positive_nodes().astype(complex)   # k + 0j, cast once
+    sign = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
+    # the scale factors of the two trig transforms, as `_trig_rows` forms them
+    first, second = (np.multiply(f, np.sqrt(2.0 / np.pi) * 0.5 * s * sign,
+                                 dtype=complex)
+                     for f, s in ((0.5, grid.h), (factor, sg.dk)))
+    w = np.empty((3, n), dtype=complex)
+    (w0, w1, w2), w01, w12 = w, w[:2], w[1:]   # views made once
+
+    def apply(g, out=None):
         out = np.empty(2 * n, dtype=complex) if out is None else out
-        w = np.empty((2, n), dtype=complex) if work is None else work
         plus, minus = fold(g, n)
-        # even part, and the odd part reversed as its sin transform reads it
-        np.add(plus, minus, out=w[0])
-        np.subtract(plus[::-1], minus[::-1], out=w[1])
-        np.multiply(0.5, w, out=w)
-        w = _r2r_pair(w, kinds)
-        np.multiply(scales[0], w, out=w)
-        np.multiply(k, w, out=w)
-        w[1] = w[1, ::-1]
-        w = _r2r_pair(w, kinds)
-        np.multiply(scales[1], w, out=w)
-        np.add(w[0], w[1], out=out[n:])
-        np.subtract(w[0], w[1], out=out[n - 1::-1])
+        # 2 x the even part, and 2 x the odd part reversed for its sin row
+        np.add(plus, minus, out=w0)
+        np.subtract(plus[::-1], minus[::-1], out=w1)
+        np.multiply(_r2r_pair(w01, ()), first, out=w01)
+        np.multiply(k, w1, out=w2[::-1])
+        np.multiply(k, w0, out=w1)
+        np.multiply(_r2r_pair(w12, ()), second, out=w12)
+        np.add(w1, w2, out=out[n:])
+        np.subtract(w1, w2, out=out[n - 1::-1])
         return out
 
     return apply
@@ -251,17 +262,14 @@ def _hamiltonian_g(grid: AxisGrid):
 def _rk4(grid, g0, t, dt):
     """Classical RK4 of i dg/dt = H g, yielding [g] at each time in t.
 
-    The stages k1..k4, the stage argument and the Hamiltonian's work rows
-    are allocated once per call and overwritten in place, with the operand
-    order of g + step/6 (k1 + 2 k2 + 2 k3 + k4).
+    Each stage is one `_scaled_hamiltonian` apply of -i H.  The stages
+    k1..k4 and the stage argument are allocated once per call and
+    overwritten in place, with the operand order of
+    g + step/6 (k1 + 2 k2 + 2 k3 + k4).
     """
-    ham = _hamiltonian_g(grid)
+    rhs = _scaled_hamiltonian(grid, -1j)
     g = np.array(g0, dtype=complex)
     k1, k2, k3, k4, arg = (np.empty_like(g) for _ in range(5))
-    work = np.empty((2, grid.n_half), dtype=complex)
-
-    def rhs(x, out):
-        return np.multiply(-1j, ham(x, out=out, work=work), out=out)
 
     t_now = 0.0
     for ti in t:

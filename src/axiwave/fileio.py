@@ -135,17 +135,31 @@ def read_spectral_csv(path) -> SpectralProfile:
     return SpectralProfile(sg, data[:, 1] + 1j * data[:, 2])
 
 
+def _json_text(value, pad):
+    """`json.dump(..., indent=1)`'s text of a float or float list (items
+    at indent `pad`), from the C encoder: the same repr, NaN, Infinity."""
+    text = json.dumps(value)
+    if not isinstance(value, list) or not value:
+        return text
+    items = text[1:-1].replace(", ", ",\n" + pad)
+    return f"[\n{pad}{items}\n{pad[:-1]}]"
+
+
 def write_beams_json(beams, path):
-    payload = {"beams": [{
-        "direction": [float(x) for x in b.direction],
-        "dk": float(b.profile.grid.dk),
-        "kappa": [float(x) for x in b.profile.grid.nodes],
-        "re": [float(x) for x in b.profile.values.real],
-        "im": [float(x) for x in b.profile.values.imag],
-    } for b in beams]}
+    """The text of `json.dump(payload, fh, indent=1, sort_keys=True)`, one
+    beam at a time (that encoder runs in pure Python once `indent` is set)."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n "beams": [')
+        for i, b in enumerate(beams):
+            p = b.profile   # the keys in sorted order:
+            entry = {"direction": b.direction, "dk": p.grid.dk,
+                     "im": p.values.imag, "kappa": p.grid.nodes,
+                     "re": p.values.real}
+            fields = ",\n   ".join(f'"{key}": ' + _json_text(
+                np.asarray(x, dtype=float).tolist(), "    ")
+                for key, x in entry.items())
+            fh.write(f'{"," if i else ""}\n  {{\n   {fields}\n  }}')
+        fh.write("\n ]\n}\n" if beams else "]\n}\n")
 
 
 def read_beams_json(path) -> list[BeamState]:
@@ -169,8 +183,8 @@ def read_beams_json(path) -> list[BeamState]:
             if not all(np.isfinite(a).all() for a in arrays):
                 raise ValueError("non-finite number")
             sg = _file_grid("", "dk", entry["dk"] if "dk" in entry else
-                            np.diff(kappa).min(), kappa.size // 2, kappa,
-                            make_spectral_grid)
+                            np.diff(kappa).min(initial=np.inf),
+                            kappa.size // 2, kappa, make_spectral_grid)
             beams.append(BeamState(direction,
                                    SpectralProfile(sg, re_ + 1j * im_)))
         except KeyError as exc:

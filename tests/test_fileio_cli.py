@@ -17,7 +17,7 @@ from axiwave.fileio import (FileFormatError, read_beams_json,
                             write_beams_json, write_spectral_csv,
                             write_state_csv)
 from axiwave.grids import (AxialField, SpectralProfile, convert_rep,
-                           gaussian_packet, make_grid)
+                           gaussian_packet, make_grid, make_spectral_grid)
 from axiwave.relativity import BeamState
 from axiwave.spectral import analyze
 from axiwave.verify import RunConfig
@@ -92,6 +92,45 @@ def test_beams_json_round_trip(tmp_path):
     assert len(back) == 1
     np.testing.assert_array_equal(back[0].profile.values, vals)
     np.testing.assert_array_equal(back[0].direction, beam.direction)
+
+
+def json_dump_beams(beams, path):
+    """The beam file as `json.dump`'s own indented, key-sorted encoder
+    writes it."""
+    payload = {"beams": [{
+        "direction": [float(x) for x in b.direction],
+        "dk": float(b.profile.grid.dk),
+        "kappa": [float(x) for x in b.profile.grid.nodes],
+        "re": [float(x) for x in b.profile.values.real],
+        "im": [float(x) for x in b.profile.values.imag],
+    } for b in beams]}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _odd_beams():
+    """Three beams with -0.0, 1e+-300, NaN and +-Infinity in them."""
+    rng = np.random.default_rng(11)
+    beams = []
+    for n, dk in ((8, 1e-300), (9, 0.37), (40, 1e300)):
+        vals = (rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)) \
+            * 10.0 ** rng.uniform(-300, 300, size=2 * n)
+        vals[:4] = [-0.0 + 0.0j, 1e300 - 1e-300j, complex(np.nan, np.inf),
+                    complex(-np.inf, -0.0)]
+        axis = rng.normal(size=3)
+        profile = SpectralProfile(make_spectral_grid(n, dk), vals)
+        beams.append(BeamState(axis / np.linalg.norm(axis), profile))
+    return beams
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_beams_json_equals_indented_json_dump(tmp_path, count):
+    beams = _odd_beams()[:count]
+    write_beams_json(beams, tmp_path / "fast.json")
+    json_dump_beams(beams, tmp_path / "dump.json")
+    assert (tmp_path / "fast.json").read_bytes() == \
+        (tmp_path / "dump.json").read_bytes()
 
 
 def test_cli_transform_round_trip(tmp_path):
@@ -441,6 +480,21 @@ def test_cli_boost_malformed_beams_json(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kappa", [[], [0.5]])
+def test_cli_boost_reports_too_few_nodes_by_the_grid_rule(tmp_path, capsys,
+                                                          kappa):
+    # no "dk" and fewer than 2 nodes: no spacing to read off the nodes
+    src = tmp_path / "beams.json"
+    src.write_text(json.dumps({"beams": [{
+        "direction": [0, 0, 1], "kappa": kappa, "re": [], "im": []}]}))
+    code = main(["boost", "--v", "0.5", "--in", str(src),
+                 "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "beam 0: dk=inf: grid too coarse" in err and err.endswith("got 0\n")
 
 
 @pytest.mark.parametrize("axis", ["inf,0,0", "nan,0,0", "1,-inf,0",

@@ -71,6 +71,21 @@ def test_trig_pair_is_bit_identical(n, kinds):
     assert all(np.array_equal(p, q) for p, q in zip(pair, first))
 
 
+@pytest.mark.parametrize("n", [*range(8, 70), 1000, 65536])
+def test_r2r_pair_is_scipys_complex_dct_bit_for_bit(n):
+    # the complex DCT-IV, sin rows' odd entries negated; sign bits included
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    for kinds in KIND_PAIRS + [("cos",), ("sin",)]:
+        want = dct(x[:len(kinds)], type=4)
+        for row, kind in zip(want, kinds):
+            if kind == "sin":
+                row[1::2] = -row[1::2]
+        buf = x[:len(kinds)].copy()
+        assert transforms._r2r_pair(buf, kinds) is buf
+        assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
+
+
 def reference_hamiltonian(grid):
     """The out-of-place RK4 Hamiltonian: parity split, two two-row trig
     transforms, join."""
@@ -101,7 +116,7 @@ def reference_rk4(grid, g0, t, dt):
         yield [g]
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES + (9, 37, 255))
 def test_in_place_rk4_is_bit_identical(n):
     grid = make_grid(n, 0.17 * n)
     g = random_packet(grid, np.random.default_rng(n), rep="g").values
@@ -152,12 +167,12 @@ def test_caches_bounded_by_size_not_grids_seen():
 def r2r_calls(monkeypatch):
     # every r2r call in the package is the one DCT-IV in `transforms`, which
     # looks up `scipy.fft.dct` at call time: the attribute the bench tracer
-    # patches too
+    # patches too; each call records its input dtype and `overwrite_x`
     calls = []
 
-    def counting(*args, _real=dct, **kwargs):
-        calls.append(1)
-        return _real(*args, **kwargs)
+    def counting(x, *args, _real=dct, **kwargs):
+        calls.append((x.dtype, kwargs.get("overwrite_x", False)))
+        return _real(x, *args, **kwargs)
 
     monkeypatch.setattr(scipy.fft, "dct", counting)
     return calls
@@ -202,6 +217,21 @@ def test_trig_route_map_makes_one_r2r_call_each_way(r2r_calls):
     r2r_calls.clear()
     spectral.synthesize(phi)
     assert len(r2r_calls) == 1
+
+
+def test_r2r_calls_take_real_input_in_place(r2r_calls):
+    # the float view of the complex rows, never scipy's complex branch
+    psi = _packet()
+    f = transforms.HalfLineFunction(0.1, psi.values[256:])
+    transforms.trig_transform(f, "cos")
+    transforms.trig_transform(f, "sin")
+    transforms.hilbert_signed(psi)
+    spectral.synthesize(spectral.analyze(psi))
+    evolution._hamiltonian_g(psi.grid)(psi.values)
+    dt = psi.grid.h / 4.0   # one RK4 step: four applies of -i H
+    list(evolution._rk4(psi.grid, psi.values, [0.0, dt], dt))
+    assert len(r2r_calls) == 1 + 1 + 2 + 2 + 2 + 4 * 2
+    assert set(r2r_calls) == {(np.dtype(float), True)}
 
 
 def closed_form_transfer(kind, kap, t):
