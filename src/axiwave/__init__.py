@@ -4,15 +4,12 @@ configuration/momentum map, the positive nonlocal Hamiltonian, boost
 kinematics and spectral time propagation."""
 
 from .grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
-                    apply_parity, convert_rep, inner_product, make_grid,
-                    make_spectral_grid, norm, sample_field,
-                    spectral_inner_product, spectral_norm)
-from .transforms import (BackendMismatchError, HalfLineFunction, cosine_taper,
-                         hilbert_even, hilbert_odd, hilbert_signed,
-                         trig_transform)
+                    convert_rep, inner_product, make_grid, make_spectral_grid,
+                    norm, sample_field, spectral_inner_product, spectral_norm)
+from .transforms import (HalfLineFunction, cosine_taper, hilbert_even,
+                         hilbert_odd, hilbert_signed, trig_transform)
 from .spectral import (analyze, analyze_fast, fourier_full,
-                       fourier_full_inverse, spectral_derivative, synthesize,
-                       synthesize_fast)
+                       fourier_full_inverse, spectral_derivative, synthesize)
 from .operators import (LinearOperatorHandle, adjoint_residual,
                         boost_generator_config, boost_generator_local,
                         commutator_residual, four_vector_ops, pbar, pbar0,

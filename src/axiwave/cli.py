@@ -119,8 +119,7 @@ def cmd_verify(args) -> int:
     cfg = _grid_flags(args, 2 * MIN_N_HALF, lambda: RunConfig(
         n_half=args.grid_size, extent=args.extent, seed=args.seed,
         tol_scale=args.tol_scale))
-    with np.errstate(all="ignore"):   # a fault shows as a failed entry
-        report = run_verification(cfg)
+    report = run_verification(cfg)
     print(report.to_text())
     out = args.out or "verify_report.json"
     with open(out, "w") as fh:
@@ -201,24 +200,22 @@ def cmd_propagate(args) -> int:
         parent = os.path.dirname(parent)
     tmp = tempfile.mkdtemp(prefix=".axiwave-", dir=parent)
     try:
-        with np.errstate(all="ignore"):   # an overflow is reported below
-            if not args.infile:
-                grid = make_grid(args.grid_size, args.extent)
-                width = args.extent / 4.0 if args.width is None else args.width
-                win = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0)
-                w = win * np.exp(1j * args.k0 * grid.nodes)
-                comps = [AxialField(grid, "g", v) for v in default(w)]
-            times = np.linspace(0.0, args.t_max, args.snapshots)
-            kw = {"method": args.method} if args.kind == "scalar" else {}
-            diags = []
-            for i, (rows, diag) in enumerate(stream(comps, times, **kw)):
-                snap = [_field_from_g(comps[0].grid, g, "f")
-                        for g in rows[:n_comp]]
-                if not all(np.isfinite(c.values).all() for c in snap):
-                    raise ValueError("the run overflowed; lower --k0, "
-                                     "--t-max or --extent")
-                write_state_csv(snap, os.path.join(tmp, f"snapshot_{i:03d}.csv"))
-                diags.append(diag)
+        if not args.infile:
+            grid = make_grid(args.grid_size, args.extent)
+            width = args.extent / 4.0 if args.width is None else args.width
+            win = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0)
+            w = win * np.exp(1j * args.k0 * grid.nodes)
+            comps = [AxialField(grid, "g", v) for v in default(w)]
+        times = np.linspace(0.0, args.t_max, args.snapshots)
+        kw = {"method": args.method} if args.kind == "scalar" else {}
+        diags = []
+        for i, (rows, diag) in enumerate(stream(comps, times, **kw)):
+            snap = [_field_from_g(comps[0].grid, g, "f") for g in rows[:n_comp]]
+            if not all(np.isfinite(c.values).all() for c in snap):
+                raise ValueError("the run overflowed; lower --k0, "
+                                 "--t-max or --extent")
+            write_state_csv(snap, os.path.join(tmp, f"snapshot_{i:03d}.csv"))
+            diags.append(diag)
         _write_diag(os.path.join(tmp, "diagnostics.csv"), times, diags, columns)
         os.makedirs(outdir, exist_ok=True)
         for name in os.listdir(tmp):
@@ -269,7 +266,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _DISPATCH[args.command](args)
+        # an overflow shows as a failed verify entry, or as a non-finite
+        # result that propagate and the file writers refuse (exit 2)
+        with np.errstate(all="ignore"):
+            return _DISPATCH[args.command](args)
     except (FileFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

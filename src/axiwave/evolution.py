@@ -287,6 +287,24 @@ def _rk4(grid, g0, t, dt):
         yield [g.copy()]
 
 
+def _rk4_step(h, size, t_end, dt=None) -> float:
+    """The step of an RK4 run to t_end on `size` nodes of spacing h: dt,
+    or h/4 by default.  Refused (ValueError) when it breaks the stability
+    bound or the run takes more than RK4_MAX_NODE_STEPS steps x nodes."""
+    dt_max = RK4_STABILITY_FACTOR * h
+    dt = h / 4.0 if dt is None else float(dt)
+    if not 0.0 < dt <= dt_max:
+        raise ValueError(
+            f"rk4 step {dt:.3e} is not positive or violates the stability "
+            f"bound 2*sqrt(2)*h/pi = {dt_max:.3e}")
+    steps = np.ceil(t_end / dt)
+    if not steps * size <= RK4_MAX_NODE_STEPS:
+        raise ValueError(
+            f"rk4 run of {steps:.3g} steps x {size} nodes exceeds "
+            f"the limit of 2**32 node-steps")
+    return dt
+
+
 def _scalar_stream(comps, t_grid, method="spectral", dt=None):
     """Per time, [g] and its diagnostics.  A time's "continuity_residual"
     is filled in once the next time is made (NaN at the first and last)."""
@@ -296,17 +314,7 @@ def _scalar_stream(comps, t_grid, method="spectral", dt=None):
         flow = ((g, _rho_j_norm(grid, g, hg)) for g, hg in
                 _evolve(comps, t, _scalar_transfer, hilbert=True))
     elif method == "rk4":
-        dt_max = RK4_STABILITY_FACTOR * grid.h
-        dt = grid.h / 4.0 if dt is None else float(dt)
-        if not 0.0 < dt <= dt_max:
-            raise ValueError(
-                f"rk4 step {dt:.3e} is not positive or violates the stability "
-                f"bound 2*sqrt(2)*h/pi = {dt_max:.3e}")
-        steps = np.ceil(t[-1] / dt)
-        if not steps * grid.size <= RK4_MAX_NODE_STEPS:
-            raise ValueError(
-                f"rk4 run of {steps:.3g} steps x {grid.size} nodes exceeds "
-                f"the limit of 2**32 node-steps")
+        dt = _rk4_step(grid.h, grid.size, t[-1], dt)
         flow = ((g, _scalar_diagnostics(grid, g))
                 for (g,) in _rk4(grid, _g_of(comps[0]), t, dt))
     else:

@@ -5,7 +5,9 @@ State CSV: one row per node, `lambda,re,im`, preceded by a comment header
 header `# dk=<float>`.  Multi-component fields use the same layout with
 `components=<n>` in the header and re/im column pairs per component;
 `write_state_csv` writes both layouts (one field or a list) and
-`read_state_csv` reads both.  The readers reject non-finite cells.
+`read_state_csv` reads both.  The readers reject non-finite cells, and the
+writers refuse to write one (ValueError, before the file is opened), so
+whatever is written reads back.
 Beam ensembles are JSON: {"beams": [{"direction": [x,y,z],
 "kappa": [...], "re": [...], "im": [...]}]}.
 
@@ -30,8 +32,14 @@ class FileFormatError(ValueError):
     """Malformed input file; message carries path and line number."""
 
 
+def _check_finite(path, columns):
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ValueError(f"{path}: refusing to write a non-finite value")
+
+
 def _write_rows(path, header, columns):
     """Header lines, then one row per index of the equal-length float columns."""
+    _check_finite(path, columns)
     rows = zip(*(c.tolist() for c in columns))
     lines = header + [",".join(map(repr, row)) for row in rows]
     with open(path, "w") as fh:
@@ -137,7 +145,7 @@ def read_spectral_csv(path) -> SpectralProfile:
 
 def _json_text(value, pad):
     """`json.dump(..., indent=1)`'s text of a float or float list (items
-    at indent `pad`), from the C encoder: the same repr, NaN, Infinity."""
+    at indent `pad`), from the C encoder: the same repr."""
     text = json.dumps(value)
     if not isinstance(value, list) or not value:
         return text
@@ -148,18 +156,19 @@ def _json_text(value, pad):
 def write_beams_json(beams, path):
     """The text of `json.dump(payload, fh, indent=1, sort_keys=True)`, one
     beam at a time (that encoder runs in pure Python once `indent` is set)."""
+    # one dict per beam, its keys in sorted order
+    entries = [{"direction": b.direction, "dk": b.profile.grid.dk,
+                "im": b.profile.values.imag, "kappa": b.profile.grid.nodes,
+                "re": b.profile.values.real} for b in beams]
+    _check_finite(path, [x for entry in entries for x in entry.values()])
     with open(path, "w") as fh:
         fh.write('{\n "beams": [')
-        for i, b in enumerate(beams):
-            p = b.profile   # the keys in sorted order:
-            entry = {"direction": b.direction, "dk": p.grid.dk,
-                     "im": p.values.imag, "kappa": p.grid.nodes,
-                     "re": p.values.real}
+        for i, entry in enumerate(entries):
             fields = ",\n   ".join(f'"{key}": ' + _json_text(
                 np.asarray(x, dtype=float).tolist(), "    ")
                 for key, x in entry.items())
             fh.write(f'{"," if i else ""}\n  {{\n   {fields}\n  }}')
-        fh.write("\n ]\n}\n" if beams else "]\n}\n")
+        fh.write("\n ]\n}\n" if entries else "]\n}\n")
 
 
 def read_beams_json(path) -> list[BeamState]:

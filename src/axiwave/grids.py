@@ -279,11 +279,6 @@ def random_packet(grid: AxisGrid, rng, kmax: float = 3.0,
     return convert_rep(AxialField(grid, G_REP, g), rep)
 
 
-def apply_parity(fld: AxialField) -> AxialField:
-    """Reflection lambda -> -lambda; exact on the symmetric grid."""
-    return fld.copy_with(fld.values[::-1].copy())
-
-
 def inner_product(a: AxialField, b: AxialField, weight: str = "unit") -> complex:
     """Weighted nodal inner product, conjugate-linear in the first argument.
 

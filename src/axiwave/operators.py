@@ -44,11 +44,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._fd import derivative_per_half
-from .grids import (AxialField, AxisGrid, convert_rep, gaussian_packet,
-                    inner_product)
+from .grids import AxialField, AxisGrid, convert_rep, inner_product
 from .spectral import fourier_full, fourier_full_inverse, spectral_derivative
-from .transforms import (_BACKENDS, BackendMismatchError, _check_backend,
-                         hilbert_signed)
+from .transforms import hilbert_signed
 
 _PBAR0_FORMS = ("left", "right", "spectral")
 _BOOST_ORDERINGS = ("h_first", "h_last")
@@ -76,51 +74,25 @@ def _wrap(label: str, grid: AxisGrid, fn: Callable[[np.ndarray], np.ndarray],
     return LinearOperatorHandle(label=label, grid=grid, apply=apply)
 
 
-def _route_gap(outs, mask) -> float:
-    """Worst pairwise interior gap among route outputs, relative to the
-    largest interior norm."""
-    scale = max(np.linalg.norm(o[mask]) for o in outs)
-    return max(np.linalg.norm((a - b)[mask])
-               for a, b in itertools.combinations(outs, 2)) / scale
-
-
 def _routes_residual(handles, probes) -> float:
-    """Worst interior route gap among the handles' g-outputs over probes."""
+    """Worst pairwise interior gap among the handles' g-outputs over probes,
+    relative to the largest interior output norm of each probe."""
     mask = handles[0].grid.interior_mask(0.6)
-    return max([0.0] + [_route_gap([convert_rep(h.apply(f), "g").values
-                                    for h in handles], mask) for f in probes])
-
-
-def _cross_check(grid: AxisGrid, kernel, requested, variants, tol: float,
-                 what: str):
-    """Raise BackendMismatchError if the requested g-kernel disagrees with
-    any other route to the same operator beyond tol.
-
-    `kernel(grid, variant, backend)` builds a route; the requested
-    (variant, backend) is compared with every variant on both Hilbert
-    backends, as a relative interior gap on a smooth packet (carrier 1/40
-    of Nyquist, width a fifth of the extent).
-    """
-    probe = gaussian_packet(grid, 0.025 * np.pi / grid.h,
-                            0.2 * grid.extent).values
-    mask = grid.interior_mask(0.6)
-    want = kernel(grid, *requested)(probe)
-    for route in itertools.product(variants, _BACKENDS):
-        gap = _route_gap([want, kernel(grid, *route)(probe)], mask)
-        if gap > tol:
-            raise BackendMismatchError(
-                f"{what}[{', '.join(requested)}] and {what}[{', '.join(route)}]"
-                f" disagree by {gap:.3e} (tol {tol:.3e})")
+    worst = 0.0
+    for f in probes:
+        outs = [convert_rep(h.apply(f), "g").values for h in handles]
+        scale = max(np.linalg.norm(o[mask]) for o in outs)
+        worst = max(worst, max(np.linalg.norm((a - b)[mask]) for a, b in
+                               itertools.combinations(outs, 2)) / scale)
+    return worst
 
 
 def _dhalf(values: np.ndarray, grid: AxisGrid) -> np.ndarray:
     return derivative_per_half(values, grid.n_half, grid.h)
 
 
-def _hilbert(g: np.ndarray, grid: AxisGrid, sign: str,
-             backend: str) -> np.ndarray:
-    return hilbert_signed(AxialField(grid, "g", g), sign,
-                          backend=backend).values
+def _hilbert(g: np.ndarray, grid: AxisGrid, sign: str) -> np.ndarray:
+    return hilbert_signed(AxialField(grid, "g", g), sign).values
 
 
 def radial_momentum_tilde(grid: AxisGrid) -> LinearOperatorHandle:
@@ -147,8 +119,7 @@ def pbar(grid: AxisGrid) -> LinearOperatorHandle:
     return _wrap("pbar", grid, lambda g: -1j * spectral_derivative(g, grid))
 
 
-def pbar0(grid: AxisGrid, form: str = "spectral", backend: str = "spectral",
-          cross_check_tol: float | None = None) -> LinearOperatorHandle:
+def pbar0(grid: AxisGrid, form: str = "spectral") -> LinearOperatorHandle:
     """The positive nonlocal Hamiltonian, momentum-space symbol |kappa|.
 
     form="left"   : -(1/sqrt r) d_r Hplus sqrt(r)
@@ -157,30 +128,23 @@ def pbar0(grid: AxisGrid, form: str = "spectral", backend: str = "spectral",
 
     The three are independent discretizations of the same operator; their
     pairwise disagreement is part of the verification ledger (see
-    `pbar0_triangle_residual`).  With `cross_check_tol` set, construction
-    compares the requested form and Hilbert backend against every form on
-    both backends on a smooth probe and raises BackendMismatchError on
-    disagreement beyond the tolerance.  An unknown backend is rejected at
-    construction, on every form.
+    `pbar0_triangle_residual`).  The Hilbert factors of the left and right
+    forms run on the spectral backend.
     """
     if form not in _PBAR0_FORMS:
         raise ValueError(f"unknown form {form!r}")
-    _check_backend(backend)
-    if cross_check_tol is not None:
-        _cross_check(grid, _pbar0_kernel, (form, backend), _PBAR0_FORMS,
-                     cross_check_tol, "pbar0")
-    return _wrap(f"pbar0[{form}]", grid, _pbar0_kernel(grid, form, backend))
-
-
-def _pbar0_kernel(grid: AxisGrid, form: str, backend: str):
+    label = f"pbar0[{form}]"
     if form == "spectral":
         sg = grid.conjugate()
         absk = np.abs(sg.nodes)
-        return lambda g: fourier_full_inverse(absk * fourier_full(g, grid), sg)
+        return _wrap(label, grid, lambda g: fourier_full_inverse(
+            absk * fourier_full(g, grid), sg))
     sgn = np.sign(grid.nodes)
     if form == "left":
-        return lambda g: -sgn * _dhalf(_hilbert(g, grid, "plus", backend), grid)
-    return lambda g: -_hilbert(sgn * _dhalf(g, grid), grid, "minus", backend)
+        return _wrap(label, grid, lambda g: -sgn * _dhalf(
+            _hilbert(g, grid, "plus"), grid))
+    return _wrap(label, grid, lambda g: -_hilbert(
+        sgn * _dhalf(g, grid), grid, "minus"))
 
 
 def pbar0_triangle_residual(grid: AxisGrid,
@@ -222,9 +186,7 @@ def boost_generator_local(grid: AxisGrid) -> LinearOperatorHandle:
     return _wrap("N'", grid, fn)
 
 
-def boost_generator_config(grid: AxisGrid, ordering: str = "h_first",
-                           backend: str = "spectral",
-                           cross_check_tol: float | None = None
+def boost_generator_config(grid: AxisGrid, ordering: str = "h_first"
                            ) -> LinearOperatorHandle:
     """Axial boost generator N, Hilbert factor on either side.
 
@@ -232,22 +194,12 @@ def boost_generator_config(grid: AxisGrid, ordering: str = "h_first",
     ordering="h_last" : N = (r grad - 2 rhat d_r r) (r^{-1/2} Hplus r^{1/2})
 
     Both reduce on the axis to conjugations of H (lambda d/dlambda + 3/2)
-    acting on g; the orderings differ only by discretization and are
-    cross-checked by `boost_ordering_residual`, or at construction when
-    `cross_check_tol` is given: the requested ordering and Hilbert backend
-    against both orderings on both backends (BackendMismatchError on
-    disagreement).  An unknown backend is rejected at construction.
+    acting on g, with the Hilbert factor on the spectral backend; the
+    orderings differ only by discretization, and `boost_ordering_residual`
+    measures the gap between them.
     """
     if ordering not in _BOOST_ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    _check_backend(backend)
-    if cross_check_tol is not None:
-        _cross_check(grid, _boost_kernel, (ordering, backend),
-                     _BOOST_ORDERINGS, cross_check_tol, "N")
-    return _wrap(f"N[{ordering}]", grid, _boost_kernel(grid, ordering, backend))
-
-
-def _boost_kernel(grid: AxisGrid, ordering: str, backend: str):
     lam = grid.nodes
     sgn = np.sign(lam)
 
@@ -255,9 +207,10 @@ def _boost_kernel(grid: AxisGrid, ordering: str, backend: str):
         # sqrt(r) (r grad - 2 rhat d_r r).n (1/sqrt r) = -sgn (lambda d + 3/2)
         return -sgn * (lam * _dhalf(g, grid) + 1.5 * g)
 
+    label = f"N[{ordering}]"
     if ordering == "h_first":
-        return lambda g: _hilbert(dilation(g), grid, "minus", backend)
-    return lambda g: dilation(_hilbert(g, grid, "plus", backend))
+        return _wrap(label, grid, lambda g: _hilbert(dilation(g), grid, "minus"))
+    return _wrap(label, grid, lambda g: dilation(_hilbert(g, grid, "plus")))
 
 
 def boost_ordering_residual(grid: AxisGrid,

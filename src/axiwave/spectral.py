@@ -134,11 +134,3 @@ def analyze_fast(psi: AxialField) -> SpectralProfile:
     ghat = fourier_full(g, psi.grid)
     return SpectralProfile(sgrid, ghat / np.sqrt(np.abs(sgrid.nodes)))
 
-
-def synthesize_fast(phi: SpectralProfile) -> AxialField:
-    """Inverse of `analyze_fast` (g-level inverse FFT)."""
-    sgrid = phi.grid
-    grid = sgrid.axis_grid()
-    ghat = np.sqrt(np.abs(sgrid.nodes)) * phi.values
-    g = fourier_full_inverse(ghat, sgrid)
-    return convert_rep(AxialField(grid, "g", g), "f")

@@ -69,10 +69,6 @@ _KINDS = ("cos", "sin")
 _BACKENDS = ("spectral", "quadrature")
 
 
-class BackendMismatchError(RuntimeError):
-    """Spectral and quadrature Hilbert backends disagree beyond tolerance."""
-
-
 @dataclass(frozen=True, eq=False)
 class HalfLineFunction:
     """Complex samples on the positive half-grid r_j = (j+1/2) * spacing."""
@@ -235,28 +231,21 @@ def _hilbert_quadrature(f: HalfLineFunction, odd_kernel: bool) -> np.ndarray:
     return -(2.0 * r / np.pi) * total
 
 
-def hilbert_even(f: HalfLineFunction, backend: str = "spectral",
-                 cross_check_tol: float | None = None) -> HalfLineFunction:
+def hilbert_even(f: HalfLineFunction,
+                 backend: str = "spectral") -> HalfLineFunction:
     """Hilbert transform of an even function, He f.
 
     backend="spectral" composes the trig transforms (He = -Fs~ Fc);
     backend="quadrature" evaluates the principal-value integral directly.
-    With `cross_check_tol` set, both are computed and a disagreement above
-    the tolerance (relative, interior 80% of nodes) raises
-    BackendMismatchError instead of being ignored.
+    The ledger entry "hilbert backends agree" compares the two.
     """
-    return _hilbert_dispatch(f, "even", backend, cross_check_tol)
+    return _hilbert_dispatch(f, "even", backend)
 
 
-def hilbert_odd(f: HalfLineFunction, backend: str = "spectral",
-                cross_check_tol: float | None = None) -> HalfLineFunction:
+def hilbert_odd(f: HalfLineFunction,
+                backend: str = "spectral") -> HalfLineFunction:
     """Hilbert transform of an odd function, Ho f."""
-    return _hilbert_dispatch(f, "odd", backend, cross_check_tol)
-
-
-def _check_backend(backend: str):
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
+    return _hilbert_dispatch(f, "odd", backend)
 
 
 # spectral Hilbert kernels as (first, second) trig transforms; He carries
@@ -267,7 +256,8 @@ _SPECTRAL_KINDS = {"even": ("cos", "sin"), "odd": ("sin", "cos")}
 def _hilbert_core(parts, kernels, backend: str) -> list:
     """He ("even") or Ho ("odd") by kernels[i] of parts[i], one or two
     half-line functions on one grid; spectral parts share each trig stage."""
-    _check_backend(backend)
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     if backend == "quadrature":
         return [_hilbert_quadrature(f, odd_kernel=k == "odd")
                 for f, k in zip(parts, kernels)]
@@ -278,19 +268,9 @@ def _hilbert_core(parts, kernels, backend: str) -> list:
     return [-out if k == "even" else out for out, k in zip(outs, kernels)]
 
 
-def _hilbert_dispatch(f, parity, backend, cross_check_tol):
+def _hilbert_dispatch(f, parity, backend):
     _warn_if_not_decayed(f.values, f"hilbert_{parity}")
     out, = _hilbert_core([f], [parity], backend)
-    if cross_check_tol is not None:
-        other_backend = "quadrature" if backend == "spectral" else "spectral"
-        other, = _hilbert_core([f], [parity], other_backend)
-        n_int = int(0.8 * f.n)
-        scale = max(np.max(np.abs(out[:n_int])), np.max(np.abs(f.values)))
-        gap = np.max(np.abs(out[:n_int] - other[:n_int]))
-        if scale > 0.0 and gap > cross_check_tol * scale:
-            raise BackendMismatchError(
-                f"hilbert_{parity}: spectral and quadrature backends differ "
-                f"by {gap / scale:.3e} (tol {cross_check_tol:.3e})")
     return HalfLineFunction(f.spacing, out)
 
 

@@ -31,8 +31,8 @@ from .operators import (_hilbert, _wrap, adjoint_residual,
                         pbar0_triangle_residual, radial_momentum_tilde,
                         rayleigh_quotient, LinearOperatorHandle)
 from .evolution import (packet_centroid, propagate_maxwell,
-                        propagate_scalar, propagate_weyl, SpinorField,
-                        VectorField3, weyl_hamiltonian)
+                        propagate_scalar, propagate_weyl, _rk4_step,
+                        SpinorField, VectorField3, weyl_hamiltonian)
 from .relativity import (BeamState, BoostParams, FourMomentum,
                          aberrate_direction, boost_beam, boost_four_momentum,
                          doppler_factor, momentum_boost_generator)
@@ -46,6 +46,7 @@ MACHINE_FLOOR = 1e-12
 PROBE_COUNT = 8      # packets in each shared probe suite
 PACKET_WIDTH = 10.0  # window width of the ledger's fixed packets
 PACKET_K = 8.0       # and their carrier momentum
+RK4_TIMES = (0.0, 5.0, 10.0)  # of the stepped entry, on the n_half grid
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,9 @@ class RunConfig:
             raise ValueError(f"n_half must be at least {2 * MIN_N_HALF}")
         for n in (self.n_half // 2, self.n_half, 2 * self.n_half):
             axis_spacing(n, self.extent)
+        # the ledger's RK4 entry, refused here rather than mid-run
+        _rk4_step(axis_spacing(self.n_half, self.extent), 2 * self.n_half,
+                  RK4_TIMES[-1])
         if not 0.0 <= self.tol_scale < np.inf:
             raise ValueError("tol_scale must be finite and non-negative")
         if self.seed < 0:
@@ -299,10 +303,8 @@ def _adjoint_suite(cfg, grid, fine, probes, fine_probes, **_):
     yield ("weighted momentum self-adjoint", "<a, pbar b> = <pbar a, b> (1/r)",
            adjoint_residual(p_op, p_op, "inv_r", probes), 1e-3)
 
-    w_plus = _wrap("Wplus", grid,
-                   lambda g: _hilbert(g, grid, "plus", "spectral"))
-    w_minus = _wrap("Wminus", grid,
-                    lambda g: -_hilbert(g, grid, "minus", "spectral"))
+    w_plus = _wrap("Wplus", grid, lambda g: _hilbert(g, grid, "plus"))
+    w_minus = _wrap("Wminus", grid, lambda g: -_hilbert(g, grid, "minus"))
     yield ("signed hilbert adjoints",
            "(r^-1/2 Hplus r^1/2)+ = -(r^-1/2 Hminus r^1/2)",
            adjoint_residual(w_plus, w_minus, "inv_r", probes), 1e-2)
@@ -365,7 +367,7 @@ def _evolution(cfg, grid, **_):
            abs((c[2] - c[0]) / 8.0 - 1.0), 2e-2)
 
     nrk = propagate_scalar(gaussian_packet(grid, 3.0, 6.0, -10.0),
-                           [0.0, 5.0, 10.0], method="rk4").diagnostics["norm"]
+                           RK4_TIMES, method="rk4").diagnostics["norm"]
     yield ("norm conservation (rk4)", "d/dt <psi,psi>_1/r = 0 (stepped)",
            float(np.max(np.abs(nrk - nrk[0])) / nrk[0]), 1e-4)
 

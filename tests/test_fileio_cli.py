@@ -109,15 +109,18 @@ def json_dump_beams(beams, path):
         fh.write("\n")
 
 
+BIG = np.finfo(float).max
+
+
 def _odd_beams():
-    """Three beams with -0.0, 1e+-300, NaN and +-Infinity in them."""
+    """Three beams with -0.0, 1e+-300 and the extreme doubles in them."""
     rng = np.random.default_rng(11)
     beams = []
     for n, dk in ((8, 1e-300), (9, 0.37), (40, 1e300)):
         vals = (rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)) \
             * 10.0 ** rng.uniform(-300, 300, size=2 * n)
-        vals[:4] = [-0.0 + 0.0j, 1e300 - 1e-300j, complex(np.nan, np.inf),
-                    complex(-np.inf, -0.0)]
+        vals[:4] = [-0.0 + 0.0j, 1e300 - 1e-300j, complex(5e-324, BIG),
+                    complex(-BIG, -0.0)]
         axis = rng.normal(size=3)
         profile = SpectralProfile(make_spectral_grid(n, dk), vals)
         beams.append(BeamState(axis / np.linalg.norm(axis), profile))
@@ -131,6 +134,22 @@ def test_beams_json_equals_indented_json_dump(tmp_path, count):
     json_dump_beams(beams, tmp_path / "dump.json")
     assert (tmp_path / "fast.json").read_bytes() == \
         (tmp_path / "dump.json").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writers_refuse_non_finite(tmp_path, bad):
+    beam = _odd_beams()[0]
+    vals = beam.profile.values.copy()
+    vals[5] = bad
+    profile = SpectralProfile(beam.profile.grid, vals)
+    for write, obj in (
+            (write_beams_json, [BeamState(beam.direction, profile)]),
+            (write_spectral_csv, profile),
+            (write_state_csv, AxialField(make_grid(8, 1.0), "f", vals))):
+        path = tmp_path / write.__name__
+        with pytest.raises(ValueError, match="non-finite"):
+            write(obj, path)
+        assert not path.exists()
 
 
 def test_cli_transform_round_trip(tmp_path):
@@ -308,6 +327,35 @@ def test_cli_propagate_rejects_overflowing_run(tmp_path, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+def _huge_state(path):
+    grid = make_grid(16, 40.0)
+    write_state_csv(AxialField(grid, "f", np.full(grid.size, 1e307)), path)
+
+
+def _tiny_beam(path):
+    sg = make_grid(64, 1e-250).conjugate()
+    m = sg.nodes / sg.dk
+    write_beams_json([BeamState([0.0, 0.0, 1.0], SpectralProfile(
+        sg, np.where(m > 0, np.exp(-(m - 16.0) ** 2 / 16.0), 0.0)))], path)
+
+
+@pytest.mark.parametrize("make, command", [
+    (_huge_state, ["transform"]), (_tiny_beam, ["boost", "--v", "0.6"])],
+    ids=["transform", "boost"])
+def test_cli_refuses_to_write_non_finite_output(tmp_path, make, command):
+    # finite inputs whose results overflow (the spectrum of a constant
+    # 1e307, the dilation at extent 1e-250): the writer refuses them, so
+    # nothing is written that the readers would reject
+    make(tmp_path / "in")
+    out = tmp_path / "out"
+    done = _cli(*command, "--in", str(tmp_path / "in"), "--out", str(out))
+    assert done.returncode == 2
+    errors = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
+    assert errors == [f"error: {out}: refusing to write a non-finite value"]
+    assert "RuntimeWarning" not in done.stderr
+    assert not out.exists()
+
+
 def test_cli_propagate_writes_each_snapshot_as_it_is_made(tmp_path,
                                                            monkeypatch):
     default, stream, accepts_in, columns = cli.KINDS["scalar"]
@@ -366,12 +414,17 @@ def test_cli_propagate_makes_missing_out_parents(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["propagate", "--method", "rk4", "--extent", "1e-300"],
-    ["verify", "--grid-size", "16", "--extent", "1e-300"]])
+    ["verify", "--grid-size", "16", "--extent", "1e-300"],
+    ["verify", "--grid-size", "64", "--extent", "1e-5"]])
 def test_cli_refuses_unbounded_rk4_run(tmp_path, argv):
-    # about 1e303 RK4 steps: refused before the first one, not stepped
+    # 1e303 (2.56e8 at 1e-5) RK4 steps: refused before the first one; verify
+    # refuses the config itself, naming --extent, and writes no report
     done = _cli(*argv, "--out", str(tmp_path / "out"), timeout=60)
     assert done.returncode == 2
-    assert done.stderr.splitlines()[-1].startswith("error: rk4 run of")
+    want = "error: rk4 run of" if argv[0] == "propagate" else \
+        f"error: --extent {float(argv[-1])!r}: rk4 run of"
+    assert done.stderr.splitlines()[-1].startswith(want)
+    assert done.stdout == ""
     assert "2**32 node-steps" in done.stderr
     assert "Traceback" not in done.stderr
     assert "RuntimeWarning" not in done.stderr

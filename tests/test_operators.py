@@ -192,36 +192,6 @@ def test_pbar0_triangle():
     assert pbar0_triangle_residual(GRID, ps) <= 0.02
 
 
-def test_cross_check_diagnostics():
-    from axiwave.transforms import BackendMismatchError
-    pbar0(GRID, "left", cross_check_tol=0.05)  # sane tolerance: silent
-    with pytest.raises(BackendMismatchError):
-        pbar0(GRID, "left", cross_check_tol=1e-15)
-    boost_generator_config(GRID, "h_first", cross_check_tol=0.05)
-    with pytest.raises(BackendMismatchError):
-        boost_generator_config(GRID, "h_first", cross_check_tol=1e-15)
-
-
-def test_cross_check_compares_requested_backend():
-    from axiwave.transforms import BackendMismatchError
-    grid = make_grid(64, 20.0)
-    # the quadrature left form is 1.3% off the spectral-backend one here
-    with pytest.raises(BackendMismatchError, match="quadrature"):
-        pbar0(grid, "left", backend="quadrature", cross_check_tol=1e-3)
-
-
-@pytest.mark.parametrize("build", [
-    lambda form: pbar0(GRID, form, backend="bogus"),
-    lambda form: boost_generator_config(
-        GRID, {"left": "h_first", "right": "h_last"}.get(form, "h_first"),
-        backend="bogus"),
-], ids=["pbar0", "boost_generator_config"])
-@pytest.mark.parametrize("form", ["left", "right", "spectral"])
-def test_unknown_backend_rejected_at_construction(build, form):
-    with pytest.raises(ValueError, match="bogus"):
-        build(form)
-
-
 def test_pbar0_positive():
     ps = probes(GRID, 8, rng=np.random.default_rng(47))
     spec = pbar0(GRID, "spectral")

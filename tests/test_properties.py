@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from axiwave.grids import (apply_parity, make_grid, make_spectral_grid,
-                           parity_join, parity_split, random_packet)
+from axiwave.grids import (make_grid, make_spectral_grid, parity_join,
+                           parity_split, random_packet)
 from axiwave.transforms import (HalfLineFunction, hilbert_even, hilbert_odd,
                                 hilbert_signed)
 
@@ -43,8 +43,9 @@ def test_signed_hilbert_commutes_with_parity(grid, seed):
     psi = random_packet(grid, np.random.default_rng(seed))
     for backend in BACKENDS:
         for sign in HALF_KERNELS:
-            a = hilbert_signed(apply_parity(psi), sign, backend).values
-            b = apply_parity(hilbert_signed(psi, sign, backend)).values
+            a = hilbert_signed(psi.copy_with(psi.values[::-1]), sign,
+                               backend).values
+            b = hilbert_signed(psi, sign, backend).values[::-1]
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 

@@ -230,6 +230,18 @@ def test_red_shift_near_band_top_warns_of_gain():
     assert said == pytest.approx(kept, rel=1e-5)
 
 
+def test_nan_loss_warns():
+    # at extent 1e-250 the dilation overflows and a beam scaled to its grid
+    # comes back NaN: a NaN fraction kept warns like any other loss
+    sg = make_grid(64, 1e-250).conjugate()
+    m = sg.nodes / sg.dk
+    beam = BeamState(EZ, SpectralProfile(
+        sg, np.where(m > 0, np.exp(-(m - 16.0) ** 2 / 16.0), 0.0)))
+    with np.errstate(all="ignore"), \
+            pytest.warns(UserWarning, match="forward branch keeps nan"):
+        boost_beam(beam, BoostParams(0.6, EZ))
+
+
 def direct_dilation(sg, branch, alpha):
     """phi(kappa_m / alpha) by the O(n^2) Fourier sum of the branch's field."""
     n, kpos = sg.n_half, sg.positive_nodes()
@@ -278,10 +290,8 @@ def test_generator_two_routes_agree():
     sg = grid.conjugate()
     kap = sg.nodes
     phi = SpectralProfile(sg, (kap * np.exp(-kap ** 2)).astype(complex))
-    a = momentum_boost_generator(phi, "spectral").values
-    c = momentum_boost_generator(phi, "fd").values
+    a = momentum_boost_generator(phi).values
     scale = np.max(np.abs(a))
-    assert np.max(np.abs(a - c)) <= 1e-6 * scale
     want = 1j * kap * (1.0 - 2.0 * kap ** 2) * np.exp(-kap ** 2)
     assert np.max(np.abs(a - want)) <= 1e-8 * scale
 

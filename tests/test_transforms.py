@@ -5,11 +5,9 @@ import pytest
 
 from axiwave import transforms
 from axiwave._fd import derivative
-from axiwave.grids import AxialField, apply_parity, gaussian_packet, make_grid
-from axiwave.operators import boost_generator_config, pbar0
-from axiwave.transforms import (BackendMismatchError, HalfLineFunction,
-                                hilbert_even, hilbert_odd, hilbert_signed,
-                                trig_transform)
+from axiwave.grids import AxialField, gaussian_packet, make_grid
+from axiwave.transforms import (HalfLineFunction, hilbert_even, hilbert_odd,
+                                hilbert_signed, trig_transform)
 from axiwave.verify import rel_err
 
 
@@ -128,24 +126,9 @@ def test_hilbert_even_odd_inverse_pair():
     assert rel_err(eo, -f) <= 1e-10
 
 
-def test_backend_mismatch_diagnostic():
-    n, extent = 128, 30.0
-    h = extent / n
-    r = (np.arange(n) + 0.5) * h
-    f = HalfLineFunction(h, np.exp(-((r - 8.0) / 3.0) ** 2))
-    # absurdly tight tolerance forces the diagnostic
-    with pytest.raises(BackendMismatchError):
-        hilbert_even(f, cross_check_tol=1e-15)
-    # sane tolerance passes silently
-    hilbert_even(f, cross_check_tol=0.05)
-
-
 @pytest.mark.parametrize("route", [
     lambda grid, fld, b: hilbert_signed(fld, "plus", backend=b),
-    lambda grid, fld, b: pbar0(grid, "left", backend=b).apply(fld),
-    lambda grid, fld, b: boost_generator_config(grid, "h_first",
-                                                backend=b).apply(fld),
-], ids=["hilbert_signed", "pbar0_left", "boost_generator_config"])
+], ids=["hilbert_signed"])
 def test_unknown_hilbert_backend_rejected(route):
     grid = make_grid(32, 10.0)
     fld = gaussian_packet(grid, 2.0, width=2.0)
@@ -205,9 +188,9 @@ def test_hilbert_signed_parity_algebra():
     fld = AxialField(grid, "f", rng.normal(size=grid.size)
                      + 1j * rng.normal(size=grid.size))
     for sign in ("plus", "minus"):
-        lhs = hilbert_signed(apply_parity(fld), sign)
-        rhs = apply_parity(hilbert_signed(fld, sign))
-        np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-12)
+        lhs = hilbert_signed(fld.copy_with(fld.values[::-1]), sign).values
+        rhs = hilbert_signed(fld, sign).values[::-1]
+        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
     # sum of the two signed transforms = He + Ho applied per parity sector
     total = hilbert_signed(fld, "plus").values + hilbert_signed(fld, "minus").values
     n = grid.n_half
