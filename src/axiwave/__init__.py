@@ -5,7 +5,7 @@ kinematics and spectral time propagation."""
 
 from .grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
                     convert_rep, inner_product, make_grid, make_spectral_grid,
-                    norm, sample_field, spectral_inner_product, spectral_norm)
+                    sample_field, spectral_inner_product, spectral_norm)
 from .transforms import (HalfLineFunction, cosine_taper, hilbert_even,
                          hilbert_odd, hilbert_signed, trig_transform)
 from .spectral import (analyze, analyze_fast, fourier_full,

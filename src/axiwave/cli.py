@@ -103,13 +103,15 @@ def _require(checks):
 
 
 def _grid_flags(args, minimum, build):
-    """build() once --grid-size >= minimum, naming --extent on a fault."""
+    """build() once --grid-size >= minimum; a fault names both flags, since
+    h = extent / grid size."""
     if args.grid_size < minimum:
         raise ValueError(f"--grid-size must be at least {minimum}")
     try:
         return build()
     except ValueError as exc:
-        raise ValueError(f"--extent {args.extent!r}: {exc}") from None
+        raise ValueError(f"--grid-size {args.grid_size} --extent "
+                         f"{args.extent!r}: {exc}") from None
 
 
 def cmd_verify(args) -> int:
@@ -211,7 +213,10 @@ def cmd_propagate(args) -> int:
         diags = []
         for i, (rows, diag) in enumerate(stream(comps, times, **kw)):
             snap = [_field_from_g(comps[0].grid, g, "f") for g in rows[:n_comp]]
-            if not all(np.isfinite(c.values).all() for c in snap):
+            # continuity_residual is filled in one time later
+            checked = [c.values for c in snap] + [
+                diag[key] for key in columns if key != "continuity_residual"]
+            if not all(np.isfinite(x).all() for x in checked):
                 raise ValueError("the run overflowed; lower --k0, "
                                  "--t-max or --extent")
             write_state_csv(snap, os.path.join(tmp, f"snapshot_{i:03d}.csv"))

@@ -320,15 +320,15 @@ def _scalar_stream(comps, t_grid, method="spectral", dt=None):
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    window = []   # (rho, J, diagnostics) of the two times before this one
-    for i, (g, (rho, j, nrm)) in enumerate(flow):
+    window = []   # (t, rho, J, diagnostics) of the two times before this one
+    for ti, (g, (rho, j, nrm)) in zip(t, flow):
         if len(window) == 2:
-            (rho0, _, _), (_, j1, diag1) = window
-            diag1["continuity_residual"] = continuity_residuals(
-                t[i - 2:i + 1], [rho0, None, rho], [None, j1, None], grid)[1]
+            (t0, rho0, _, _), (_, _, j1, diag1) = window
+            diag1["continuity_residual"] = _continuity_residual(
+                ti - t0, rho0, j1, rho, grid)
         diag = {"norm": nrm, "min_rho": rho.min(), "max_rho": rho.max(),
                 "continuity_residual": np.nan}
-        window = window[-1:] + [(rho, j, diag)]
+        window = window[-1:] + [(ti, rho, j, diag)]
         yield [g], diag
 
 
@@ -347,29 +347,22 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
                     lambda rows: _field_from_g(psi0.grid, rows[0], psi0.rep))
 
 
-def continuity_residuals(times, rhos, js, grid):
-    """Centered-difference residual dt rho + dlambda J per interior snapshot,
-    over the band |lambda| <= 0.6 extent.
-
-    Entries for the first and last snapshot are NaN (no centered stencil).
-    Relative to the peak |dt rho| of the triple.
-    """
-    n = len(rhos)
-    out = np.full(n, np.nan)
-    # the band is [lo, hi) on the increasing, symmetric nodes; widened by a
-    # node each side, the gradient's central differences on it are the
-    # full-length ones
+def _continuity_residual(dt2, rho_before, j, rho_after, grid) -> float:
+    """Centered-difference residual dt rho + dlambda J of one triple (dt2
+    the time between its outer densities), over the band |lambda| <= 0.6
+    extent, relative to the peak |dt rho| there: 0 if that peak is 0, NaN
+    if it is not finite."""
+    # the band is [lo, hi) on the increasing, symmetric nodes, lo >= 1 for
+    # every n_half >= 8; widened by a node each side, the gradient's central
+    # differences on it are the full-length ones
     lo = int(np.searchsorted(grid.nodes, -0.6 * grid.extent))
     hi = grid.size - lo
-    wide = slice(max(lo - 1, 0), min(hi + 1, grid.size))
-    inner = slice(lo - wide.start, hi - wide.start)
-    for i in range(1, n - 1):
-        dt2 = times[i + 1] - times[i - 1]
-        drho = (rhos[i + 1][lo:hi] - rhos[i - 1][lo:hi]) / dt2
-        resid = drho + np.gradient(js[i][wide], grid.h)[inner]
-        scale = np.max(np.abs(drho))
-        out[i] = np.max(np.abs(resid)) / scale if scale > 0 else 0.0
-    return out
+    drho = (rho_after[lo:hi] - rho_before[lo:hi]) / dt2
+    resid = drho + np.gradient(j[lo - 1:hi + 1], grid.h)[1:-1]
+    scale = np.max(np.abs(drho))
+    if not scale < np.inf:
+        return np.nan
+    return np.max(np.abs(resid)) / scale if scale > 0 else 0.0
 
 
 def _wave_stream(comps, t_grid):

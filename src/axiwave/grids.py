@@ -199,21 +199,14 @@ class SpectralProfile:
         object.__setattr__(self, "values", vals)
 
 
-def sample_field(generator, grid: AxisGrid, rep: str = F_REP) -> AxialField:
-    """Evaluate `generator(lambda)` at every node, no smoothing.
-
-    The generator may be scalar or vectorized; non-finite values at any
-    node are rejected.
-    """
-    try:
-        vals = np.asarray(generator(grid.nodes), dtype=complex)
-        if vals.shape != grid.nodes.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([generator(x) for x in grid.nodes], dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("generator produced non-finite values on the grid")
-    return AxialField(grid, rep, vals)
+def sample_field(generator, grid: AxisGrid) -> AxialField:
+    """Evaluate the vectorized `generator(lambda)` at every node, no
+    smoothing, as an f-rep field.  A result that is not one finite value
+    per node is rejected."""
+    vals = np.asarray(generator(grid.nodes), dtype=complex)
+    if vals.shape != grid.nodes.shape or not np.all(np.isfinite(vals)):
+        raise ValueError("generator values are non-finite or not one per node")
+    return AxialField(grid, F_REP, vals)
 
 
 def convert_rep(fld: AxialField, target: str) -> AxialField:
@@ -259,8 +252,9 @@ def gaussian_packet(grid: AxisGrid, k0: float, width: float,
 
 def random_packet(grid: AxisGrid, rng, kmax: float = 3.0,
                   signs=(1.0, 1.0, 1.0, 1.0), centers=(-0.3, 0.3),
-                  widths=(0.08, 0.2), rep: str = F_REP) -> AxialField:
-    """Random band-limited superposition of Gaussian wavelets, built in g-rep.
+                  widths=(0.08, 0.2)) -> AxialField:
+    """Random band-limited superposition of Gaussian wavelets, built in g-rep
+    and returned in f-rep.
 
     One wavelet per entry of `signs`, drawn in order: center
     sign * U(centers) * extent, width U(widths) * extent, carrier
@@ -276,7 +270,7 @@ def random_packet(grid: AxisGrid, rng, kmax: float = 3.0,
         k = rng.uniform(-kmax, kmax)
         amp = rng.normal() + 1j * rng.normal()
         g += amp * np.exp(-(((lam - c) / w) ** 2)) * np.exp(1j * k * lam)
-    return convert_rep(AxialField(grid, G_REP, g), rep)
+    return convert_rep(AxialField(grid, G_REP, g), F_REP)
 
 
 def inner_product(a: AxialField, b: AxialField, weight: str = "unit") -> complex:
@@ -295,10 +289,6 @@ def inner_product(a: AxialField, b: AxialField, weight: str = "unit") -> complex
     lam = a.grid.nodes
     w = lam * lam if weight == "unit" else np.abs(lam)
     return complex(np.sum(w * np.conj(fa) * fb) * a.grid.h)
-
-
-def norm(a: AxialField, weight: str = "inv_r") -> float:
-    return float(np.sqrt(inner_product(a, a, weight).real))
 
 
 def spectral_inner_product(a: SpectralProfile, b: SpectralProfile,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SpectralGrid, SpectralProfile, fold, make_grid, unfold
+from .grids import SpectralProfile, fold, make_grid, unfold
 from .spectral import fourier_full_inverse, spectral_derivative
 
 _UNIT_TOL = 1e-12
@@ -119,17 +119,21 @@ def doppler_factor(khat, b: BoostParams) -> float:
     return b.gamma * (1.0 - b.v * float(n @ b.axis))
 
 
-def _dilate(sg: SpectralGrid, branches: np.ndarray,
-            alphas: np.ndarray) -> np.ndarray:
-    """phi(kappa_m / alpha) of each branch row at the positive nodes.
+def _dilate(branches: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """phi(kappa_m / alpha) of each branch row at the N positive nodes.
 
     ghat(kappa) = (h/sqrt(2 pi)) sum_j g_j exp(-i kappa lambda_j), g the
     field of the row's one-sided profile, has the phase beta u v at
     kappa_m / alpha, with u = m + 1/2, v = j - N + 1/2, beta = pi/(N alpha);
     u v = [u^2 + v^2 - (u - v)^2] / 2 makes the sum a convolution in
-    u - v = m - j + N, which runs over 1 - N .. 2N - 1.
+    u - v = m - j + N, which runs over 1 - N .. 2N - 1.  Every h and dk
+    cancels between the inverse transform, the sum and 1/sqrt(kappa), so
+    the rows are dilated on the unit grid h = 1: the result depends on the
+    node values alone, at any grid scale.
     """
-    n, kpos = sg.n_half, sg.positive_nodes()
+    n = branches.shape[1]
+    sg = make_grid(n, float(n)).conjugate()
+    kpos = sg.positive_nodes()
     g = fourier_full_inverse(np.concatenate(
         [np.zeros_like(branches), np.sqrt(kpos) * branches], axis=1), sg)
     half_beta = np.pi / (2 * n) / alphas[:, None]
@@ -139,7 +143,7 @@ def _dilate(sg: SpectralGrid, branches: np.ndarray,
     v = np.arange(2 * n) - (n - 0.5)
     conv = np.fft.ifft(np.fft.fft(g * np.exp(-1j * half_beta * (v * v)), size)
                        * np.fft.fft(np.exp(1j * half_beta * (d * d))))
-    ghat = (sg.axis_grid().h / np.sqrt(2.0 * np.pi) * conv[:, n:2 * n]
+    ghat = (conv[:, n:2 * n] / np.sqrt(2.0 * np.pi)
             * np.exp(-1j * half_beta * (np.arange(n) + 0.5) ** 2))
     q = kpos / alphas[:, None]
     return np.where(q <= n * sg.dk, ghat / np.sqrt(q), 0.0)
@@ -158,19 +162,19 @@ def boost_beam(beam: BeamState, b: BoostParams) -> tuple[BeamState, ...]:
     sg = beam.profile.grid
     # phi at the +kappa and at the -kappa nodes, by |kappa|
     branches = np.stack(fold(beam.profile.values, sg.n_half))
-    c = float(beam.direction @ b.axis)
     # kappa' = alpha(branch) * kappa, alpha the branch's Doppler factor
-    new_fwd, new_bwd = new = _dilate(
-        sg, branches, b.gamma * (1.0 - b.v * np.array([c, -c])))
+    new_fwd, new_bwd = new = _dilate(branches, np.array(
+        [doppler_factor(d, b) for d in (beam.direction, -beam.direction)]))
+    # each branch's sum |phi|^2 / |kappa|, in units of dk
     norms = np.linalg.norm(np.stack([branches, new])
-                           / np.sqrt(sg.positive_nodes()), axis=2)
+                           / np.sqrt(np.arange(sg.n_half) + 0.5), axis=2)
     for label, (before, after) in zip(("forward", "backward"), norms.T):
         kept = after / before if before else 1.0
         if not abs(kept - 1.0) <= 1e-12:   # a NaN warns too
             warnings.warn(f"boost_beam: the {label} branch keeps "
                           f"{float(kept)!r} of its 1/|kappa| norm on the band",
                           stacklevel=2)
-    if abs(abs(c) - 1.0) <= _UNIT_TOL:
+    if abs(abs(float(beam.direction @ b.axis)) - 1.0) <= _UNIT_TOL:
         # one axis survives
         return (BeamState(beam.direction,
                           SpectralProfile(sg, unfold(new_fwd, new_bwd))),)
@@ -187,9 +191,10 @@ def momentum_boost_generator(profile: SpectralProfile) -> SpectralProfile:
 
     The kappa-derivative is taken spectrally, so the profile must be smooth
     across kappa = 0.  On forward-branch profiles the finite boost flow of
-    `boost_beam` is phi -> phi - i dv N_k phi + O(dv^2).
+    `boost_beam` is phi -> phi - i dv N_k phi + O(dv^2).  With u = kappa/dk
+    on the unit grid, kappa dphi/dkappa = u dphi/du carries no grid scale.
     """
-    sg = profile.grid
-    # kappa sampled like an axis grid of spacing dk
-    dphi = spectral_derivative(profile.values, make_grid(sg.n_half, sg.extent))
-    return SpectralProfile(sg, 1j * sg.nodes * dphi)
+    n = profile.grid.n_half
+    unit = make_grid(n, float(n))
+    return SpectralProfile(profile.grid, 1j * unit.nodes
+                           * spectral_derivative(profile.values, unit))

@@ -99,9 +99,7 @@ def analyze(psi: AxialField) -> SpectralProfile:
 
     Composes the trig transforms, parity and the sqrt(r), 1/sqrt(k)
     diagonal factors exactly as written in the defining bracket.
-    Measured against `analyze_fast` (one thread, medians of 8 runs): the
-    FFT route is faster at n_half 256 (about 2x) and 4096 (about 17%); at
-    65536 the two are close (FFT about 7% ahead).
+    `bench/micro.py` times it against `analyze_fast`.
     """
     grid = psi.grid
     sgrid = grid.conjugate()
@@ -123,12 +121,7 @@ def synthesize(phi: SpectralProfile) -> AxialField:
 
 
 def analyze_fast(psi: AxialField) -> SpectralProfile:
-    """Same map as `analyze` through the phased full-line FFT.
-
-    With the cached plan this route is faster than the trig route at
-    n_half 256 (about 2x) and 4096 (about 17%), and close to it at 65536
-    (about 7% ahead); see `analyze`.
-    """
+    """Same map as `analyze` through the phased full-line FFT."""
     g = convert_rep(psi, "g").values
     sgrid = psi.grid.conjugate()
     ghat = fourier_full(g, psi.grid)

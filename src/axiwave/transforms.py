@@ -88,10 +88,6 @@ class HalfLineFunction:
         return self.values.size
 
     @property
-    def nodes(self) -> np.ndarray:
-        return offset_nodes(self.n, self.spacing)[self.n:]
-
-    @property
     def extent(self) -> float:
         return self.n * self.spacing
 

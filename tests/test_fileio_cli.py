@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import axiwave
 from axiwave import cli
@@ -310,7 +315,7 @@ def test_cli_tiny_extent_without_asserts(tmp_path):
     done = _cli("propagate", "--grid-size", "8", "--extent", "5e-324",
                 "--out", str(tmp_path / "run"))
     assert done.returncode == 2
-    assert done.stderr.startswith("error: --extent 5e-324")
+    assert done.stderr.startswith("error: --grid-size 8 --extent 5e-324")
     assert len(done.stderr.splitlines()) == 1
     assert not (tmp_path / "run").exists()
 
@@ -332,20 +337,21 @@ def _huge_state(path):
     write_state_csv(AxialField(grid, "f", np.full(grid.size, 1e307)), path)
 
 
-def _tiny_beam(path):
-    sg = make_grid(64, 1e-250).conjugate()
+def _huge_beam(path):
+    sg = make_grid(64, 40.0).conjugate()
     m = sg.nodes / sg.dk
     write_beams_json([BeamState([0.0, 0.0, 1.0], SpectralProfile(
-        sg, np.where(m > 0, np.exp(-(m - 16.0) ** 2 / 16.0), 0.0)))], path)
+        sg, np.where(m > 0, 1e307 * np.exp(-(m - 16.0) ** 2 / 16.0), 0.0)))],
+        path)
 
 
 @pytest.mark.parametrize("make, command", [
-    (_huge_state, ["transform"]), (_tiny_beam, ["boost", "--v", "0.6"])],
+    (_huge_state, ["transform"]), (_huge_beam, ["boost", "--v", "0.6"])],
     ids=["transform", "boost"])
 def test_cli_refuses_to_write_non_finite_output(tmp_path, make, command):
     # finite inputs whose results overflow (the spectrum of a constant
-    # 1e307, the dilation at extent 1e-250): the writer refuses them, so
-    # nothing is written that the readers would reject
+    # 1e307, the dilation's sums over a beam of peak 1e307): the writer
+    # refuses them, so nothing is written that the readers would reject
     make(tmp_path / "in")
     out = tmp_path / "out"
     done = _cli(*command, "--in", str(tmp_path / "in"), "--out", str(out))
@@ -354,6 +360,58 @@ def test_cli_refuses_to_write_non_finite_output(tmp_path, make, command):
     assert errors == [f"error: {out}: refusing to write a non-finite value"]
     assert "RuntimeWarning" not in done.stderr
     assert not out.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_half=st.integers(8, 64), log_dk=st.floats(-300.0, 300.0),
+       log_peak=st.floats(-300.0, 307.0), v=st.floats(-0.99, 0.99),
+       axis=st.sampled_from(["z", "x", "1,1,0", "-0.3,0.4,0.5"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_half=64, log_dk=-250.0, log_peak=307.0, v=0.6, axis="z", seed=0)
+def test_cli_boost_output_reads_back_or_is_refused(n_half, log_dk, log_peak,
+                                                   v, axis, seed):
+    # any well-formed beam file, at any accepted grid scale: the output
+    # reads back, or the run exits 2 with one error line and no file
+    rng = np.random.default_rng(seed)
+    sg = make_spectral_grid(n_half, 10.0 ** log_dk)
+    beams = [BeamState(d / np.linalg.norm(d), SpectralProfile(
+        sg, 10.0 ** log_peak * (rng.uniform(-1, 1, sg.size)
+                                + 1j * rng.uniform(-1, 1, sg.size))))
+        for d in rng.normal(size=(2, 3))]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "in.json"), Path(tmp, "out.json")
+        write_beams_json(beams, src)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the lossy-boost warnings
+            code = main(["boost", f"--v={v!r}", f"--axis={axis}",
+                         "--in", str(src), "--out", str(out)])
+        if code == 0:
+            assert len(read_beams_json(out)) >= len(beams)
+        else:
+            assert code == 2
+            assert err.getvalue().startswith("error: ")
+            assert len(err.getvalue().splitlines()) == 1
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, n_comp", [
+    ("scalar", 1), ("weyl", 2), ("maxwell", 3)])
+def test_cli_propagate_refuses_overflowed_diagnostics(tmp_path, capsys, kind,
+                                                       n_comp):
+    # every sample of a constant 1e160 is finite, but |g|^2 overflows: the
+    # diagnostics read inf, and the run is refused like an overflowed one
+    grid = make_grid(16, 40.0)
+    big = np.full(grid.size, 1e160 + 0j)
+    write_state_csv([AxialField(grid, "f", x) for x in (
+        big, 1j * big, 0 * big)[:n_comp]], tmp_path / "in.csv")
+    out = tmp_path / "run"
+    assert main(["propagate", "--kind", kind, "--in", str(tmp_path / "in.csv"),
+                 "--snapshots", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the run overflowed; lower --k0, --t-max or --extent\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
 def test_cli_propagate_writes_each_snapshot_as_it_is_made(tmp_path,
@@ -415,14 +473,16 @@ def test_cli_propagate_makes_missing_out_parents(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["propagate", "--method", "rk4", "--extent", "1e-300"],
     ["verify", "--grid-size", "16", "--extent", "1e-300"],
-    ["verify", "--grid-size", "64", "--extent", "1e-5"]])
+    ["verify", "--grid-size", "64", "--extent", "1e-5"],
+    ["verify", "--grid-size", "65536", "--extent", "40"]])
 def test_cli_refuses_unbounded_rk4_run(tmp_path, argv):
-    # 1e303 (2.56e8 at 1e-5) RK4 steps: refused before the first one; verify
-    # refuses the config itself, naming --extent, and writes no report
+    # 1e303 (2.56e8 at 1e-5, 6.55e4 on 131072 nodes) RK4 steps: refused
+    # before the first one; verify refuses the config itself, naming both
+    # grid flags, and writes no report
     done = _cli(*argv, "--out", str(tmp_path / "out"), timeout=60)
     assert done.returncode == 2
     want = "error: rk4 run of" if argv[0] == "propagate" else \
-        f"error: --extent {float(argv[-1])!r}: rk4 run of"
+        f"error: --grid-size {argv[2]} --extent {float(argv[-1])!r}: rk4 run"
     assert done.stderr.splitlines()[-1].startswith(want)
     assert done.stdout == ""
     assert "2**32 node-steps" in done.stderr

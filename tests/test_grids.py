@@ -64,6 +64,9 @@ def test_sample_field_rejects_nonfinite():
     g = make_grid(8, 4.0)
     with pytest.raises(ValueError, match="non-finite"):
         sample_field(lambda x: 1.0 / (x - 0.25), g)
+    # a scalar generator gets no per-node retry
+    with pytest.raises(ValueError, match="not one per node"):
+        sample_field(lambda x: 1.0, g)
 
 
 def test_convert_rep_explicit_values():

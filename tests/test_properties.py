@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from axiwave.grids import (make_grid, make_spectral_grid, parity_join,
-                           parity_split, random_packet)
+from axiwave.grids import (make_grid, make_spectral_grid, offset_nodes,
+                           parity_join, parity_split, random_packet)
 from axiwave.transforms import (HalfLineFunction, hilbert_even, hilbert_odd,
                                 hilbert_signed)
 
@@ -91,7 +91,7 @@ def test_grid_rule_raises_value_error_or_builds_a_usable_grid(n_half, spacing,
         return
     if build == "half-line":
         assert f.n == n_half
-        _assert_half_offset(np.concatenate([-f.nodes[::-1], f.nodes]), f.n)
+        _assert_half_offset(offset_nodes(f.n, f.spacing), f.n)
         assert 0.0 < f.conjugate_spacing() < np.inf
         return
     assert grid.size == 2 * n_half == grid.nodes.size

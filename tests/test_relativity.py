@@ -230,16 +230,35 @@ def test_red_shift_near_band_top_warns_of_gain():
     assert said == pytest.approx(kept, rel=1e-5)
 
 
+def _gauss_beam(sg, peak=1.0):
+    """A forward beam of the same node values on any kappa grid."""
+    m = np.arange(-sg.n_half, sg.n_half) + 0.5
+    return BeamState(EZ, SpectralProfile(
+        sg, np.where(m > 0, peak * np.exp(-(m - 16.0) ** 2 / 16.0), 0.0)))
+
+
 def test_nan_loss_warns():
-    # at extent 1e-250 the dilation overflows and a beam scaled to its grid
-    # comes back NaN: a NaN fraction kept warns like any other loss
-    sg = make_grid(64, 1e-250).conjugate()
-    m = sg.nodes / sg.dk
-    beam = BeamState(EZ, SpectralProfile(
-        sg, np.where(m > 0, np.exp(-(m - 16.0) ** 2 / 16.0), 0.0)))
+    # near the top of the float range the dilation's sums overflow and the
+    # beam comes back partly non-finite: a NaN fraction kept warns like any
+    # other loss
+    beam = _gauss_beam(make_grid(64, 40.0).conjugate(), 1e307)
     with np.errstate(all="ignore"), \
             pytest.warns(UserWarning, match="forward branch keeps nan"):
-        boost_beam(beam, BoostParams(0.6, EZ))
+        (out,) = boost_beam(beam, BoostParams(0.6, EZ))
+    assert not np.isfinite(out.profile.values).all()
+
+
+@pytest.mark.filterwarnings("ignore:boost_beam:UserWarning")
+def test_boost_depends_on_node_values_alone():
+    # every grid scale cancels in the dilation: the same node values give
+    # the same bits at any accepted extent
+    for b in (BoostParams(0.6, EZ), BoostParams(-0.4, [0.6, 0.0, 0.8])):
+        values = [np.stack([out.profile.values for out in boost_beam(
+            _gauss_beam(make_grid(64, extent).conjugate()), b)])
+            for extent in (40.0, 1e-250, 1e250, 1e300)]
+        assert np.isfinite(values[0]).all()
+        for other in values[1:]:
+            assert np.array_equal(other, values[0])
 
 
 def direct_dilation(sg, branch, alpha):
@@ -261,7 +280,7 @@ def test_dilate_matches_direct_sum(n_half):
     alphas = np.array([0.07, 0.5, 2.0, 14.1])
     for k0 in (8.0, 0.3 * n_half * sg.dk):
         branch = np.exp(-((kpos - k0) / 1.0) ** 2) * (1.0 + 0.3j)
-        got = relativity._dilate(sg, np.tile(branch, (4, 1)), alphas)
+        got = relativity._dilate(np.tile(branch, (4, 1)), alphas)
         for row, alpha in zip(got, alphas):
             want = direct_dilation(sg, branch, alpha)
             assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(branch))
