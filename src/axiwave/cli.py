@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -35,6 +36,10 @@ _FLAGS = {  # shared flags; each subcommand takes only those it reads
                     "multiply every tolerance (0 fails all inexact)"),
     "--out": (str, None, "output path or directory"),
 }
+
+
+# flag values, not flags: "-1e-05", "-.5", "-inf", "-0.6,0,0.8"
+_NEGATIVE_VALUE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _add_flags(parser, *names):
@@ -76,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--inverse", action="store_true",
                    help="spectral -> state instead of state -> spectral")
+    for parser in sub.choices.values():   # argparse's own pattern is narrower
+        parser._negative_number_matcher = _NEGATIVE_VALUE
     return p
 
 

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import AxialField, AxisGrid, convert_rep, fold, unfold
+from .grids import INTERIOR, AxialField, AxisGrid, convert_rep, fold, unfold
 from .spectral import fourier_full, fourier_full_inverse
 from .transforms import _r2r_pair, hilbert_signed
 
@@ -349,13 +349,13 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
 
 def _continuity_residual(dt2, rho_before, j, rho_after, grid) -> float:
     """Centered-difference residual dt rho + dlambda J of one triple (dt2
-    the time between its outer densities), over the band |lambda| <= 0.6
-    extent, relative to the peak |dt rho| there: 0 if that peak is 0, NaN
-    if it is not finite."""
+    the time between its outer densities), over the interior band
+    |lambda| <= INTERIOR * extent, relative to the peak |dt rho| there: 0
+    if that peak is 0, NaN if it is not finite."""
     # the band is [lo, hi) on the increasing, symmetric nodes, lo >= 1 for
     # every n_half >= 8; widened by a node each side, the gradient's central
     # differences on it are the full-length ones
-    lo = int(np.searchsorted(grid.nodes, -0.6 * grid.extent))
+    lo = int(np.searchsorted(grid.nodes, -INTERIOR * grid.extent))
     hi = grid.size - lo
     drho = (rho_after[lo:hi] - rho_before[lo:hi]) / dt2
     resid = drho + np.gradient(j[lo - 1:hi + 1], grid.h)[1:-1]
@@ -410,19 +410,6 @@ def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResul
     stream = _weyl_stream([psi0.component(0), psi0.component(1)], t_grid)
     return _collect(t_grid, stream, lambda rows: SpinorField(grid, rep, *(
         _field_from_g(grid, x, rep).values for x in rows)))
-
-
-def weyl_hamiltonian(grid: AxisGrid):
-    """Handle applying sigma . pbar to a SpinorField (g-level spectral)."""
-    from .operators import pbar
-    p = pbar(grid)
-
-    def apply(psi: SpinorField) -> SpinorField:
-        up = p.apply(psi.component(0))
-        dn = p.apply(psi.component(1))
-        return SpinorField(grid, psi.rep, up.values, -dn.values)
-
-    return apply
 
 
 def _maxwell_stream(comps, t_grid, constraint_tol=1e-12):

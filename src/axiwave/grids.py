@@ -45,6 +45,8 @@ _REPS = (F_REP, G_REP)
 _FIELD_WEIGHTS = ("unit", "inv_r")
 _SPECTRAL_WEIGHTS = ("inv_k", "k")
 MIN_N_HALF = 8
+# the interior band |lambda| <= INTERIOR * extent of every interior norm
+INTERIOR = 0.6
 
 
 class GridMismatchError(ValueError):
@@ -84,13 +86,13 @@ class AxisGrid(_HalfOffset):
                 self.n_half, np.pi / self.extent, axis=self))
         return self._conjugate
 
-    def interior_mask(self, fraction: float = 0.6) -> np.ndarray:
-        """Boolean mask keeping the central `fraction` of nodes.
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask of the interior band |lambda| <= INTERIOR * extent.
 
         The excluded band sits at the truncation edges |lambda| ~ extent,
         where finite-domain transforms are wrong by construction.
         """
-        return np.abs(self.nodes) <= fraction * self.extent
+        return np.abs(self.nodes) <= INTERIOR * self.extent
 
     def same_as(self, other: "AxisGrid") -> bool:
         return self.n_half == other.n_half and self.h == other.h

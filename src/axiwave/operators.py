@@ -54,7 +54,7 @@ _BOOST_ORDERINGS = ("h_first", "h_last")
 
 @dataclass(frozen=True, eq=False)
 class LinearOperatorHandle:
-    """A composable linear map on axis fields with a declared adjoint."""
+    """A labelled linear map on axis fields of one grid."""
 
     label: str
     grid: AxisGrid
@@ -77,7 +77,7 @@ def _wrap(label: str, grid: AxisGrid, fn: Callable[[np.ndarray], np.ndarray],
 def _routes_residual(handles, probes) -> float:
     """Worst pairwise interior gap among the handles' g-outputs over probes,
     relative to the largest interior output norm of each probe."""
-    mask = handles[0].grid.interior_mask(0.6)
+    mask = handles[0].grid.interior_mask()
     worst = 0.0
     for f in probes:
         outs = [convert_rep(h.apply(f), "g").values for h in handles]
@@ -222,8 +222,7 @@ def boost_ordering_residual(grid: AxisGrid,
 
 def commutator_residual(a: LinearOperatorHandle, b: LinearOperatorHandle,
                         expected: LinearOperatorHandle | None,
-                        scale: complex, probes: Sequence[AxialField],
-                        mask_fraction: float = 0.6) -> float:
+                        scale: complex, probes: Sequence[AxialField]) -> float:
     """max over probes of ||(AB - BA - scale*expected) f||_int / ||f||_int.
 
     Norms are flat g-representation norms over the interior mask (the 1/r
@@ -231,8 +230,7 @@ def commutator_residual(a: LinearOperatorHandle, b: LinearOperatorHandle,
     """
     if len(probes) == 0:
         raise ValueError("empty probe list")
-    grid = a.grid
-    mask = grid.interior_mask(mask_fraction)
+    mask = a.grid.interior_mask()
     worst = 0.0
     for f in probes:
         ab = a.apply(b.apply(f))

@@ -9,8 +9,8 @@ exact to rounding on the offset grids (the unitary round-trip chief among
 them) are reported against their machine floor.
 
 The default configuration reproduces the acceptance envelope: half-grid
-sizes 256 and 512, extent 40, interior masks 0.6/0.8, one fixed seed.
-Runs are serial and deterministic: identical config and seed give a
+sizes 256 and 512, extent 40, the interior band of `grids.INTERIOR` and
+the 80% half-line band, one fixed seed.  Runs are serial and deterministic: identical config and seed give a
 byte-identical JSON report.
 """
 
@@ -32,14 +32,14 @@ from .operators import (_hilbert, _wrap, adjoint_residual,
                         rayleigh_quotient, LinearOperatorHandle)
 from .evolution import (packet_centroid, propagate_maxwell,
                         propagate_scalar, propagate_weyl, _rk4_step,
-                        SpinorField, VectorField3, weyl_hamiltonian)
+                        SpinorField, VectorField3)
 from .relativity import (BeamState, BoostParams, FourMomentum,
                          aberrate_direction, boost_beam, boost_four_momentum,
                          doppler_factor, momentum_boost_generator)
 from .spectral import analyze, analyze_fast, fourier_full, \
     fourier_full_inverse, synthesize
-from .transforms import HalfLineFunction, hilbert_even, hilbert_odd, \
-    hilbert_signed, trig_transform
+from .transforms import HalfLineFunction, _hilbert_core, hilbert_even, \
+    hilbert_odd, hilbert_signed, trig_transform
 from ._fd import derivative as fd_derivative, derivative_per_half
 
 MACHINE_FLOOR = 1e-12
@@ -169,13 +169,14 @@ def _half_line_transforms(cfg, grid, halves, probes, **_):
             r_self[kind] = max(r_self[kind], rel_err(back.values, f.values))
         he_q = hilbert_even(f, backend="quadrature").values
         ho_q = hilbert_odd(f, backend="quadrature").values
-        he_s = hilbert_even(f, backend="spectral").values
-        ho_s = hilbert_odd(f, backend="spectral").values
-        e_he, e_ho = rel_err(he_s, he_q, mask80), rel_err(ho_s, ho_q, mask80)
+        he_s = hilbert_even(f, backend="spectral")
+        ho_s = hilbert_odd(f, backend="spectral")
+        e_he = rel_err(he_s.values, he_q, mask80)
+        e_ho = rel_err(ho_s.values, ho_q, mask80)
         r_he, r_ho = max(r_he, e_he), max(r_ho, e_ho)
         r_backend = max(r_backend, e_he / 2.0, e_ho / 2.0)
-        eo = hilbert_even(hilbert_odd(f)).values
-        oe = hilbert_odd(hilbert_even(f)).values
+        # He Ho f and Ho He f, both from the spectral transforms above
+        eo, oe = _hilbert_core([ho_s, he_s], ("even", "odd"), "spectral")
         r_eo = max(r_eo, rel_err(eo, -f.values, mask80))
         r_oe = max(r_oe, rel_err(oe, -f.values, mask80))
     yield "trig cos self-inverse", "Fc~ Fc = 1", r_self["cos"], 1e-10
@@ -187,7 +188,7 @@ def _half_line_transforms(cfg, grid, halves, probes, **_):
     yield "even-odd inversion", "He Ho = -1", r_eo, 1e-2
     yield "odd-even inversion", "Ho He = -1", r_oe, 1e-2
 
-    interior = grid.interior_mask(0.6)
+    interior = grid.interior_mask()
     r_pm = r_mp = 0.0
     for f in probes:
         pm = hilbert_signed(hilbert_signed(f, "plus"), "minus").values
@@ -224,7 +225,7 @@ def _unitary_map(cfg, grid, fine, probes, **_):
         worst = 0.0
         for f in [random_packet(g, rng_u) for _ in range(4)]:
             back = synthesize(analyze(f)).values
-            worst = max(worst, rel_err(back, f.values, g.interior_mask(0.6)))
+            worst = max(worst, rel_err(back, f.values, g.interior_mask()))
         return worst
 
     err_coarse, err_fine = unitarity_error(grid), unitarity_error(fine)
@@ -238,9 +239,9 @@ def _unitary_map(cfg, grid, fine, probes, **_):
     yield ("unitary round-trip order", "error order >= 1.8 under doubling",
            shortfall, 0.05)
 
+    phis = [analyze(f) for f in probes]
     r_par = r_fast = 0.0
-    for f in probes[:4]:
-        phi = analyze(f)
+    for f, phi in zip(probes[:4], phis):
         r_fast = max(r_fast, rel_err(analyze_fast(f).values, phi.values))
         back = analyze(synthesize(phi))
         r_par = max(r_par, rel_err(back.values, phi.values))
@@ -249,8 +250,8 @@ def _unitary_map(cfg, grid, fine, probes, **_):
            1e-10)
 
     r_parseval = 0.0
-    for a, b in zip(probes[:-1], probes[1:]):
-        lhs = spectral_inner_product(analyze(a), analyze(b), "k")
+    for a, b, phi_a, phi_b in zip(probes, probes[1:], phis, phis[1:]):
+        lhs = spectral_inner_product(phi_a, phi_b, "k")
         rhs = inner_product(a, b, "inv_r")
         r_parseval = max(r_parseval, abs(lhs - rhs) / abs(rhs))
     yield ("unitarity of the weighted pair",
@@ -266,7 +267,7 @@ def _hamiltonian_forms(grid, probes, **_):
     for f in probes[:4]:
         via_h = convert_rep(left.apply(right.apply(f)), "g").values
         via_p = convert_rep(p_op.apply(p_op.apply(f)), "g").values
-        r_sq = max(r_sq, rel_err(via_h, via_p, grid.interior_mask(0.6)))
+        r_sq = max(r_sq, rel_err(via_h, via_p, grid.interior_mask()))
     yield "squared hamiltonian", "(p0)^2 = pbar^2", r_sq, 2e-2
 
     pkt = gaussian_packet(grid, PACKET_K / 2.0, PACKET_WIDTH)
@@ -386,11 +387,14 @@ def _evolution(cfg, grid, **_):
     yield ("packet speed (spinor)", "upper component speed = +1",
            abs((cu[1] - cu[0]) / 6.0 - 1.0), 2e-2)
 
-    # i dPsi/dt at eps by a centered difference, second order in eps
+    # i dPsi/dt at eps by a centered difference, second order in eps;
+    # sigma . pbar is pbar on the upper component and -pbar on the lower
     ws = propagate_weyl(SpinorField(grid, "g", pkt.values, np.conj(
         pkt.values)), [0.0, 1e-4, 2e-4]).snapshots
-    s0, s2, gen = (np.stack([s.up, s.down]) for s in (
-        ws[0], ws[2], weyl_hamiltonian(grid)(ws[1])))
+    p_op = pbar(grid)
+    gen = np.stack([p_op.apply(ws[1].component(0)).values,
+                    -p_op.apply(ws[1].component(1)).values])
+    s0, s2 = (np.stack([s.up, s.down]) for s in (ws[0], ws[2]))
     gap = np.max(np.abs(1j * (s2 - s0) / 2e-4 - gen))
     yield ("Weyl generator", "i dPsi/dt = sigma . pbar Psi",
            _ratio(float(gap), float(np.max(np.abs(gen)))), 1e-6)
@@ -469,7 +473,7 @@ def _kinematics(cfg, grid, fine, **_):
         boost_generator_config(fine, "h_first").apply(psi), "g").values
     yield ("generator cancellation across modules",
            "boost flow of phi = -i dv N acting on psi",
-           rel_err(dactual, dpred, fine.interior_mask(0.6)), 5e-2, fine)
+           rel_err(dactual, dpred, fine.interior_mask()), 5e-2, fine)
 
 
 # each yields (label, identity, residual, tolerance[, grid]) in report order

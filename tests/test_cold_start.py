@@ -4,7 +4,8 @@ Each check runs in a fresh interpreter, because this test process has
 imported scipy itself and would hide a module-level import.  `import
 axiwave`, a spectral `propagate` of every kind and a beam `boost` need
 numpy alone; the r2r routes (rk4, `transform`, `verify`) load
-`scipy.fft`.  No module of the package imports `scipy.interpolate`.
+`scipy.fft`.  No module of the package imports `scipy.interpolate`, and
+the default `verify` runs clean with every warning an error.
 """
 
 import ast
@@ -22,6 +23,7 @@ from axiwave.fileio import write_beams_json, write_state_csv
 from axiwave.grids import SpectralProfile, convert_rep, gaussian_packet, \
     make_grid
 from axiwave.relativity import BeamState
+from axiwave.verify import run_verification
 
 # runs each (label, argv) step through `cli.main` and prints, per step,
 # the exit code and the scipy modules loaded so far
@@ -40,13 +42,17 @@ print(json.dumps(rows))
 """
 
 
-def _run_fresh(steps, cwd):
+def _fresh(args, cwd):
+    """`python *args` in a fresh interpreter that imports this package."""
     src = str(Path(axiwave.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(steps)],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _run_fresh(steps, cwd):
+    done = _fresh(["-c", _CHILD, json.dumps(steps)], cwd)
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout.strip().splitlines()[-1])
     return {label: (code, set(mods)) for label, code, mods in rows}
@@ -98,6 +104,14 @@ def test_r2r_routes_load_fft_but_no_spline(spectral_and_rk4, file_routes,
     assert code == 0
     assert "scipy.fft" in mods
     assert "scipy.interpolate" not in mods
+
+
+def test_default_verify_raises_no_warning(tmp_path):
+    done = _fresh(["-W", "error", "-m", "axiwave.cli", "verify", "--out",
+                   "report.json"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "report.json").read_text() == \
+        run_verification().to_json() + "\n"
 
 
 def _imported_modules(tree):

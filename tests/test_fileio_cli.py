@@ -229,7 +229,7 @@ def test_cli_propagate_methods_agree(tmp_path):
     assert main(args + ["--method", "rk4", "--out", str(b_dir)]) == 0
     fa = read_state_csv(a_dir / "snapshot_001.csv")
     fb = read_state_csv(b_dir / "snapshot_001.csv")
-    mask = fa.grid.interior_mask(0.6)
+    mask = fa.grid.interior_mask()
     num = np.linalg.norm((fa.values - fb.values)[mask])
     den = np.linalg.norm(fa.values[mask])
     assert num / den <= 1e-2
@@ -385,7 +385,7 @@ def test_cli_boost_output_reads_back_or_is_refused(n_half, log_dk, log_peak,
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")   # the lossy-boost warnings
-            code = main(["boost", f"--v={v!r}", f"--axis={axis}",
+            code = main(["boost", "--v", repr(v), "--axis", axis,
                          "--in", str(src), "--out", str(out)])
         if code == 0:
             assert len(read_beams_json(out)) >= len(beams)
@@ -622,6 +622,19 @@ def test_cli_boost_rejects_non_finite_axis(tmp_path, capsys, axis):
     assert err.startswith("error: cannot parse axis") and \
         len(err.splitlines()) == 1
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("v, axis", [("-1e-05", "z"), ("-0.5", "-0.6,0,0.8")])
+def test_cli_boost_reads_a_negative_value_after_a_space(tmp_path, v, axis):
+    # "--v -1e-05" is "--v=-1e-05", and a comma list may start with "-"
+    src = tmp_path / "beams.json"
+    src.write_text(json.dumps(_beam()))
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert main(["boost", "--v", v, "--axis", axis, "--in", str(src),
+                 "--out", str(spaced)]) == 0
+    assert main(["boost", f"--v={v}", f"--axis={axis}", "--in", str(src),
+                 "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

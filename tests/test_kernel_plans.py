@@ -12,6 +12,7 @@ from axiwave.evolution import (SpinorField, VectorField3, propagate_maxwell,
                                propagate_scalar, propagate_wave, propagate_weyl)
 from axiwave.grids import (AxialField, convert_rep, make_grid, parity_join,
                            parity_split, random_packet)
+from axiwave.verify import RunConfig, _draw_suites, _half_line_transforms
 
 SIZES = (8, 1000, 4096)
 KIND_PAIRS = [(a, b) for a in ("cos", "sin") for b in ("cos", "sin")]
@@ -348,10 +349,22 @@ def test_spectral_scalar_kernel_calls(r2r_calls, fft_calls):
     assert fft_calls == {"fft": 1, "ifft": 2 * len(times)}
 
 
+def test_half_line_section_makes_ten_r2r_calls_per_probe(r2r_calls):
+    # per half-line probe: two trig round trips, He and Ho on the spectral
+    # backend, and one two-row call for He Ho and Ho He; the section's loop
+    # over the probes runs before its first entry is yielded
+    suites = _draw_suites(RunConfig())
+    for count in (1, 3):
+        r2r_calls.clear()
+        next(_half_line_transforms(**{**suites,
+                                      "halves": suites["halves"][:count]}))
+        assert len(r2r_calls) == 10 * count
+
+
 def masked_continuity_residual(dt2, rho_before, j, rho_after, grid,
                                mask_fraction):
     """Full-length arrays reduced through a boolean-mask copy."""
-    mask = grid.interior_mask(mask_fraction)
+    mask = np.abs(grid.nodes) <= mask_fraction * grid.extent
     drho = (rho_after - rho_before) / dt2
     resid = (drho + np.gradient(j, grid.h))[mask]
     scale = np.max(np.abs(drho[mask]))

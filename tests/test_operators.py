@@ -167,7 +167,7 @@ def test_pbar_squared_equals_pbar0_squared():
     left = pbar0(GRID, "left")
     right = pbar0(GRID, "right")
     p = pbar(GRID)
-    mask = GRID.interior_mask(0.6)
+    mask = GRID.interior_mask()
     for f in ps:
         via_h = left.apply(right.apply(f))
         via_p = p.apply(p.apply(f))

@@ -344,5 +344,5 @@ def test_cross_module_generator_cancellation():
     boosted = boost_beam(beam, BoostParams(dv, EZ))[0].profile
     delta_actual = convert_rep(synthesize(boosted), "g").values - psi_g
     delta_pred = -1j * dv * convert_rep(n_conf.apply(psi), "g").values
-    mask = grid.interior_mask(0.6)
+    mask = grid.interior_mask()
     assert rel_err(delta_actual, delta_pred, mask) <= 0.05

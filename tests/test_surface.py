@@ -27,8 +27,6 @@ KEPT_DEFAULTS = {
     "_scalar_diagnostics.backend": BOUND_BY_BENCH,
     "propagate_scalar.dt": BOUND_BY_BENCH,
     "propagate_maxwell.constraint_tol": BOUND_BY_BENCH,
-    "commutator_residual.mask_fraction": "test_acceptance's commutator "
-    "refinement ladder fixes the band in lambda across extents",
 }
 
 
