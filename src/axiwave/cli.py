@@ -9,6 +9,7 @@ and seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import shutil
@@ -48,7 +49,10 @@ def _add_flags(parser, *names):
         parser.add_argument(name, type=typ, default=default, help=text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every `main` call shares it."""
     p = argparse.ArgumentParser(
         prog="axiwave",
         description="operator calculus for waves localized along an axis")

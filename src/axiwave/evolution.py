@@ -39,7 +39,7 @@ import numpy as np
 
 from .grids import INTERIOR, AxialField, AxisGrid, convert_rep, fold, unfold
 from .spectral import fourier_full, fourier_full_inverse
-from .transforms import _r2r_pair, hilbert_signed
+from .transforms import _dct4, hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
 RK4_MAX_NODE_STEPS = 2 ** 32  # bound on ceil(t_end / dt) x node count
@@ -222,15 +222,16 @@ def _hamiltonian_g(grid: AxisGrid):
 def _scaled_hamiltonian(grid, factor):
     """apply(g, out=None): factor * H g (factor 1 or -1j), bit for bit the
     parity split, two two-row `_trig_rows` calls, the parity join and a
-    last multiply by `factor`.  The three work rows are allocated once
-    here, so an apply serves one thread.
+    last multiply by `factor`.  The three work rows, their complex views
+    and the float views the DCT-IV runs on are made once here, so an apply
+    serves one thread.
 
     Each DCT-IV is followed by one multiply by a precomputed complex row
     pair: the split's 1/2 and the first scale, then the second scale and
     `factor`, both with the sin row's odd entries negated (the DST-IV sign,
-    so `_r2r_pair` runs both rows as cos).  Powers of 2, signs and 1 or -i
-    are exact, so every product still rounds once.  The x k and the sin
-    row's reversal are one multiply into the third row."""
+    so both rows run as cos).  Powers of 2, signs and 1 or -i are exact,
+    so every product still rounds once.  The x k and the sin row's
+    reversal are one multiply into the third row."""
     n = grid.n_half
     sg = grid.conjugate()
     k = sg.positive_nodes().astype(complex)   # k + 0j, cast once
@@ -241,6 +242,8 @@ def _scaled_hamiltonian(grid, factor):
                      for f, s in ((0.5, grid.h), (factor, sg.dk)))
     w = np.empty((3, n), dtype=complex)
     (w0, w1, w2), w01, w12 = w, w[:2], w[1:]   # views made once
+    v01, v12 = (x.view(float).reshape(2, n, 2) for x in (w01, w12))
+    dct = _dct4()
 
     def apply(g, out=None):
         out = np.empty(2 * n, dtype=complex) if out is None else out
@@ -248,10 +251,12 @@ def _scaled_hamiltonian(grid, factor):
         # 2 x the even part, and 2 x the odd part reversed for its sin row
         np.add(plus, minus, out=w0)
         np.subtract(plus[::-1], minus[::-1], out=w1)
-        np.multiply(_r2r_pair(w01, ()), first, out=w01)
+        dct(v01, 4, axis=1, overwrite_x=True)
+        np.multiply(w01, first, out=w01)
         np.multiply(k, w1, out=w2[::-1])
         np.multiply(k, w0, out=w1)
-        np.multiply(_r2r_pair(w12, ()), second, out=w12)
+        dct(v12, 4, axis=1, overwrite_x=True)
+        np.multiply(w12, second, out=w12)
         np.add(w1, w2, out=out[n:])
         np.subtract(w1, w2, out=out[n - 1::-1])
         return out

@@ -34,6 +34,7 @@ magnitude kappa moving along +n, kappa < 0 magnitude |kappa| along -n.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,19 +73,24 @@ class AxisGrid(_HalfOffset):
     n_half: int
     h: float
     nodes: np.ndarray = field(repr=False)
-    _conjugate: "SpectralGrid | None" = field(default=None, init=False,
-                                              repr=False)
+    _conjugate: "weakref.ref | None" = field(default=None, init=False,
+                                             repr=False)
 
     @property
     def extent(self) -> float:
         return self.n_half * self.h
 
     def conjugate(self) -> "SpectralGrid":
-        """The conjugate momentum grid, built on first use and kept."""
-        if self._conjugate is None:
-            object.__setattr__(self, "_conjugate", make_spectral_grid(
-                self.n_half, np.pi / self.extent, axis=self))
-        return self._conjugate
+        """The conjugate momentum grid, built on first use and the same
+        object while anything holds it.  The conjugate holds this grid, so
+        the grid holds it weakly: a strong pair would be a reference cycle,
+        and both grids' arrays would wait for the cyclic collector."""
+        sg = self._conjugate and self._conjugate()
+        if sg is None:
+            sg = make_spectral_grid(self.n_half, np.pi / self.extent,
+                                    axis=self)
+            object.__setattr__(self, "_conjugate", weakref.ref(sg))
+        return sg
 
     def interior_mask(self) -> np.ndarray:
         """Boolean mask of the interior band |lambda| <= INTERIOR * extent.

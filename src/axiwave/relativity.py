@@ -36,47 +36,71 @@ from .spectral import fourier_full_inverse, spectral_derivative
 _UNIT_TOL = 1e-12
 
 
+def _norm(v) -> np.ndarray:
+    # sqrt(v . v) along the last axis; row by row the bits of
+    # np.linalg.norm of each 3-vector
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _col(x) -> np.ndarray:
+    # a scalar or a stack of scalars, broadcast against 3-vectors
+    return np.asarray(x)[..., None]
+
+
 def _as_unit(vec) -> np.ndarray:
+    """A unit 3-vector, or a stack (..., 3) of them, re-normalized."""
     v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise ValueError("expected a 3-vector")
-    n = np.linalg.norm(v)
-    if not abs(n - 1.0) <= 1e-9:
+    n = _norm(v)
+    if not np.all(np.abs(n - 1.0) <= 1e-9):
         raise ValueError("direction must be a unit vector")
-    return v / n
+    return v / _col(n)
+
+
+def _scalars(x, vecs: np.ndarray, name: str):
+    """x as a float, or as a float array of the leading shape of `vecs`."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != vecs.shape[:-1]:
+        raise ValueError(f"{name} needs one value per 3-vector")
+    return x if x.ndim else float(x)
 
 
 @dataclass(frozen=True)
 class FourMomentum:
-    """Null 4-momentum (k0, k) of a massless mode."""
+    """Null 4-momentum (k0, k) of a massless mode, or a stack of them: k0
+    of shape (...) with k of shape (..., 3)."""
 
     k0: float
     k: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
-        if self.k.shape != (3,):
+        if self.k.shape[-1:] != (3,):
             raise ValueError("spatial part must be a 3-vector")
-        if not (np.isfinite(self.k0) and np.isfinite(self.k).all()):
+        object.__setattr__(self, "k0", _scalars(self.k0, self.k, "k0"))
+        if not (np.isfinite(self.k0).all() and np.isfinite(self.k).all()):
             raise ValueError("4-momentum must be finite")
-        if not self.k0 >= 0.0:
+        if not np.all(self.k0 >= 0.0):
             raise ValueError("k0 must be non-negative")
-        if not abs(self.k0 - np.linalg.norm(self.k)) <= \
-                _UNIT_TOL * max(self.k0, 1e-300):
+        if not np.all(np.abs(self.k0 - _norm(self.k))
+                      <= _UNIT_TOL * np.maximum(self.k0, 1e-300)):
             raise ValueError("4-momentum is not null")
 
 
 @dataclass(frozen=True)
 class BoostParams:
-    """Velocity |v| < 1 along a unit axis; gamma = (1 - v^2)^{-1/2}."""
+    """Velocity |v| < 1 along a unit axis, or a stack of them: v of shape
+    (...) with axis of shape (..., 3); gamma = (1 - v^2)^{-1/2}."""
 
     v: float
     axis: np.ndarray
 
     def __post_init__(self):
-        if not abs(self.v) < 1.0:
+        if not np.all(np.abs(self.v) < 1.0):
             raise ValueError("|v| must be below 1")
         object.__setattr__(self, "axis", _as_unit(self.axis))
+        object.__setattr__(self, "v", _scalars(self.v, self.axis, "v"))
 
     @property
     def gamma(self) -> float:
@@ -91,32 +115,38 @@ class BeamState:
     profile: SpectralProfile = field(repr=False)
 
     def __post_init__(self):
+        if np.shape(self.direction) != (3,):
+            raise ValueError("expected a 3-vector")
         object.__setattr__(self, "direction", _as_unit(self.direction))
 
 
 def boost_four_momentum(k: FourMomentum, b: BoostParams) -> FourMomentum:
-    par = float(k.k @ b.axis)
-    perp = k.k - par * b.axis
+    """The boosted 4-momentum; stacks of momenta and of boosts broadcast,
+    and each row has the bits of its own single call."""
+    par = np.vecdot(k.k, b.axis)
+    perp = k.k - _col(par) * b.axis
     g, v = b.gamma, b.v
     k0p = g * (k.k0 - v * par)
     parp = g * (par - v * k.k0)
-    return FourMomentum(k0p, perp + parp * b.axis)
+    return FourMomentum(k0p, perp + _col(parp) * b.axis)
 
 
 def aberrate_direction(khat, b: BoostParams) -> np.ndarray:
-    """New propagation direction of a null ray; normalized boost of (1, khat)."""
+    """New propagation direction of a null ray; normalized boost of (1, khat).
+    Takes a unit 3-vector or a stack (..., 3) of them."""
     n = _as_unit(khat)
-    c = float(n @ b.axis)
-    perp = n - c * b.axis
+    c = np.vecdot(n, b.axis)
+    perp = n - _col(c) * b.axis
     g, v = b.gamma, b.v
     denom = g * (1.0 - v * c)
-    return (perp + g * (c - v) * b.axis) / denom
+    return (perp + _col(g * (c - v)) * b.axis) / _col(denom)
 
 
-def doppler_factor(khat, b: BoostParams) -> float:
-    """Momentum magnitude multiplier k'/k = gamma (1 - v khat.b)."""
+def doppler_factor(khat, b: BoostParams):
+    """Momentum magnitude multiplier k'/k = gamma (1 - v khat.b); one per
+    3-vector of a stack (..., 3)."""
     n = _as_unit(khat)
-    return b.gamma * (1.0 - b.v * float(n @ b.axis))
+    return b.gamma * (1.0 - b.v * np.vecdot(n, b.axis))
 
 
 def _dilate(branches: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -29,9 +29,12 @@ with two independent realizations:
     log correction of the truncated  pv integral dt/(r^2-t^2).
 
 `_hilbert_core` is the one backend switch behind every Hilbert transform,
-and every trig transform runs on the one DCT-IV kernel `_trig_rows`.  That
-kernel is `scipy.fft.dct`, looked up at call time: importing the package
-loads no scipy, and `scipy.fft` loads on the first r2r call.
+and every trig transform runs on the one DCT-IV kernel `_trig_rows`, over
+any number of rows.  Every DCT-IV in the package goes through one entry,
+`scipy.fftpack.dct`, bound on the first r2r call (`_dct4`): importing the
+package loads no scipy.  It reaches the pocketfft kernel that
+`scipy.fft.dct` does, with the same bits, but skips that module's backend
+dispatch, which costs more than the kernel itself on a desk-scale row.
 
 The quadrature never forms its n x n kernel.  On the offset grid
 r_i = (i + 1/2) h the partial fractions
@@ -101,28 +104,43 @@ def _trig_sum(values: np.ndarray, spacing: float, kind: str) -> np.ndarray:
     return _trig_rows([values], spacing, [kind])[0]
 
 
+@functools.lru_cache(maxsize=1)
+def _dct4():
+    """The package's one DCT-IV entry, called as
+    `dct(float_view, 4, axis=1, overwrite_x=True)`; scipy loads here."""
+    from scipy.fftpack import dct
+    return dct
+
+
 @functools.lru_cache(maxsize=4)
 def _row_buffer(n: int, thread: int) -> np.ndarray:
     # per thread: the r2r kernel runs without the interpreter lock
     return np.empty((2, n), dtype=complex)
 
 
-def _trig_rows(rows, spacing: float, kinds) -> list:
-    """Trig transform kinds[i] ("cos"/"sin") of rows[i], for one or two
-    rows, from one DCT-IV over all of them.
+def _trig_rows(rows, spacing: float, kinds) -> np.ndarray:
+    """Trig transform kinds[i] ("cos"/"sin") of rows[i], for any number of
+    rows of one length, from one DCT-IV over all of them; row i of the
+    result is bit for bit the one-row call on rows[i].
 
     DST-IV(x)_m = (-1)^m DCT-IV(x reversed)_m is how the r2r kernel itself
     evaluates a DST-IV, so a sin row is reversed on the way in and its odd
-    entries negated on the way out.  The rows are transformed in place in a
-    cached work buffer (a fresh (2, n) stack at n = 4096 lands on the
-    allocator's mmap threshold and costs a page fault storm per call); the
-    results are fresh arrays.
+    entries negated on the way out.  One or two rows are transformed in
+    place in a cached (2, n) work buffer (a fresh (2, n) stack at n = 4096
+    lands on the allocator's mmap threshold and costs a page fault storm
+    per call); more rows are transformed and scaled in a fresh stack, so
+    the cache stays bounded by the grid size.  The result is a fresh
+    (rows, n) array.
     """
-    buf = _row_buffer(len(rows[0]), threading.get_ident())[:len(rows)]
+    m, n = len(rows), len(rows[0])
+    cached = m <= 2
+    buf = (_row_buffer(n, threading.get_ident())[:m] if cached
+           else np.empty((m, n), dtype=complex))
     for row, x, kind in zip(buf, rows, kinds):
         row[:] = x if kind == "cos" else x[::-1]
-    core = _r2r_pair(buf, kinds)
-    return [np.sqrt(2.0 / np.pi) * 0.5 * spacing * row for row in core]
+    scale = np.sqrt(2.0 / np.pi) * 0.5 * spacing
+    return np.multiply(scale, _r2r_pair(buf, kinds),
+                       out=None if cached else buf)
 
 
 def _r2r_pair(buf: np.ndarray, kinds) -> np.ndarray:
@@ -134,10 +152,8 @@ def _r2r_pair(buf: np.ndarray, kinds) -> np.ndarray:
     row are transformed in one call (scipy's complex branch makes two).
     Returns `buf`.
     """
-    import scipy.fft  # loaded on the first r2r call, not at import
-
-    scipy.fft.dct(buf.view(float).reshape(*buf.shape, 2), type=4, axis=1,
-                  overwrite_x=True)
+    _dct4()(buf.view(float).reshape(*buf.shape, 2), 4, axis=1,
+            overwrite_x=True)
     for row, kind in zip(buf, kinds):
         if kind == "sin":
             np.negative(row[1::2], out=row[1::2])
@@ -249,24 +265,29 @@ def hilbert_odd(f: HalfLineFunction,
 _SPECTRAL_KINDS = {"even": ("cos", "sin"), "odd": ("sin", "cos")}
 
 
-def _hilbert_core(parts, kernels, backend: str) -> list:
-    """He ("even") or Ho ("odd") by kernels[i] of parts[i], one or two
-    half-line functions on one grid; spectral parts share each trig stage."""
+def _hilbert_core(rows, spacing: float, kernels, backend: str):
+    """He ("even") or Ho ("odd") by kernels[i] of rows[i], for any number of
+    rows sampled on the one half-grid of `spacing`: one output row each.
+    Spectral rows share each trig stage and come back as one fresh array."""
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "quadrature":
-        return [_hilbert_quadrature(f, odd_kernel=k == "odd")
-                for f, k in zip(parts, kernels)]
+        return [_hilbert_quadrature(HalfLineFunction(spacing, row),
+                                    odd_kernel=k == "odd")
+                for row, k in zip(rows, kernels)]
     first, second = zip(*(_SPECTRAL_KINDS[k] for k in kernels))
-    outs = _trig_rows(_trig_rows([f.values for f in parts], parts[0].spacing,
-                                 first),
-                      parts[0].conjugate_spacing(), second)
-    return [-out if k == "even" else out for out, k in zip(outs, kernels)]
+    # the conjugate spacing as `HalfLineFunction.conjugate_spacing` forms it
+    dk = np.pi / (len(rows[0]) * spacing)
+    outs = _trig_rows(_trig_rows(rows, spacing, first), dk, second)
+    for out, k in zip(outs, kernels):
+        if k == "even":
+            np.negative(out, out=out)
+    return outs
 
 
 def _hilbert_dispatch(f, parity, backend):
     _warn_if_not_decayed(f.values, f"hilbert_{parity}")
-    out, = _hilbert_core([f], [parity], backend)
+    out, = _hilbert_core([f.values], f.spacing, [parity], backend)
     return HalfLineFunction(f.spacing, out)
 
 
@@ -295,10 +316,10 @@ def hilbert_signed(fld: AxialField, sign: str = "plus",
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"unknown sign {sign!r}")
-    parts = [HalfLineFunction(fld.grid.h, part)
-             for part in parity_split(fld.values, fld.grid.n_half)]
+    parts = parity_split(fld.values, fld.grid.n_half)
     # plus: even part -> He (even output), odd part -> Ho (odd output);
     # minus: even part through the odd kernel (even output), odd part
     # through the even kernel (odd output)
     kernels = ("even", "odd") if sign == "plus" else ("odd", "even")
-    return fld.copy_with(parity_join(*_hilbert_core(parts, kernels, backend)))
+    return fld.copy_with(parity_join(*_hilbert_core(parts, fld.grid.h,
+                                                    kernels, backend)))

@@ -38,8 +38,8 @@ from .relativity import (BeamState, BoostParams, FourMomentum,
                          doppler_factor, momentum_boost_generator)
 from .spectral import analyze, analyze_fast, fourier_full, \
     fourier_full_inverse, synthesize
-from .transforms import HalfLineFunction, _hilbert_core, hilbert_even, \
-    hilbert_odd, hilbert_signed, trig_transform
+from .transforms import HalfLineFunction, _hilbert_core, _trig_rows, \
+    hilbert_even, hilbert_odd, hilbert_signed, trig_transform
 from ._fd import derivative as fd_derivative, derivative_per_half
 
 MACHINE_FLOOR = 1e-12
@@ -47,6 +47,7 @@ PROBE_COUNT = 8      # packets in each shared probe suite
 PACKET_WIDTH = 10.0  # window width of the ledger's fixed packets
 PACKET_K = 8.0       # and their carrier momentum
 RK4_TIMES = (0.0, 5.0, 10.0)  # of the stepped entry, on the n_half grid
+HALF_LINE_STACK = 10  # half-line probes per kernel call
 
 
 @dataclass(frozen=True)
@@ -159,28 +160,43 @@ def _draw_suites(cfg: RunConfig) -> dict:
                 fine_probes=fine_probes, fine_soft=fine_soft, annular=annular)
 
 
-def _half_line_transforms(cfg, grid, halves, probes, **_):
-    mask80 = np.arange(grid.n_half) < int(0.8 * grid.n_half)
-    r_self = {"cos": 0.0, "sin": 0.0}
-    r_he = r_ho = r_eo = r_oe = r_backend = 0.0
-    for f in halves:
-        for kind in r_self:
-            back = trig_transform(trig_transform(f, kind), kind)
-            r_self[kind] = max(r_self[kind], rel_err(back.values, f.values))
+def _half_line_stack(stack, mask80):
+    """Per probe of `stack`: the cos and sin trig round-trip errors, the
+    spectral He and Ho against the quadrature backend, and He Ho and Ho He
+    against -1.  Each spectral stage is one kernel call over the whole
+    stack, every probe twice (cos rows and He, then sin rows and Ho); row
+    by row those are the bits of one-probe calls."""
+    m, h = len(stack), stack[0].spacing
+    rows = [f.values for f in stack] * 2
+    kinds = ("cos",) * m + ("sin",) * m
+    parities = ("even",) * m + ("odd",) * m
+    back = _trig_rows(_trig_rows(rows, h, kinds),
+                      stack[0].conjugate_spacing(), kinds)
+    spec = _hilbert_core(rows, h, parities, "spectral")
+    # He Ho f and Ho He f, both from the spectral transforms above
+    inv = _hilbert_core([*spec[m:], *spec[:m]], h, parities, "spectral")
+    for j, f in enumerate(stack):
         he_q = hilbert_even(f, backend="quadrature").values
         ho_q = hilbert_odd(f, backend="quadrature").values
-        he_s = hilbert_even(f, backend="spectral")
-        ho_s = hilbert_odd(f, backend="spectral")
-        e_he = rel_err(he_s.values, he_q, mask80)
-        e_ho = rel_err(ho_s.values, ho_q, mask80)
-        r_he, r_ho = max(r_he, e_he), max(r_ho, e_ho)
-        r_backend = max(r_backend, e_he / 2.0, e_ho / 2.0)
-        # He Ho f and Ho He f, both from the spectral transforms above
-        eo, oe = _hilbert_core([ho_s, he_s], ("even", "odd"), "spectral")
-        r_eo = max(r_eo, rel_err(eo, -f.values, mask80))
-        r_oe = max(r_oe, rel_err(oe, -f.values, mask80))
-    yield "trig cos self-inverse", "Fc~ Fc = 1", r_self["cos"], 1e-10
-    yield "trig sin self-inverse", "Fs~ Fs = 1", r_self["sin"], 1e-10
+        yield (rel_err(back[j], f.values), rel_err(back[m + j], f.values),
+               rel_err(spec[j], he_q, mask80),
+               rel_err(spec[m + j], ho_q, mask80),
+               rel_err(inv[j], -f.values, mask80),
+               rel_err(inv[m + j], -f.values, mask80))
+
+
+def _half_line_transforms(cfg, grid, halves, probes, **_):
+    mask80 = np.arange(grid.n_half) < int(0.8 * grid.n_half)
+    r_cos = r_sin = r_he = r_ho = r_eo = r_oe = r_backend = 0.0
+    for i in range(0, len(halves), HALF_LINE_STACK):
+        for e_cos, e_sin, e_he, e_ho, e_eo, e_oe in _half_line_stack(
+                halves[i:i + HALF_LINE_STACK], mask80):
+            r_cos, r_sin = max(r_cos, e_cos), max(r_sin, e_sin)
+            r_he, r_ho = max(r_he, e_he), max(r_ho, e_ho)
+            r_backend = max(r_backend, e_he / 2.0, e_ho / 2.0)
+            r_eo, r_oe = max(r_eo, e_eo), max(r_oe, e_oe)
+    yield "trig cos self-inverse", "Fc~ Fc = 1", r_cos, 1e-10
+    yield "trig sin self-inverse", "Fs~ Fs = 1", r_sin, 1e-10
     yield "ledger even hilbert", "Fs~ Fc = -He", r_he, 1e-2
     yield "ledger odd hilbert", "Fc~ Fs = Ho", r_ho, 1e-2
     yield ("hilbert backends agree",
@@ -414,26 +430,34 @@ def _evolution(cfg, grid, **_):
            float(np.max(np.abs(back - wvals)) / np.max(np.abs(wvals))), 1e-6)
 
 
-def _kinematics(cfg, grid, fine, **_):
-    rng_k = np.random.default_rng(cfg.seed + 3)
-    worst_null = worst_ab = worst_dop = 0.0
-    for _ in range(1000):
-        n = rng_k.normal(size=3)
+def _stacked_kinematics(rng):
+    """The worst null, aberration and Doppler gaps over 1000 random boosts
+    of random null rays, drawn in their one-vector order and run as stacks
+    through the public functions."""
+    ns, axes = np.empty((2, 1000, 3))
+    vs = np.empty(1000)
+    for i, n, ax in zip(range(1000), ns, axes):
+        n[:] = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        ax = rng_k.normal(size=3)
+        ax[:] = rng.normal(size=3)
         ax /= np.linalg.norm(ax)
-        b = BoostParams(rng_k.uniform(-0.95, 0.95), ax)
-        kp = boost_four_momentum(FourMomentum(1.0, n), b)
-        worst_null = max(worst_null, abs(kp.k0 - np.linalg.norm(kp.k)) / kp.k0)
-        ab = aberrate_direction(n, b)
-        worst_ab = max(worst_ab,
-                       float(np.max(np.abs(ab - kp.k / np.linalg.norm(kp.k)))))
-        worst_dop = max(worst_dop, abs(doppler_factor(n, b) - kp.k0))
-    yield "null preservation", "boosted k stays null", worst_null, 1e-10
+        vs[i] = rng.uniform(-0.95, 0.95)
+    b = BoostParams(vs, axes)
+    kp = boost_four_momentum(FourMomentum(np.ones(1000), ns), b)
+    k_norm = np.sqrt(np.vecdot(kp.k, kp.k))   # np.linalg.norm's bits, per row
+    return (np.max(np.abs(kp.k0 - k_norm) / kp.k0),
+            np.max(np.abs(aberrate_direction(ns, b) - kp.k / k_norm[:, None])),
+            np.max(np.abs(doppler_factor(ns, b) - kp.k0)))
+
+
+def _kinematics(cfg, grid, fine, **_):
+    null, aberration, doppler = _stacked_kinematics(
+        np.random.default_rng(cfg.seed + 3))
+    yield "null preservation", "boosted k stays null", null, 1e-10
     yield ("aberration consistency", "direction formula = normalized boost",
-           worst_ab, 1e-12)
+           aberration, 1e-12)
     yield ("doppler consistency", "gamma (1 - v cos) = boosted k0",
-           worst_dop, 1e-12)
+           doppler, 1e-12)
     b6 = BoostParams(0.6, np.array([0.0, 0.0, 1.0]))
     yield ("parallel doppler", "gamma (1 - v) at v = 0.6 equals 1/2",
            abs(doppler_factor(np.array([0.0, 0.0, 1.0]), b6) - 0.5), 1e-12)

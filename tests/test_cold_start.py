@@ -4,8 +4,9 @@ Each check runs in a fresh interpreter, because this test process has
 imported scipy itself and would hide a module-level import.  `import
 axiwave`, a spectral `propagate` of every kind and a beam `boost` need
 numpy alone; the r2r routes (rk4, `transform`, `verify`) load
-`scipy.fft`.  No module of the package imports `scipy.interpolate`, and
-the default `verify` runs clean with every warning an error.
+`scipy.fftpack`, the package's one DCT-IV entry.  No module of the package
+imports `scipy.interpolate` or a private scipy module, and the default
+`verify` runs clean with every warning an error.
 """
 
 import ast
@@ -102,7 +103,7 @@ def test_r2r_routes_load_fft_but_no_spline(spectral_and_rk4, file_routes,
                                            label):
     code, mods = {**spectral_and_rk4, **file_routes}[label]
     assert code == 0
-    assert "scipy.fft" in mods
+    assert {"scipy.fft", "scipy.fftpack"} <= mods
     assert "scipy.interpolate" not in mods
 
 
@@ -130,3 +131,14 @@ def test_no_module_imports_scipy_interpolate():
         names = _imported_modules(ast.parse(path.read_text()))
         assert not any(n.split(".")[:2] == ["scipy", "interpolate"]
                        for n in names), path.name
+
+
+def test_no_module_imports_a_private_scipy_module():
+    # scipy's private modules (scipy.*._*) may move between releases
+    sources = sorted(Path(axiwave.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        names = _imported_modules(ast.parse(path.read_text()))
+        assert not any(n.split(".")[0] == "scipy" and any(
+            part.startswith("_") for part in n.split(".")[1:])
+            for n in names), path.name

@@ -777,3 +777,161 @@ def test_cli_flag_only_where_read(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# runs each argv through `cli.main` in this one process and prints, per
+# step, the exit code, stdout and stderr
+_ONE_PROCESS = """
+import contextlib, io, json, sys
+from axiwave import cli
+rows = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    rows.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(rows))
+"""
+
+
+def _python(args, cwd):
+    src = str(Path(axiwave.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_cli_main_in_one_process_matches_fresh_processes(tmp_path):
+    # the parser is built once per process; every call must still parse,
+    # fail and write as a fresh process does
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    grid = make_grid(32, 12.0)
+    for cwd in (shared, fresh):
+        cwd.mkdir()
+        write_state_csv(convert_rep(gaussian_packet(grid, 3.0, width=3.0),
+                                    "f"), cwd / "state.csv")
+        kap = grid.conjugate().nodes
+        write_beams_json([BeamState(np.array([0.0, 0.0, 1.0]), SpectralProfile(
+            grid.conjugate(), np.exp(-((kap - 3.0) ** 2)).astype(complex)))],
+            cwd / "beams.json")
+    steps = [
+        ["verify", "--grid-size", "16", "--out", "report.json"],
+        ["propagate", "--grid-size", "32", "--snapshots", "3", "--out", "run"],
+        ["propagate", "--method", "rk4", "--grid-size", "16", "--t-max", "1",
+         "--snapshots", "2", "--out", "rk4"],
+        ["transform", "--in", "state.csv", "--out", "spec.csv"],
+        ["transform", "--inverse", "--in", "spec.csv", "--out", "back.csv"],
+        ["boost", "--v", "-0.6", "--axis", "-0.6,0,0.8", "--in", "beams.json",
+         "--out", "boosted.json"],
+        ["propagate", "--grid-size", "4", "--out", "bad"],
+        ["transform", "--in", "missing.csv"],
+        ["boost", "--v", "0.5"],
+        ["verify", "--bogus"],
+        # the default config warns nowhere: a warning shows once per process
+        ["verify", "--out", "again.json"],
+    ]
+    done = _python(["-c", _ONE_PROCESS, json.dumps(steps)], shared)
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout.strip().splitlines()[-1])
+    assert [code for code, _, _ in rows] == [1, 0, 0, 0, 0, 0, 2, 2, 2, 2, 0]
+    for argv, (code, out, err) in zip(steps, rows, strict=True):
+        alone = _python(["-m", "axiwave.cli", *argv], fresh)
+        assert (code, out, err) == (alone.returncode, alone.stdout,
+                                    alone.stderr), argv
+    assert _tree(shared) == _tree(fresh)
+
+
+def _run_main(argv):
+    """(exit code, stderr) of one in-process `main` call, warnings off."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(argv), err.getvalue()
+
+
+def _refused(code, err, out):
+    assert code == 2, err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+_STATE_FILES = dict(
+    n_half=st.integers(8, 64), log_extent=st.floats(-300.0, 300.0),
+    log_peak=st.floats(-300.0, 307.0), rep=st.sampled_from(["f", "g"]),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _random_state(n_half, log_extent, log_peak, rep, seed, n_comp=1):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n_half, 10.0 ** log_extent)
+    comps = [AxialField(grid, rep, 10.0 ** log_peak * (
+        rng.uniform(-1, 1, grid.size) + 1j * rng.uniform(-1, 1, grid.size)))
+        for _ in range(n_comp)]
+    return comps[0] if n_comp == 1 else comps
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_STATE_FILES)
+@example(n_half=16, log_extent=np.log10(40.0), log_peak=307.0, rep="f",
+         seed=0)
+@example(n_half=16, log_extent=300.0, log_peak=300.0, rep="f", seed=0)
+def test_cli_transform_output_reads_back_or_is_refused(n_half, log_extent,
+                                                       log_peak, rep, seed):
+    # any well-formed state file, both directions: the output reads back,
+    # or the run exits 2 with one error line and no file
+    with tempfile.TemporaryDirectory() as tmp:
+        src, spec, back = (Path(tmp, name) for name in
+                           ("in.csv", "spec.csv", "back.csv"))
+        write_state_csv(_random_state(n_half, log_extent, log_peak, rep,
+                                      seed), src)
+        code, err = _run_main(["transform", "--in", str(src),
+                               "--out", str(spec)])
+        if code != 0:
+            _refused(code, err, spec)
+            return
+        assert read_spectral_csv(spec).grid.n_half == n_half
+        code, err = _run_main(["transform", "--inverse", "--in", str(spec),
+                               "--out", str(back)])
+        if code == 0:
+            assert read_state_csv(back).grid.n_half == n_half
+        else:
+            _refused(code, err, back)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_STATE_FILES, kind=st.sampled_from(["scalar", "weyl", "maxwell"]),
+       log_t=st.floats(-3.0, 3.0))
+@example(n_half=16, log_extent=np.log10(40.0), log_peak=160.0, rep="f",
+         seed=0, kind="scalar", log_t=0.0)
+def test_cli_propagate_in_output_reads_back_or_is_refused(
+        n_half, log_extent, log_peak, rep, seed, kind, log_t):
+    # any well-formed state file with the components of its --kind (the
+    # vector's third one may be nonzero): every snapshot reads back, or the
+    # run exits 2 with one error line and no directory
+    n_comp = {"scalar": 1, "weyl": 2, "maxwell": 3}[kind]
+    state = _random_state(n_half, log_extent, log_peak, rep, seed, n_comp)
+    if kind == "maxwell" and seed % 2:   # transverse: a vanishing F3
+        state[2] = AxialField(state[2].grid, rep, np.zeros(2 * n_half))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "in.csv"), Path(tmp, "run")
+        write_state_csv(state, src)
+        code, err = _run_main(["propagate", "--kind", kind, "--in", str(src),
+                               "--t-max", repr(10.0 ** log_t),
+                               "--snapshots", "3", "--out", str(out)])
+        if code != 0:
+            _refused(code, err, out)
+            return
+        for i in range(3):
+            snap = read_state_csv(out / f"snapshot_{i:03d}.csv")
+            snap = snap if isinstance(snap, list) else [snap]
+            assert len(snap) == n_comp
+            assert snap[0].grid.n_half == n_half
+        assert (out / "diagnostics.csv").exists()

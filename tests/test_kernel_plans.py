@@ -2,17 +2,21 @@
 and the half-grid transfer symbols: the same bits as the unplanned
 formulas, bounded read-only caches, and the kernel call counts they save."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
-import scipy.fft
+import scipy.fftpack
 from scipy.fft import dct, dst
 
 from axiwave import evolution, spectral, transforms
 from axiwave.evolution import (SpinorField, VectorField3, propagate_maxwell,
                                propagate_scalar, propagate_wave, propagate_weyl)
-from axiwave.grids import (AxialField, convert_rep, make_grid, parity_join,
-                           parity_split, random_packet)
-from axiwave.verify import RunConfig, _draw_suites, _half_line_transforms
+from axiwave.grids import (AxialField, AxisGrid, SpectralGrid, convert_rep,
+                           make_grid, parity_join, parity_split, random_packet)
+from axiwave.verify import (HALF_LINE_STACK, RunConfig, _draw_suites,
+                            _half_line_transforms, rel_err, run_verification)
 
 SIZES = (8, 1000, 4096)
 KIND_PAIRS = [(a, b) for a in ("cos", "sin") for b in ("cos", "sin")]
@@ -148,6 +152,36 @@ def test_conjugate_grid_is_built_once():
     assert grid.conjugate().axis_grid() is grid
 
 
+def test_grid_and_conjugate_form_no_reference_cycle():
+    # the pair is freed by reference counting alone, as soon as it is
+    # dropped; a dropped conjugate is built again with the same nodes
+    grid = make_grid(64, 10.0)
+    nodes = grid.conjugate().nodes.copy()
+    assert np.array_equal(grid.conjugate().nodes, nodes)
+    gc.disable()
+    try:
+        sg = grid.conjugate()
+        refs = weakref.ref(grid), weakref.ref(sg)
+        del grid, sg
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_ledger_leaves_no_grid_to_the_cyclic_collector():
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_verification(RunConfig())
+        gc.collect()
+        held = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (AxisGrid, SpectralGrid, np.ndarray))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert held == []
+
+
 def test_caches_bounded_by_size_not_grids_seen():
     for i in range(20):
         grid = make_grid(8 + i, 5.0 + i)
@@ -167,17 +201,20 @@ def test_caches_bounded_by_size_not_grids_seen():
 
 @pytest.fixture
 def r2r_calls(monkeypatch):
-    # every r2r call in the package is the one DCT-IV in `transforms`, which
-    # looks up `scipy.fft.dct` at call time: the attribute the bench tracer
-    # patches too; each call records its input dtype and `overwrite_x`
+    # every r2r call in the package goes through the one DCT-IV entry,
+    # `scipy.fftpack.dct` as `transforms._dct4` binds it on first use: the
+    # entry is patched and rebound for the test, and each call records its
+    # input dtype and `overwrite_x`
     calls = []
 
-    def counting(x, *args, _real=dct, **kwargs):
+    def counting(x, *args, _real=scipy.fftpack.dct, **kwargs):
         calls.append((x.dtype, kwargs.get("overwrite_x", False)))
         return _real(x, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "dct", counting)
-    return calls
+    monkeypatch.setattr(scipy.fftpack, "dct", counting)
+    transforms._dct4.cache_clear()
+    yield calls
+    transforms._dct4.cache_clear()   # rebinds the real entry next time
 
 
 def _packet(n=256):
@@ -349,16 +386,65 @@ def test_spectral_scalar_kernel_calls(r2r_calls, fft_calls):
     assert fft_calls == {"fft": 1, "ifft": 2 * len(times)}
 
 
-def test_half_line_section_makes_ten_r2r_calls_per_probe(r2r_calls):
-    # per half-line probe: two trig round trips, He and Ho on the spectral
-    # backend, and one two-row call for He Ho and Ho He; the section's loop
-    # over the probes runs before its first entry is yielded
+def test_half_line_section_makes_six_r2r_calls_per_stack(r2r_calls):
+    # per stack of up to HALF_LINE_STACK probes: one cos+sin trig round
+    # trip, one spectral He+Ho and one He Ho + Ho He call, two r2r calls
+    # each, however many probes the stack holds; the section's loop over
+    # the probes runs before its first entry is yielded
     suites = _draw_suites(RunConfig())
-    for count in (1, 3):
+    assert HALF_LINE_STACK == 10 and len(suites["halves"]) == 50
+    for count, stacks in ((1, 1), (3, 1), (10, 1), (11, 2), (50, 5)):
         r2r_calls.clear()
         next(_half_line_transforms(**{**suites,
                                       "halves": suites["halves"][:count]}))
-        assert len(r2r_calls) == 10 * count
+        assert len(r2r_calls) == 6 * stacks
+
+
+def per_probe_half_line_entries(halves, n_half):
+    """The first seven half-line residuals from one-probe public calls."""
+    mask80 = np.arange(n_half) < int(0.8 * n_half)
+    r_self = {"cos": 0.0, "sin": 0.0}
+    r_he = r_ho = r_eo = r_oe = r_backend = 0.0
+    for f in halves:
+        for kind in r_self:
+            back = transforms.trig_transform(
+                transforms.trig_transform(f, kind), kind)
+            r_self[kind] = max(r_self[kind], rel_err(back.values, f.values))
+        he_q = transforms.hilbert_even(f, backend="quadrature").values
+        ho_q = transforms.hilbert_odd(f, backend="quadrature").values
+        he_s = transforms.hilbert_even(f)
+        ho_s = transforms.hilbert_odd(f)
+        e_he = rel_err(he_s.values, he_q, mask80)
+        e_ho = rel_err(ho_s.values, ho_q, mask80)
+        r_he, r_ho = max(r_he, e_he), max(r_ho, e_ho)
+        r_backend = max(r_backend, e_he / 2.0, e_ho / 2.0)
+        r_eo = max(r_eo, rel_err(transforms.hilbert_even(ho_s).values,
+                                 -f.values, mask80))
+        r_oe = max(r_oe, rel_err(transforms.hilbert_odd(he_s).values,
+                                 -f.values, mask80))
+    return [r_self["cos"], r_self["sin"], r_he, r_ho, r_backend, r_eo, r_oe]
+
+
+@pytest.mark.parametrize("count", (1, 10, 13))
+def test_half_line_stacks_equal_per_probe_calls(count):
+    suites = _draw_suites(RunConfig())
+    halves = suites["halves"][:count]
+    entries = _half_line_transforms(**{**suites, "halves": halves})
+    got = [next(entries)[2] for _ in range(7)]
+    assert got == per_probe_half_line_entries(halves, suites["grid"].n_half)
+
+
+@pytest.mark.parametrize("n", (256, 1024, 4096))
+@pytest.mark.parametrize("m", (1, 2, 10, 20))
+def test_trig_rows_stack_is_bit_identical_to_single_rows(n, m):
+    rng = np.random.default_rng(n + m)
+    rows = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    kinds = [("cos", "sin")[i % 3 == 1] for i in range(m)]
+    got = transforms._trig_rows(rows, 0.3, kinds)
+    assert got.shape == (m, n)
+    for row, kind, g in zip(rows, kinds, got, strict=True):
+        one, = transforms._trig_rows([row], 0.3, [kind])
+        assert np.array_equal(g.view(np.uint64), one.view(np.uint64))
 
 
 def masked_continuity_residual(dt2, rho_before, j, rho_after, grid,

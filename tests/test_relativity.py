@@ -346,3 +346,89 @@ def test_cross_module_generator_cancellation():
     delta_pred = -1j * dv * convert_rep(n_conf.apply(psi), "g").values
     mask = grid.interior_mask()
     assert rel_err(delta_actual, delta_pred, mask) <= 0.05
+
+
+def scalar_reference(n, v, axis):
+    """The one-vector formulas as float dot products: boosted (k0, k) of
+    (1, n), the aberrated direction and the Doppler factor."""
+    axis = axis / np.linalg.norm(axis)
+    g = 1.0 / np.sqrt(1.0 - v * v)
+    nn = n / np.linalg.norm(n)
+    par, c = float(n @ axis), float(nn @ axis)
+    k0p, parp = g * (1.0 - v * par), g * (par - v * 1.0)
+    ab = (nn - c * axis + g * (c - v) * axis) / (g * (1.0 - v * c))
+    return k0p, n - par * axis + parp * axis, ab, g * (1.0 - v * c)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("m", (1, 2, 7, 1000))
+def test_stacks_give_the_bits_of_single_calls(m):
+    rng = np.random.default_rng(m)
+    ns, axes = rng.normal(size=(2, m, 3))
+    ns /= np.linalg.norm(ns, axis=1, keepdims=True)
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    vs = rng.uniform(-0.95, 0.95, m)
+    b = BoostParams(vs, axes)
+    kp = boost_four_momentum(FourMomentum(np.ones(m), ns), b)
+    ab, dop = aberrate_direction(ns, b), doppler_factor(ns, b)
+    assert kp.k.shape == ab.shape == (m, 3) and dop.shape == kp.k0.shape == (m,)
+    for i in range(m):
+        bi = BoostParams(vs[i], axes[i])
+        one = boost_four_momentum(FourMomentum(1.0, ns[i]), bi)
+        ref = scalar_reference(ns[i], vs[i], axes[i])
+        for got, want in zip((kp.k0[i], kp.k[i], ab[i], dop[i]),
+                             (one.k0, one.k, aberrate_direction(ns[i], bi),
+                              doppler_factor(ns[i], bi))):
+            assert np.array_equal(_bits(got), _bits(want))
+        # a single vector keeps the bits of the one-vector formulas
+        for got, want in zip((one.k0, one.k, aberrate_direction(ns[i], bi),
+                              doppler_factor(ns[i], bi)), ref):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert np.ndim(one.k0) == np.ndim(doppler_factor(ns[i], bi)) == 0
+
+
+def test_stack_validation():
+    ez2 = np.stack([EZ, EX])
+    BoostParams([0.5, -0.5], ez2)
+    FourMomentum([1.0, 2.0], [EZ, 2 * EX])
+    with pytest.raises(ValueError, match="one value per 3-vector"):
+        BoostParams(0.5, ez2)
+    with pytest.raises(ValueError, match="one value per 3-vector"):
+        FourMomentum([1.0, 1.0, 1.0], ez2)
+    with pytest.raises(ValueError, match="below 1"):
+        BoostParams([0.5, 1.0], ez2)
+    with pytest.raises(ValueError, match="unit"):
+        BoostParams([0.5, 0.5], [EZ, 2 * EX])
+    with pytest.raises(ValueError, match="null"):
+        FourMomentum([1.0, 1.0], [EZ, 0.5 * EX])
+    with pytest.raises(ValueError, match="3-vector"):
+        aberrate_direction(np.ones((2, 2)), BoostParams(0.5, EZ))
+    with pytest.raises(ValueError, match="3-vector"):
+        BeamState(ez2, None)
+
+
+def test_kinematics_entries_equal_the_single_vector_loop():
+    # the ledger runs its 1000 draws as stacks; the one-vector loop it
+    # replaced stays here as the reference, and the arithmetic is the same
+    from axiwave.verify import RunConfig, _draw_suites, _kinematics
+    cfg = RunConfig()
+    rng = np.random.default_rng(cfg.seed + 3)
+    worst_null = worst_ab = worst_dop = 0.0
+    for _ in range(1000):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        ax = rng.normal(size=3)
+        ax /= np.linalg.norm(ax)
+        b = BoostParams(rng.uniform(-0.95, 0.95), ax)
+        kp = boost_four_momentum(FourMomentum(1.0, n), b)
+        worst_null = max(worst_null, abs(kp.k0 - np.linalg.norm(kp.k)) / kp.k0)
+        ab = aberrate_direction(n, b)
+        worst_ab = max(worst_ab,
+                       float(np.max(np.abs(ab - kp.k / np.linalg.norm(kp.k)))))
+        worst_dop = max(worst_dop, abs(doppler_factor(n, b) - kp.k0))
+    entries = _kinematics(**_draw_suites(cfg))
+    got = [float(next(entries)[2]) for _ in range(3)]
+    assert got == [worst_null, worst_ab, worst_dop]
