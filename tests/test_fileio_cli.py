@@ -299,14 +299,18 @@ def test_run_config_applies_grid_rule():
             RunConfig(**bad)
 
 
-def _cli(*argv, timeout=120):
-    """Run the CLI in a fresh interpreter (under -O), stderr unfiltered."""
+def _python(args, cwd=None, timeout=120):
+    """`python *args` in a fresh interpreter that imports this package."""
     src = str(Path(axiwave.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-O", "-m", "axiwave.cli", *argv],
-                          env=env, capture_output=True, text=True,
-                          timeout=timeout)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _cli(*argv, timeout=120):
+    """Run the CLI in a fresh interpreter (under -O), stderr unfiltered."""
+    return _python(["-O", "-m", "axiwave.cli", *argv], timeout=timeout)
 
 
 def test_cli_tiny_extent_without_asserts(tmp_path):
@@ -792,14 +796,6 @@ for argv in json.loads(sys.argv[1]):
     rows.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(rows))
 """
-
-
-def _python(args, cwd):
-    src = str(Path(axiwave.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 def _tree(root):
