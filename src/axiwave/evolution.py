@@ -39,7 +39,7 @@ import numpy as np
 
 from .grids import INTERIOR, AxialField, AxisGrid, convert_rep, fold, unfold
 from .spectral import fourier_full, fourier_full_inverse
-from .transforms import _dct4, hilbert_signed
+from .transforms import hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
 RK4_MAX_NODE_STEPS = 2 ** 32  # bound on ceil(t_end / dt) x node count
@@ -243,7 +243,7 @@ def _scaled_hamiltonian(grid, factor):
     w = np.empty((3, n), dtype=complex)
     (w0, w1, w2), w01, w12 = w, w[:2], w[1:]   # views made once
     v01, v12 = (x.view(float).reshape(2, n, 2) for x in (w01, w12))
-    dct = _dct4()
+    from scipy.fftpack import dct   # scipy.fft's kernel, no dispatch
 
     def apply(g, out=None):
         out = np.empty(2 * n, dtype=complex) if out is None else out

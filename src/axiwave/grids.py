@@ -73,24 +73,19 @@ class AxisGrid(_HalfOffset):
     n_half: int
     h: float
     nodes: np.ndarray = field(repr=False)
-    _conjugate: "weakref.ref | None" = field(default=None, init=False,
-                                             repr=False)
+    _conjugate: "SpectralGrid | None" = field(default=None, init=False,
+                                              repr=False)
 
     @property
     def extent(self) -> float:
         return self.n_half * self.h
 
     def conjugate(self) -> "SpectralGrid":
-        """The conjugate momentum grid, built on first use and the same
-        object while anything holds it.  The conjugate holds this grid, so
-        the grid holds it weakly: a strong pair would be a reference cycle,
-        and both grids' arrays would wait for the cyclic collector."""
-        sg = self._conjugate and self._conjugate()
-        if sg is None:
-            sg = make_spectral_grid(self.n_half, np.pi / self.extent,
-                                    axis=self)
-            object.__setattr__(self, "_conjugate", weakref.ref(sg))
-        return sg
+        """The conjugate momentum grid, built on first use and kept."""
+        if self._conjugate is None:
+            object.__setattr__(self, "_conjugate", make_spectral_grid(
+                self.n_half, np.pi / self.extent, axis=self))
+        return self._conjugate
 
     def interior_mask(self) -> np.ndarray:
         """Boolean mask of the interior band |lambda| <= INTERIOR * extent.
@@ -111,16 +106,25 @@ class SpectralGrid(_HalfOffset):
     n_half: int
     dk: float
     nodes: np.ndarray = field(repr=False)
-    axis: "AxisGrid | None" = field(default=None, repr=False)
+    # the AxisGrid that built this one by `conjugate()`, held weakly (it
+    # holds this grid, and a strong pair would be a reference cycle whose
+    # arrays wait for the cyclic collector), and that grid's spacing
+    _axis: "weakref.ref | None" = field(default=None, init=False, repr=False)
+    _axis_h: "float | None" = field(default=None, init=False, repr=False)
 
     @property
     def extent(self) -> float:
         return self.n_half * self.dk
 
     def axis_grid(self) -> AxisGrid:
-        """The configuration grid this momentum grid is conjugate to."""
-        if self.axis is not None:
-            return self.axis
+        """The configuration grid this momentum grid is conjugate to: the
+        grid that built it while that lives, else one with its nodes."""
+        axis = self._axis and self._axis()
+        if axis is not None:
+            return axis
+        if self._axis_h is not None:
+            return AxisGrid(self.n_half, self._axis_h,
+                            offset_nodes(self.n_half, self._axis_h))
         return make_grid(self.n_half, np.pi / self.dk)
 
     def same_as(self, other: "SpectralGrid") -> bool:
@@ -169,8 +173,12 @@ def make_spectral_grid(n_half: int, dk: float,
     check_grid(n_half, dk, "dk")
     if axis is None:   # the spacing axis_spacing(n_half, pi / dk) computes
         check_grid(n_half, np.pi / float(dk) / n_half, "dk", conjugate=True)
-    return SpectralGrid(n_half=int(n_half), dk=float(dk),
-                        nodes=offset_nodes(int(n_half), float(dk)), axis=axis)
+    sg = SpectralGrid(n_half=int(n_half), dk=float(dk),
+                      nodes=offset_nodes(int(n_half), float(dk)))
+    if axis is not None:
+        object.__setattr__(sg, "_axis", weakref.ref(axis))
+        object.__setattr__(sg, "_axis_h", axis.h)
+    return sg
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,11 +30,12 @@ with two independent realizations:
 
 `_hilbert_core` is the one backend switch behind every Hilbert transform,
 and every trig transform runs on the one DCT-IV kernel `_trig_rows`, over
-any number of rows.  Every DCT-IV in the package goes through one entry,
-`scipy.fftpack.dct`, bound on the first r2r call (`_dct4`): importing the
-package loads no scipy.  It reaches the pocketfft kernel that
-`scipy.fft.dct` does, with the same bits, but skips that module's backend
-dispatch, which costs more than the kernel itself on a desk-scale row.
+any number of rows.  That kernel is `scipy.fft.dct`, looked up at call
+time: importing the package loads no scipy, and `scipy.fft` loads on the
+first r2r call.  The RK4 stepper's apply (`evolution._scaled_hamiltonian`)
+is the one other DCT-IV caller; it binds `scipy.fftpack.dct`, which runs
+the same pocketfft kernel with the same bits but skips `scipy.fft`'s
+backend dispatch, a fifth of a step on a desk-scale grid.
 
 The quadrature never forms its n x n kernel.  On the offset grid
 r_i = (i + 1/2) h the partial fractions
@@ -104,14 +105,6 @@ def _trig_sum(values: np.ndarray, spacing: float, kind: str) -> np.ndarray:
     return _trig_rows([values], spacing, [kind])[0]
 
 
-@functools.lru_cache(maxsize=1)
-def _dct4():
-    """The package's one DCT-IV entry, called as
-    `dct(float_view, 4, axis=1, overwrite_x=True)`; scipy loads here."""
-    from scipy.fftpack import dct
-    return dct
-
-
 @functools.lru_cache(maxsize=4)
 def _row_buffer(n: int, thread: int) -> np.ndarray:
     # per thread: the r2r kernel runs without the interpreter lock
@@ -152,8 +145,10 @@ def _r2r_pair(buf: np.ndarray, kinds) -> np.ndarray:
     row are transformed in one call (scipy's complex branch makes two).
     Returns `buf`.
     """
-    _dct4()(buf.view(float).reshape(*buf.shape, 2), 4, axis=1,
-            overwrite_x=True)
+    import scipy.fft  # loaded on the first r2r call, not at import
+
+    scipy.fft.dct(buf.view(float).reshape(*buf.shape, 2), type=4, axis=1,
+                  overwrite_x=True)
     for row, kind in zip(buf, kinds):
         if kind == "sin":
             np.negative(row[1::2], out=row[1::2])

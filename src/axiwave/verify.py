@@ -216,7 +216,8 @@ def _half_line_transforms(cfg, grid, halves, probes, **_):
 
     # intertwining of multiplication by k with the radial derivative
     r_twine = 0.0
-    dk, kpos = grid.conjugate().dk, grid.conjugate().positive_nodes()
+    sg = grid.conjugate()
+    dk, kpos = sg.dk, sg.positive_nodes()
     rng_t = np.random.default_rng(cfg.seed + 4)
     mask_tw = mask80 & (np.arange(grid.n_half) >= 2)  # skip one-sided rows
     for _ in range(5):

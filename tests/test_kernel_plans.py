@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.fftpack
 from scipy.fft import dct, dst
 
@@ -154,16 +155,20 @@ def test_conjugate_grid_is_built_once():
 
 def test_grid_and_conjugate_form_no_reference_cycle():
     # the pair is freed by reference counting alone, as soon as it is
-    # dropped; a dropped conjugate is built again with the same nodes
+    # dropped; a conjugate that outlives its axis grid rebuilds one with
+    # the same spacing and nodes
     grid = make_grid(64, 10.0)
-    nodes = grid.conjugate().nodes.copy()
-    assert np.array_equal(grid.conjugate().nodes, nodes)
+    h, nodes = grid.h, grid.nodes.copy()
     gc.disable()
     try:
         sg = grid.conjugate()
         refs = weakref.ref(grid), weakref.ref(sg)
-        del grid, sg
-        assert [r() for r in refs] == [None, None]
+        del grid
+        assert refs[0]() is None
+        axis = sg.axis_grid()
+        assert axis.h == h and np.array_equal(axis.nodes, nodes)
+        del sg, axis
+        assert refs[1]() is None
     finally:
         gc.enable()
 
@@ -201,20 +206,18 @@ def test_caches_bounded_by_size_not_grids_seen():
 
 @pytest.fixture
 def r2r_calls(monkeypatch):
-    # every r2r call in the package goes through the one DCT-IV entry,
-    # `scipy.fftpack.dct` as `transforms._dct4` binds it on first use: the
-    # entry is patched and rebound for the test, and each call records its
-    # input dtype and `overwrite_x`
+    # the package's DCT-IV entries: `scipy.fft.dct`, which `transforms`
+    # looks up at call time (the attribute the bench tracer patches too),
+    # and `scipy.fftpack.dct`, which the RK4 apply binds when it is built;
+    # each call records its input dtype and `overwrite_x`
     calls = []
+    for owner in (scipy.fft, scipy.fftpack):
+        def counting(x, *args, _real=owner.dct, **kwargs):
+            calls.append((x.dtype, kwargs.get("overwrite_x", False)))
+            return _real(x, *args, **kwargs)
 
-    def counting(x, *args, _real=scipy.fftpack.dct, **kwargs):
-        calls.append((x.dtype, kwargs.get("overwrite_x", False)))
-        return _real(x, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.fftpack, "dct", counting)
-    transforms._dct4.cache_clear()
-    yield calls
-    transforms._dct4.cache_clear()   # rebinds the real entry next time
+        monkeypatch.setattr(owner, "dct", counting)
+    return calls
 
 
 def _packet(n=256):
