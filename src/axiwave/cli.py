@@ -23,7 +23,7 @@ from .evolution import (_field_from_g, _maxwell_stream, _scalar_stream,
 from .fileio import (FileFormatError, read_beams_json, read_spectral_csv,
                      read_state_csv, write_beams_json, write_spectral_csv,
                      write_state_csv)
-from .grids import MIN_N_HALF, AxialField, axis_spacing, make_grid
+from .grids import AxialField, axis_spacing, make_grid
 from .relativity import BoostParams, boost_beam
 from .spectral import analyze, spectral_derivative, synthesize
 from .transforms import cosine_taper
@@ -113,28 +113,30 @@ def _require(checks):
             raise ValueError(message)
 
 
-def _grid_flags(args, minimum, build):
-    """build() once --grid-size >= minimum; a fault names both flags, since
-    h = extent / grid size."""
-    if args.grid_size < minimum:
-        raise ValueError(f"--grid-size must be at least {minimum}")
+def _grid_flags(args, build):
+    """build(), its ValueError prefixed with the grid flags (and verify's
+    ledger flags) and their values: the library states the rule that
+    failed in its own terms (n_half, h = extent / grid size, ...)."""
     try:
         return build()
     except ValueError as exc:
-        raise ValueError(f"--grid-size {args.grid_size} --extent "
-                         f"{args.extent!r}: {exc}") from None
+        flags = " ".join(f"--{key.replace('_', '-')} {value!r}"
+                         for key, value in vars(args).items()
+                         if key in ("grid_size", "extent", "seed", "tol_scale"))
+        raise ValueError(f"{flags}: {exc}") from None
 
 
 def cmd_verify(args) -> int:
-    _require((("--tol-scale must be finite and non-negative",
-               0.0 <= args.tol_scale < np.inf),
-              ("--seed must be a non-negative integer", args.seed >= 0)))
-    cfg = _grid_flags(args, 2 * MIN_N_HALF, lambda: RunConfig(
+    cfg = _grid_flags(args, lambda: RunConfig(
         n_half=args.grid_size, extent=args.extent, seed=args.seed,
         tol_scale=args.tol_scale))
+    out = args.out or "verify_report.json"
+    if os.path.isdir(out) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(out))):
+        raise ValueError(f"--out {out} is not a file in an existing "
+                         "directory")
     report = run_verification(cfg)
     print(report.to_text())
-    out = args.out or "verify_report.json"
     with open(out, "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")
@@ -178,8 +180,7 @@ def _write_diag(path, times, diags, columns):
 def cmd_propagate(args) -> int:
     default, stream, accepts_in, columns = KINDS[args.kind]
     if not args.infile:   # with --in, the file sets the grid and the packet
-        _grid_flags(args, MIN_N_HALF,
-                    lambda: axis_spacing(args.grid_size, args.extent))
+        _grid_flags(args, lambda: axis_spacing(args.grid_size, args.extent))
         _require((("--k0 must be finite", np.isfinite(args.k0)),
                   ("--width must be finite and positive",
                    args.width is None or 0.0 < args.width < np.inf)))
@@ -205,6 +206,12 @@ def cmd_propagate(args) -> int:
             f"--snapshots {args.snapshots} x {n_comp} component(s) x "
             f"{size} nodes exceeds the limit of {_MAX_SNAPSHOT_SAMPLES} "
             "samples (512 MiB)")
+    if not args.infile:
+        grid = make_grid(args.grid_size, args.extent)
+        width = args.extent / 4.0 if args.width is None else args.width
+        w = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0) \
+            * np.exp(1j * args.k0 * grid.nodes)
+        comps = [AxialField(grid, "g", v) for v in default(w)]
     # each snapshot goes to a scratch directory in --out (or its nearest
     # existing ancestor) as it is made; all move into --out at the end
     outdir = args.out or "propagation"
@@ -213,12 +220,6 @@ def cmd_propagate(args) -> int:
         parent = os.path.dirname(parent)
     tmp = tempfile.mkdtemp(prefix=".axiwave-", dir=parent)
     try:
-        if not args.infile:
-            grid = make_grid(args.grid_size, args.extent)
-            width = args.extent / 4.0 if args.width is None else args.width
-            win = cosine_taper(grid.nodes, 2.0 * width, grid.extent / 16.0)
-            w = win * np.exp(1j * args.k0 * grid.nodes)
-            comps = [AxialField(grid, "g", v) for v in default(w)]
         times = np.linspace(0.0, args.t_max, args.snapshots)
         kw = {"method": args.method} if args.kind == "scalar" else {}
         diags = []
@@ -230,6 +231,11 @@ def cmd_propagate(args) -> int:
             if not all(np.isfinite(x).all() for x in checked):
                 raise ValueError("the run overflowed; lower --k0, "
                                  "--t-max or --extent")
+            if i == 0 and not args.infile and not diag["norm"] > 0.0:
+                # no node in the window, or only samples whose squares underflow
+                raise ValueError(f"--width {width!r} gives a packet of norm "
+                                 f"0 (the innermost nodes sit at +/-"
+                                 f"{grid.h / 2!r})")
             write_state_csv(snap, os.path.join(tmp, f"snapshot_{i:03d}.csv"))
             diags.append(diag)
         _write_diag(os.path.join(tmp, "diagnostics.csv"), times, diags, columns)

@@ -34,7 +34,6 @@ magnitude kappa moving along +n, kappa < 0 magnitude |kappa| along -n.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +82,9 @@ class AxisGrid(_HalfOffset):
     def conjugate(self) -> "SpectralGrid":
         """The conjugate momentum grid, built on first use and kept."""
         if self._conjugate is None:
-            object.__setattr__(self, "_conjugate", make_spectral_grid(
-                self.n_half, np.pi / self.extent, axis=self))
+            dk = np.pi / self.extent
+            object.__setattr__(self, "_conjugate", SpectralGrid(
+                self.n_half, dk, offset_nodes(self.n_half, dk), self.h))
         return self._conjugate
 
     def interior_mask(self) -> np.ndarray:
@@ -101,31 +101,24 @@ class AxisGrid(_HalfOffset):
 
 @dataclass(frozen=True, eq=False)
 class SpectralGrid(_HalfOffset):
-    """Signed momentum grid conjugate to an AxisGrid (same offset pattern)."""
+    """Signed momentum grid conjugate to an AxisGrid (same offset pattern).
+
+    It keeps that grid's spacing, not the grid, so an AxisGrid and the
+    conjugate it keeps form no reference cycle."""
 
     n_half: int
     dk: float
     nodes: np.ndarray = field(repr=False)
-    # the AxisGrid that built this one by `conjugate()`, held weakly (it
-    # holds this grid, and a strong pair would be a reference cycle whose
-    # arrays wait for the cyclic collector), and that grid's spacing
-    _axis: "weakref.ref | None" = field(default=None, init=False, repr=False)
-    _axis_h: "float | None" = field(default=None, init=False, repr=False)
+    _axis_h: float = field(repr=False)
 
     @property
     def extent(self) -> float:
         return self.n_half * self.dk
 
     def axis_grid(self) -> AxisGrid:
-        """The configuration grid this momentum grid is conjugate to: the
-        grid that built it while that lives, else one with its nodes."""
-        axis = self._axis and self._axis()
-        if axis is not None:
-            return axis
-        if self._axis_h is not None:
-            return AxisGrid(self.n_half, self._axis_h,
-                            offset_nodes(self.n_half, self._axis_h))
-        return make_grid(self.n_half, np.pi / self.dk)
+        """A new copy of the configuration grid this one is conjugate to."""
+        return AxisGrid(self.n_half, self._axis_h,
+                        offset_nodes(self.n_half, self._axis_h))
 
     def same_as(self, other: "SpectralGrid") -> bool:
         return self.n_half == other.n_half and self.dk == other.dk
@@ -166,19 +159,14 @@ def make_grid(n_half: int, extent: float) -> AxisGrid:
     return AxisGrid(n_half=int(n_half), h=h, nodes=offset_nodes(n_half, h))
 
 
-def make_spectral_grid(n_half: int, dk: float,
-                       axis: AxisGrid | None = None) -> SpectralGrid:
-    """The momentum grid of spacing dk; without `axis`, the axis grid that
-    `axis_grid()` builds at extent pi / dk must pass the grid rule too."""
+def make_spectral_grid(n_half: int, dk: float) -> SpectralGrid:
+    """The momentum grid of spacing dk, if it and the axis grid of extent
+    pi / dk (h = pi / dk / n_half) pass the grid rule."""
     check_grid(n_half, dk, "dk")
-    if axis is None:   # the spacing axis_spacing(n_half, pi / dk) computes
-        check_grid(n_half, np.pi / float(dk) / n_half, "dk", conjugate=True)
-    sg = SpectralGrid(n_half=int(n_half), dk=float(dk),
-                      nodes=offset_nodes(int(n_half), float(dk)))
-    if axis is not None:
-        object.__setattr__(sg, "_axis", weakref.ref(axis))
-        object.__setattr__(sg, "_axis_h", axis.h)
-    return sg
+    n, dk = int(n_half), float(dk)
+    h = np.pi / dk / n
+    check_grid(n, h, "dk", conjugate=True)
+    return SpectralGrid(n, dk, offset_nodes(n, dk), h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,8 @@ numpy alone; the r2r routes (rk4, `transform`, `verify`) load `scipy.fft`,
 and the RK4 stepper's routes (rk4, `verify`) `scipy.fftpack` too, the entry
 its apply binds.  No module of the package
 imports `scipy.interpolate` or a private scipy module, and the default
-`verify` runs clean with every warning an error.
+`verify` and `propagate` (every kind, and rk4) run clean with every
+warning an error.
 """
 
 import ast
@@ -115,6 +116,13 @@ def test_default_verify_raises_no_warning(tmp_path):
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "report.json").read_text() == \
         run_verification().to_json() + "\n"
+    # and so does the default propagate of every kind, and rk4
+    for kind in ("scalar", "wave", "weyl", "maxwell", "rk4"):
+        flags = ["--method", "rk4"] if kind == "rk4" else ["--kind", kind]
+        done = _fresh(["-W", "error", "-m", "axiwave.cli", "propagate",
+                       *flags, "--out", kind], tmp_path)
+        assert done.returncode == 0, (kind, done.stderr)
+        assert (tmp_path / kind / "diagnostics.csv").exists()
 
 
 def _imported_modules(tree):

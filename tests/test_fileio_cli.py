@@ -259,6 +259,7 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
                         ("--k0", "nan"), ("--k0", "inf"),
                         ("--width", "0"), ("--width", "-1"),
                         ("--width", "nan"), ("--width", "inf"),
+                        ("--width", "0.05"), ("--width", "1e-300"),
                         ("--method", "rk4"),
                         ("--in", str(tmp_path / "missing.csv"))) + GRID_FLAGS:
         kind = "wave" if flag in ("--in", "--method") else "scalar"
@@ -288,7 +289,8 @@ def test_cli_verify_grid_size_minimum(tmp_path, capsys, size):
                  "--out", str(tmp_path / "r.json")])
     cap = capsys.readouterr()
     assert code == 2
-    assert cap.err == "error: --grid-size must be at least 16\n"
+    assert cap.err == (f"error: --grid-size {size} --extent 40.0 --seed 7 "
+                       "--tol-scale 1.0: n_half must be at least 16\n")
     assert not cap.out and not (tmp_path / "r.json").exists()
 
 
@@ -481,12 +483,13 @@ def test_cli_propagate_makes_missing_out_parents(tmp_path):
     ["verify", "--grid-size", "65536", "--extent", "40"]])
 def test_cli_refuses_unbounded_rk4_run(tmp_path, argv):
     # 1e303 (2.56e8 at 1e-5, 6.55e4 on 131072 nodes) RK4 steps: refused
-    # before the first one; verify refuses the config itself, naming both
-    # grid flags, and writes no report
+    # before the first one; verify refuses the config itself, naming its
+    # grid and ledger flags, and writes no report
     done = _cli(*argv, "--out", str(tmp_path / "out"), timeout=60)
     assert done.returncode == 2
     want = "error: rk4 run of" if argv[0] == "propagate" else \
-        f"error: --grid-size {argv[2]} --extent {float(argv[-1])!r}: rk4 run"
+        f"error: --grid-size {argv[2]} --extent {float(argv[-1])!r} " \
+        "--seed 7 --tol-scale 1.0: rk4 run"
     assert done.stderr.splitlines()[-1].startswith(want)
     assert done.stdout == ""
     assert "2**32 node-steps" in done.stderr
@@ -557,6 +560,23 @@ def test_cli_propagate_cap_checked_before_grid(tmp_path, capsys,
     assert code == 2
     assert err.startswith("error: --snapshots") and len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_verify_out_checked_before_ledger(tmp_path, capsys, monkeypatch):
+    # a report that cannot be written is refused before the ledger runs
+    def no_ledger(cfg):
+        raise AssertionError("run_verification called before --out")
+
+    monkeypatch.setattr(cli, "run_verification", no_ledger)
+    (tmp_path / "dir").mkdir()
+    for out in (tmp_path / "missing" / "r.json", tmp_path / "dir"):
+        code = main(["verify", "--grid-size", "1024", "--out", str(out)])
+        cap = capsys.readouterr()
+        assert code == 2
+        assert cap.err == (f"error: --out {out} is not a file in an "
+                           "existing directory\n")
+        assert not cap.out
+        assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 def test_cli_transform_rejects_oversized_header(tmp_path, capsys):
@@ -647,7 +667,9 @@ def test_cli_verify_rejects_bad_tol_scale(tmp_path, capsys, value):
                  "--out", str(tmp_path / "r.json")])
     cap = capsys.readouterr()
     assert code == 2
-    assert cap.err == "error: --tol-scale must be finite and non-negative\n"
+    assert cap.err == (f"error: --grid-size 256 --extent 40.0 --seed 7 "
+                       f"--tol-scale {float(value)!r}: tol_scale must be "
+                       "finite and non-negative\n")
     assert not cap.out and not (tmp_path / "r.json").exists()
 
 
@@ -656,7 +678,8 @@ def test_cli_verify_rejects_negative_seed(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")])
     cap = capsys.readouterr()
     assert code == 2
-    assert cap.err == "error: --seed must be a non-negative integer\n"
+    assert cap.err == ("error: --grid-size 16 --extent 40.0 --seed -1 "
+                       "--tol-scale 1.0: seed must be a non-negative integer\n")
     assert not cap.out and not (tmp_path / "r.json").exists()
     with pytest.raises(ValueError, match="seed"):
         RunConfig(seed=-1)
@@ -829,18 +852,101 @@ def test_cli_main_in_one_process_matches_fresh_processes(tmp_path):
         ["transform", "--in", "missing.csv"],
         ["boost", "--v", "0.5"],
         ["verify", "--bogus"],
+        ["propagate", "--width", "0.05", "--out", "empty"],
+        ["verify", "--seed", "-1", "--out", "seed.json"],
+        ["verify", "--out", "missing/r.json"],
         # the default config warns nowhere: a warning shows once per process
         ["verify", "--out", "again.json"],
     ]
     done = _python(["-c", _ONE_PROCESS, json.dumps(steps)], shared)
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout.strip().splitlines()[-1])
-    assert [code for code, _, _ in rows] == [1, 0, 0, 0, 0, 0, 2, 2, 2, 2, 0]
+    assert [code for code, _, _ in rows] == [1, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2,
+                                             2, 0]
     for argv, (code, out, err) in zip(steps, rows, strict=True):
         alone = _python(["-m", "axiwave.cli", *argv], fresh)
         assert (code, out, err) == (alone.returncode, alone.stdout,
                                     alone.stderr), argv
     assert _tree(shared) == _tree(fresh)
+
+
+# runs every subcommand over 8 new grids per phase (n_half 8 to 64) in one
+# process; prints which grids, fields or arrays the cyclic collector had
+# to free in the first phase, then, after each later phase with the
+# bounded plan caches emptied, the bytes held in traced blocks of 128 B or
+# more (a node array of the smallest grid; numpy's and the interpreter's
+# small-object pools stay below it)
+_MEMORY = """
+import contextlib, gc, io, json, tracemalloc, warnings
+import numpy as np
+from axiwave import cli, spectral, transforms
+from axiwave.fileio import write_beams_json, write_state_csv
+from axiwave.grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
+                           convert_rep, gaussian_packet, make_grid)
+from axiwave.relativity import BeamState
+
+# the coarse grids' boosts warn, each with its own text, which the default
+# filter would keep in the module's warning registry; "always" keeps none
+warnings.simplefilter("always")
+METHODS = [["--kind", kind] for kind in cli.KINDS] + [["--method", "rk4"]]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) in (0, 1), argv
+
+def phase(k):
+    for i in range(8 * k, 8 * k + 8):
+        n, extent = 8 * (1 + i % 8), 20.0 + 0.37 * i
+        grid = make_grid(n, extent)
+        write_state_csv(convert_rep(gaussian_packet(grid, 1.0, extent / 8),
+                                    "f"), "state.csv")
+        kap = grid.conjugate().nodes
+        write_beams_json([BeamState(np.array([0.0, 0.0, 1.0]), SpectralProfile(
+            grid.conjugate(), np.exp(-(kap - 1.0) ** 2).astype(complex)))],
+            "beams.json")
+        del grid, kap
+        run("propagate", *METHODS[i % 5], "--grid-size", str(n), "--extent",
+            repr(extent), "--t-max", "1", "--snapshots", "2", "--out", "run")
+        run("transform", "--in", "state.csv", "--out", "spec.csv")
+        run("transform", "--inverse", "--in", "spec.csv", "--out", "back.csv")
+        run("boost", "--v", "0.6", "--in", "beams.json", "--out", "b.json")
+    run("verify", "--grid-size", "16", "--extent", repr(extent),
+        "--out", "r.json")
+
+gc.collect()
+gc.set_debug(gc.DEBUG_SAVEALL)
+phase(0)
+gc.collect()
+held = sorted({type(o).__name__ for o in gc.garbage if isinstance(
+    o, (AxisGrid, SpectralGrid, AxialField, SpectralProfile, np.ndarray))})
+gc.set_debug(0)
+gc.garbage.clear()
+caches = [obj for mod in (spectral, transforms)
+          for obj in vars(mod).values() if hasattr(obj, "cache_info")]
+tracemalloc.start()
+used = []
+for k in range(1, 5):
+    phase(k)
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None
+        cache.cache_clear()
+    gc.collect()
+    used.append(sum(t.size for t in tracemalloc.take_snapshot().traces
+                    if t.size >= 128))
+print(json.dumps([held, used]))
+"""
+
+
+def test_cli_memory_follows_grid_size_not_grids_seen(tmp_path):
+    # 40 grids through every subcommand in one process: no grid waits for
+    # the cyclic collector, and past the bounded plan caches the memory
+    # held does not grow with the number of grids seen
+    done = _python(["-c", _MEMORY], tmp_path)
+    assert done.returncode == 0, done.stderr
+    held, used = json.loads(done.stdout.strip().splitlines()[-1])
+    assert held == []
+    assert max(used) <= used[0], used
 
 
 def _run_main(argv):
@@ -931,3 +1037,36 @@ def test_cli_propagate_in_output_reads_back_or_is_refused(
             assert len(snap) == n_comp
             assert snap[0].grid.n_half == n_half
         assert (out / "diagnostics.csv").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(cli.KINDS)), n_half=st.integers(8, 64),
+       log_extent=st.floats(-300.0, 300.0), k0=st.floats(-50.0, 50.0),
+       log_width=st.none() | st.floats(-330.0, 2.0))
+@example(kind="scalar", n_half=64, log_extent=np.log10(40.0), k0=8.0,
+         log_width=np.log10(0.05 / 0.625))
+@example(kind="wave", n_half=8, log_extent=0.0, k0=0.0,
+         log_width=np.log10(0.5))
+@example(kind="scalar", n_half=8, log_extent=-300.0, k0=0.0,
+         log_width=np.log10(0.5 + 1e-9))
+def test_cli_propagate_starts_from_a_nonzero_packet(kind, n_half, log_extent,
+                                                    k0, log_width):
+    # --width is log_width decades of the spacing h (None: the default
+    # extent / 4); at or below h/2 the window misses every node, and just
+    # above it at a tiny extent the squares of its samples underflow
+    extent = float(10.0 ** log_extent)
+    argv = ["propagate", "--kind", kind, "--grid-size", str(n_half),
+            f"--extent={extent!r}", f"--k0={k0!r}", "--t-max", "1",
+            "--snapshots", "2"]
+    if log_width is not None:
+        argv.append(f"--width={float(extent / n_half * 10.0 ** log_width)!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "run")
+        code, err = _run_main(argv + ["--out", str(out)])
+        if code != 0:
+            _refused(code, err, out)
+            assert os.listdir(tmp) == []
+            return
+        diag = (out / "diagnostics.csv").read_text().splitlines()
+        assert diag[0].split(",")[1] == "norm"
+        assert float(diag[1].split(",")[1]) > 0.0

@@ -46,7 +46,8 @@ def test_grid_antisymmetry_and_conjugate():
     assert k.dk == pytest.approx(np.pi / 10.0)
     np.testing.assert_array_equal(k.nodes, -k.nodes[::-1])
     assert np.all(k.nodes != 0.0)
-    assert k.axis_grid() is g
+    axis = k.axis_grid()
+    assert axis.same_as(g) and np.array_equal(axis.nodes, g.nodes)
 
 
 def test_sample_field_pointwise():
