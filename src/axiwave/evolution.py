@@ -17,9 +17,12 @@ is exact in time; the entries mirror one cos and one sin of kappa t on
 the N positive nodes (the closed forms, bit for bit).  Each kind is one
 private stream of g-rows and diagnostics per time, which `propagate_*`
 collect and the CLI writes as it comes.  A classical RK4 stepper of the
-composed Hamiltonian is kept as a cross-check for the scalar case; its
-step must respect dt <= 2 sqrt(2) h / pi, obtained from |R(iy)| <= 1 for
-RK4 on the imaginary axis (|y| <= 2 sqrt 2) and the spectral radius
+composed Hamiltonian is kept as a cross-check for the scalar case.  That
+Hamiltonian is diagonal on the trig modes of g (cos coefficients of the
+even part, sin coefficients of the odd part), so the stepper multiplies
+those modes by RK4's stability function R(-i dt k) per step.  Its step
+must respect dt <= 2 sqrt(2) h / pi, obtained from |R(iy)| <= 1 for RK4
+on the imaginary axis (|y| <= 2 sqrt 2) and the spectral radius
 max|kappa| < pi/h of the discrete Hamiltonian.
 
 The scalar density rho = |g|^2 + |Hg|^2 is pointwise non-negative by
@@ -37,9 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import INTERIOR, AxialField, AxisGrid, convert_rep, fold, unfold
+from .grids import (INTERIOR, AxialField, AxisGrid, convert_rep, parity_join,
+                    parity_split, unfold)
 from .spectral import fourier_full, fourier_full_inverse
-from .transforms import hilbert_signed
+from .transforms import _trig_rows, hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
 RK4_MAX_NODE_STEPS = 2 ** 32  # bound on ceil(t_end / dt) x node count
@@ -203,9 +207,28 @@ def _maxwell_transfer(c, s, k):
     return [[c, -s], [s, c]]
 
 
+def _trig_modes(grid: AxisGrid):
+    """(to_modes, from_modes, k): the eigenbasis of the stepped Hamiltonian.
+
+    to_modes(g) is the (2, N) stack of the cos coefficients of g's even
+    part and the sin coefficients of its odd part on the N positive
+    momentum nodes k, and from_modes is its inverse (to rounding: the
+    DCT-IV is orthogonal).  The Hamiltonian is k on both rows.
+    """
+    n, sg = grid.n_half, grid.conjugate()
+
+    def to_modes(g):
+        return _trig_rows(parity_split(g, n), grid.h, ("cos", "sin"))
+
+    def from_modes(c):
+        return parity_join(*_trig_rows(c, sg.dk, ("cos", "sin")))
+
+    return to_modes, from_modes, sg.positive_nodes()
+
+
 def _hamiltonian_g(grid: AxisGrid):
     """g-level stepped Hamiltonian, left factorization with the
-    trig-interpolant radial derivative: apply(g, out=None) is H g.
+    trig-interpolant radial derivative: apply(g) is H g.
 
     Differentiating the sine/cosine interpolants maps their coefficient
     spaces into each other exactly, which collapses
@@ -216,80 +239,35 @@ def _hamiltonian_g(grid: AxisGrid):
     finite-difference left/right factorizations keep their own ledger in
     the operators module.
     """
-    return _scaled_hamiltonian(grid, 1.0)
+    to_modes, from_modes, k = _trig_modes(grid)
+    return lambda g: from_modes(k * to_modes(g))
 
 
-def _scaled_hamiltonian(grid, factor):
-    """apply(g, out=None): factor * H g (factor 1 or -1j), bit for bit the
-    parity split, two two-row `_trig_rows` calls, the parity join and a
-    last multiply by `factor`.  The three work rows, their complex views
-    and the float views the DCT-IV runs on are made once here, so an apply
-    serves one thread.
-
-    Each DCT-IV is followed by one multiply by a precomputed complex row
-    pair: the split's 1/2 and the first scale, then the second scale and
-    `factor`, both with the sin row's odd entries negated (the DST-IV sign,
-    so both rows run as cos).  Powers of 2, signs and 1 or -i are exact,
-    so every product still rounds once.  The x k and the sin row's
-    reversal are one multiply into the third row."""
-    n = grid.n_half
-    sg = grid.conjugate()
-    k = sg.positive_nodes().astype(complex)   # k + 0j, cast once
-    sign = np.stack([np.ones(n), (-1.0) ** np.arange(n)])
-    # the scale factors of the two trig transforms, as `_trig_rows` forms them
-    first, second = (np.multiply(f, np.sqrt(2.0 / np.pi) * 0.5 * s * sign,
-                                 dtype=complex)
-                     for f, s in ((0.5, grid.h), (factor, sg.dk)))
-    w = np.empty((3, n), dtype=complex)
-    (w0, w1, w2), w01, w12 = w, w[:2], w[1:]   # views made once
-    v01, v12 = (x.view(float).reshape(2, n, 2) for x in (w01, w12))
-    from scipy.fftpack import dct   # scipy.fft's kernel, no dispatch
-
-    def apply(g, out=None):
-        out = np.empty(2 * n, dtype=complex) if out is None else out
-        plus, minus = fold(g, n)
-        # 2 x the even part, and 2 x the odd part reversed for its sin row
-        np.add(plus, minus, out=w0)
-        np.subtract(plus[::-1], minus[::-1], out=w1)
-        dct(v01, 4, axis=1, overwrite_x=True)
-        np.multiply(w01, first, out=w01)
-        np.multiply(k, w1, out=w2[::-1])
-        np.multiply(k, w0, out=w1)
-        dct(v12, 4, axis=1, overwrite_x=True)
-        np.multiply(w12, second, out=w12)
-        np.add(w1, w2, out=out[n:])
-        np.subtract(w1, w2, out=out[n - 1::-1])
-        return out
-
-    return apply
+def _rk4_gain(y):
+    """R(-i y) of RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 +
+    z^4/24 (Hairer & Wanner, Solving ODEs II, IV.2), for real y."""
+    y2 = y * y
+    return (1.0 - y2 / 2.0 + y2 * y2 / 24.0) - 1j * y * (1.0 - y2 / 6.0)
 
 
 def _rk4(grid, g0, t, dt):
     """Classical RK4 of i dg/dt = H g, yielding [g] at each time in t.
 
-    Each stage is one `_scaled_hamiltonian` apply of -i H.  The stages
-    k1..k4 and the stage argument are allocated once per call and
-    overwritten in place, with the operand order of
-    g + step/6 (k1 + 2 k2 + 2 k3 + k4).
+    H is k on the trig modes of g (`_trig_modes`), so an RK4 step of size
+    s multiplies them by R(-i s k): g is transformed once, stepped on its
+    modes and transformed back at each time in t.  A time is reached once
+    the clock is within 1e-9 dt of it, a bound relative to the step, so a
+    grid rescaled by a power of 2 takes the same steps.
     """
-    rhs = _scaled_hamiltonian(grid, -1j)
-    g = np.array(g0, dtype=complex)
-    k1, k2, k3, k4, arg = (np.empty_like(g) for _ in range(5))
-
+    to_modes, from_modes, k = _trig_modes(grid)
+    modes, full = to_modes(g0), _rk4_gain(dt * k)
     t_now = 0.0
     for ti in t:
-        while t_now < ti - 1e-12:
+        while t_now < ti - 1e-9 * dt:
             step = min(dt, ti - t_now)
-            rhs(g, k1)
-            rhs(np.add(g, np.multiply(0.5 * step, k1, out=arg), out=arg), k2)
-            rhs(np.add(g, np.multiply(0.5 * step, k2, out=arg), out=arg), k3)
-            rhs(np.add(g, np.multiply(step, k3, out=arg), out=arg), k4)
-            np.add(k1, np.multiply(2, k2, out=k2), out=k2)
-            np.add(k2, np.multiply(2, k3, out=k3), out=k3)
-            np.add(k3, k4, out=k4)
-            np.add(g, np.multiply(step / 6.0, k4, out=k4), out=g)
+            modes *= full if step == dt else _rk4_gain(step * k)
             t_now += step
-        yield [g.copy()]
+        yield [from_modes(modes)]
 
 
 def _rk4_step(h, size, t_end, dt=None) -> float:
@@ -343,10 +321,11 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
     """First-order evolution i dt psi = p0 psi (positive branch only).
 
     method="spectral" multiplies by exp(-i |kappa| t), exact in time;
-    method="rk4" steps the composed left-form Hamiltonian and serves as an
-    independent cross-check.  The RK4 substep obeys
-    dt <= 2 sqrt(2) h / pi (spectral radius bound); default h/4.  A run of
-    more than RK4_MAX_NODE_STEPS steps x nodes is refused before stepping.
+    method="rk4" runs classical RK4 on the composed left-form Hamiltonian,
+    stepped on its trig modes, and serves as an independent cross-check.
+    The RK4 substep obeys dt <= 2 sqrt(2) h / pi (spectral radius bound);
+    default h/4.  A run of more than RK4_MAX_NODE_STEPS steps x nodes is
+    refused before stepping.
     """
     return _collect(t_grid, _scalar_stream([psi0], t_grid, method, dt),
                     lambda rows: _field_from_g(psi0.grid, rows[0], psi0.rep))

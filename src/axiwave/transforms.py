@@ -29,13 +29,10 @@ with two independent realizations:
     log correction of the truncated  pv integral dt/(r^2-t^2).
 
 `_hilbert_core` is the one backend switch behind every Hilbert transform,
-and every trig transform runs on the one DCT-IV kernel `_trig_rows`, over
-any number of rows.  That kernel is `scipy.fft.dct`, looked up at call
-time: importing the package loads no scipy, and `scipy.fft` loads on the
-first r2r call.  The RK4 stepper's apply (`evolution._scaled_hamiltonian`)
-is the one other DCT-IV caller; it binds `scipy.fftpack.dct`, which runs
-the same pocketfft kernel with the same bits but skips `scipy.fft`'s
-backend dispatch, a fifth of a step on a desk-scale grid.
+and every trig transform, the RK4 stepper's included, runs on the one
+DCT-IV kernel `_trig_rows`, over any number of rows.  That kernel is
+`scipy.fft.dct`, looked up at call time: importing the package loads no
+scipy, and `scipy.fft` loads on the first r2r call.
 
 The quadrature never forms its n x n kernel.  On the offset grid
 r_i = (i + 1/2) h the partial fractions

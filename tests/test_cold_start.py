@@ -3,9 +3,8 @@
 Each check runs in a fresh interpreter, because this test process has
 imported scipy itself and would hide a module-level import.  `import
 axiwave`, a spectral `propagate` of every kind and a beam `boost` need
-numpy alone; the r2r routes (rk4, `transform`, `verify`) load `scipy.fft`,
-and the RK4 stepper's routes (rk4, `verify`) `scipy.fftpack` too, the entry
-its apply binds.  No module of the package
+numpy alone; the r2r routes (rk4, `transform`, `verify`) load `scipy.fft`
+and no other scipy transform module.  No module of the package
 imports `scipy.interpolate` or a private scipy module, and the default
 `verify` and `propagate` (every kind, and rk4) run clean with every
 warning an error.
@@ -106,7 +105,7 @@ def test_r2r_routes_load_fft_but_no_spline(spectral_and_rk4, file_routes,
     code, mods = {**spectral_and_rk4, **file_routes}[label]
     assert code == 0
     assert "scipy.fft" in mods
-    assert ("scipy.fftpack" in mods) == (label != "transform")
+    assert "scipy.fftpack" not in mods
     assert "scipy.interpolate" not in mods
 
 

@@ -94,6 +94,23 @@ def test_rk4_norm_drift_and_cfl():
             propagate_scalar(pkt, [0.0, 1.0], method="rk4", dt=dt)
 
 
+def test_rk4_steps_alike_at_every_grid_scale():
+    # a grid and its times rescaled by a power of 2 give the same g
+    # snapshots, bit for bit: each time is reached relative to the step
+    g = convert_rep(random_packet(make_grid(32, 8.0),
+                                  np.random.default_rng(62)), "g").values
+    runs = []
+    for p in (-50, 0, 50):
+        grid = make_grid(32, 8.0 * 2.0 ** p)
+        t = np.array([0.0, 0.5, 1.3]) * 2.0 ** p
+        res = propagate_scalar(AxialField(grid, "g", g), t, method="rk4")
+        runs.append([s.values for s in res.snapshots])
+    assert not np.array_equal(runs[1][0], runs[1][-1])
+    for run in runs[::2]:
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(run, runs[1], strict=True))
+
+
 def test_density_current_uniform_on_window():
     lam = GRID.nodes
     gvals = np.exp(-((lam / 12.0) ** 8)) * np.exp(1j * 6.0 * lam)
