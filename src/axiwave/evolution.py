@@ -18,10 +18,12 @@ the N positive nodes (the closed forms, bit for bit).  Each kind is one
 private stream of g-rows and diagnostics per time, which `propagate_*`
 collect and the CLI writes as it comes.  A classical RK4 stepper of the
 composed Hamiltonian is kept as a cross-check for the scalar case.  That
-Hamiltonian is diagonal on the trig modes of g (cos coefficients of the
-even part, sin coefficients of the odd part), so the stepper multiplies
-those modes by RK4's stability function R(-i dt k) per step.  Its step
-must respect dt <= 2 sqrt(2) h / pi, obtained from |R(iy)| <= 1 for RK4
+Hamiltonian is diagonal on the trig modes of g (`spectral._to_modes`:
+cos coefficients of the even part, sin coefficients of the odd part), so
+an RK4 step multiplies those modes by RK4's stability function
+R(-i dt k), and the q full steps and the rest r < dt between two
+requested times by R(-i dt k)^q R(-i r k) at once.  Its step must
+respect dt <= 2 sqrt(2) h / pi, obtained from |R(iy)| <= 1 for RK4
 on the imaginary axis (|y| <= 2 sqrt 2) and the spectral radius
 max|kappa| < pi/h of the discrete Hamiltonian.
 
@@ -40,13 +42,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import (INTERIOR, AxialField, AxisGrid, convert_rep, parity_join,
-                    parity_split, unfold)
-from .spectral import fourier_full, fourier_full_inverse
-from .transforms import _trig_rows, hilbert_signed
+from .grids import INTERIOR, AxialField, AxisGrid, convert_rep, unfold
+from .spectral import (_from_modes, _to_modes, fourier_full,
+                       fourier_full_inverse)
+from .transforms import hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
-RK4_MAX_NODE_STEPS = 2 ** 32  # bound on ceil(t_end / dt) x node count
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +111,8 @@ def _check_times(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or t[0] != 0.0:
         raise ValueError("time grid must start at 0")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time grid must be finite")
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise ValueError("time grid must be strictly increasing")
     return t
@@ -207,25 +210,6 @@ def _maxwell_transfer(c, s, k):
     return [[c, -s], [s, c]]
 
 
-def _trig_modes(grid: AxisGrid):
-    """(to_modes, from_modes, k): the eigenbasis of the stepped Hamiltonian.
-
-    to_modes(g) is the (2, N) stack of the cos coefficients of g's even
-    part and the sin coefficients of its odd part on the N positive
-    momentum nodes k, and from_modes is its inverse (to rounding: the
-    DCT-IV is orthogonal).  The Hamiltonian is k on both rows.
-    """
-    n, sg = grid.n_half, grid.conjugate()
-
-    def to_modes(g):
-        return _trig_rows(parity_split(g, n), grid.h, ("cos", "sin"))
-
-    def from_modes(c):
-        return parity_join(*_trig_rows(c, sg.dk, ("cos", "sin")))
-
-    return to_modes, from_modes, sg.positive_nodes()
-
-
 def _hamiltonian_g(grid: AxisGrid):
     """g-level stepped Hamiltonian, left factorization with the
     trig-interpolant radial derivative: apply(g) is H g.
@@ -237,10 +221,12 @@ def _hamiltonian_g(grid: AxisGrid):
     operator is Hermitian and positive to rounding (the same matrix the
     unitary-map route produces), so the stepped norm cannot grow; the
     finite-difference left/right factorizations keep their own ledger in
-    the operators module.
+    the operators module.  It is k on the trig modes of g
+    (`spectral._to_modes`), k the N positive momentum nodes.
     """
-    to_modes, from_modes, k = _trig_modes(grid)
-    return lambda g: from_modes(k * to_modes(g))
+    sgrid = grid.conjugate()
+    k = sgrid.positive_nodes()
+    return lambda g: _from_modes(k * _to_modes(g, grid), sgrid)
 
 
 def _rk4_gain(y):
@@ -251,40 +237,35 @@ def _rk4_gain(y):
 
 
 def _rk4(grid, g0, t, dt):
-    """Classical RK4 of i dg/dt = H g, yielding [g] at each time in t.
+    """Classical RK4 of i dg/dt = H g with step dt, yielding [g] at each
+    time in t (t[0] = 0).
 
-    H is k on the trig modes of g (`_trig_modes`), so an RK4 step of size
-    s multiplies them by R(-i s k): g is transformed once, stepped on its
-    modes and transformed back at each time in t.  A time is reached once
-    the clock is within 1e-9 dt of it, a bound relative to the step, so a
-    grid rescaled by a power of 2 takes the same steps.
+    H is k on the trig modes of g (`spectral._to_modes`), so an RK4 step
+    of size s multiplies them by R(-i s k).  Each interval between two
+    times splits exactly into steps, rest = divmod(gap, dt) (0 <= rest <
+    dt), and its modes are multiplied by R(-i dt k)^steps R(-i rest k) at
+    once: g is transformed once and back at each time, O(len(t) n log n)
+    whatever the step count.  divmod is exact, so a grid and its times
+    rescaled by a power of 2 take the same steps.
     """
-    to_modes, from_modes, k = _trig_modes(grid)
-    modes, full = to_modes(g0), _rk4_gain(dt * k)
-    t_now = 0.0
-    for ti in t:
-        while t_now < ti - 1e-9 * dt:
-            step = min(dt, ti - t_now)
-            modes *= full if step == dt else _rk4_gain(step * k)
-            t_now += step
-        yield [from_modes(modes)]
+    sgrid = grid.conjugate()
+    k = sgrid.positive_nodes()
+    modes, full = _to_modes(g0, grid), _rk4_gain(dt * k)
+    for gap in np.diff(t, prepend=0.0):
+        steps, rest = divmod(float(gap), dt)
+        modes *= full ** steps * _rk4_gain(rest * k)
+        yield [_from_modes(modes, sgrid)]
 
 
-def _rk4_step(h, size, t_end, dt=None) -> float:
-    """The step of an RK4 run to t_end on `size` nodes of spacing h: dt,
-    or h/4 by default.  Refused (ValueError) when it breaks the stability
-    bound or the run takes more than RK4_MAX_NODE_STEPS steps x nodes."""
+def _rk4_step(h, dt=None) -> float:
+    """The step of an RK4 run on nodes of spacing h: dt, or h/4 by
+    default.  Refused (ValueError) when it breaks the stability bound."""
     dt_max = RK4_STABILITY_FACTOR * h
     dt = h / 4.0 if dt is None else float(dt)
     if not 0.0 < dt <= dt_max:
         raise ValueError(
             f"rk4 step {dt:.3e} is not positive or violates the stability "
             f"bound 2*sqrt(2)*h/pi = {dt_max:.3e}")
-    steps = np.ceil(t_end / dt)
-    if not steps * size <= RK4_MAX_NODE_STEPS:
-        raise ValueError(
-            f"rk4 run of {steps:.3g} steps x {size} nodes exceeds "
-            f"the limit of 2**32 node-steps")
     return dt
 
 
@@ -297,7 +278,7 @@ def _scalar_stream(comps, t_grid, method="spectral", dt=None):
         flow = ((g, _rho_j_norm(grid, g, hg)) for g, hg in
                 _evolve(comps, t, _scalar_transfer, hilbert=True))
     elif method == "rk4":
-        dt = _rk4_step(grid.h, grid.size, t[-1], dt)
+        dt = _rk4_step(grid.h, dt)
         flow = ((g, _scalar_diagnostics(grid, g))
                 for (g,) in _rk4(grid, _g_of(comps[0]), t, dt))
     else:
@@ -324,8 +305,8 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
     method="rk4" runs classical RK4 on the composed left-form Hamiltonian,
     stepped on its trig modes, and serves as an independent cross-check.
     The RK4 substep obeys dt <= 2 sqrt(2) h / pi (spectral radius bound);
-    default h/4.  A run of more than RK4_MAX_NODE_STEPS steps x nodes is
-    refused before stepping.
+    default h/4.  Each interval between two times costs one power of
+    RK4's full-step factor, whatever its step count.
     """
     return _collect(t_grid, _scalar_stream([psi0], t_grid, method, dt),
                     lambda rows: _field_from_g(psi0.grid, rows[0], psi0.rep))

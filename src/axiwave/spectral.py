@@ -26,9 +26,12 @@ factors are folded into the post vector in the left-to-right order of
 the defining formula, so the planned transform is bit-identical to that
 formula evaluated in full.
 
-The trig route runs its cosine and sine transforms as one DCT-IV over
-both rows (`transforms._trig_rows`, through DST-IV(x)_m = (-1)^m
-DCT-IV(x reversed)_m): one r2r call per analysis or synthesis.
+The trig route is stated once, as `_to_modes` and its inverse
+`_from_modes`: the cos coefficients of g's even part and the sin
+coefficients of its odd part, run as one DCT-IV over both rows
+(`transforms._trig_rows`, through DST-IV(x)_m = (-1)^m DCT-IV(x
+reversed)_m): one r2r call per analysis or synthesis.  The RK4 stepper
+of `evolution` works on the same modes.
 """
 
 from __future__ import annotations
@@ -94,6 +97,19 @@ def spectral_derivative(values: np.ndarray, grid: AxisGrid) -> np.ndarray:
     return fourier_full_inverse(1j * sg.nodes * fourier_full(values, grid), sg)
 
 
+def _to_modes(g: np.ndarray, grid: AxisGrid) -> np.ndarray:
+    """The trig modes of g: the (2, N) stack of the cos coefficients of its
+    even part and the sin coefficients of its odd part on the N positive
+    momentum nodes, from one DCT-IV call."""
+    return _trig_rows(parity_split(g, grid.n_half), grid.h, ("cos", "sin"))
+
+
+def _from_modes(modes, sgrid: SpectralGrid) -> np.ndarray:
+    """g from its trig modes, the inverse of `_to_modes` (to rounding: the
+    DCT-IV is orthogonal)."""
+    return parity_join(*_trig_rows(modes, sgrid.dk, ("cos", "sin")))
+
+
 def analyze(psi: AxialField) -> SpectralProfile:
     """Project an axis field onto the signed-momentum profile phi(kappa).
 
@@ -103,8 +119,7 @@ def analyze(psi: AxialField) -> SpectralProfile:
     """
     grid = psi.grid
     sgrid = grid.conjugate()
-    even, odd = parity_split(convert_rep(psi, "g").values, grid.n_half)
-    ce, so = _trig_rows([even, odd], grid.h, ("cos", "sin"))
+    ce, so = _to_modes(convert_rep(psi, "g").values, grid)
     root = np.sqrt(sgrid.positive_nodes())
     phi_plus = (ce - 1j * so) / root
     phi_minus = (ce + 1j * so) / root
@@ -116,7 +131,7 @@ def synthesize(phi: SpectralProfile) -> AxialField:
     sgrid = phi.grid
     even, odd = parity_split(np.sqrt(np.abs(sgrid.nodes)) * phi.values,
                              sgrid.n_half)
-    g = parity_join(*_trig_rows([even, 1j * odd], sgrid.dk, ("cos", "sin")))
+    g = _from_modes([even, 1j * odd], sgrid)
     return convert_rep(AxialField(sgrid.axis_grid(), "g", g), "f")
 
 

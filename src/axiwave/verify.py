@@ -31,8 +31,8 @@ from .operators import (_hilbert, _wrap, adjoint_residual,
                         pbar0_triangle_residual, radial_momentum_tilde,
                         rayleigh_quotient, LinearOperatorHandle)
 from .evolution import (packet_centroid, propagate_maxwell,
-                        propagate_scalar, propagate_weyl, _rk4_step,
-                        SpinorField, VectorField3)
+                        propagate_scalar, propagate_weyl, SpinorField,
+                        VectorField3)
 from .relativity import (BeamState, BoostParams, FourMomentum,
                          aberrate_direction, boost_beam, boost_four_momentum,
                          doppler_factor, momentum_boost_generator)
@@ -62,9 +62,6 @@ class RunConfig:
             raise ValueError(f"n_half must be at least {2 * MIN_N_HALF}")
         for n in (self.n_half // 2, self.n_half, 2 * self.n_half):
             axis_spacing(n, self.extent)
-        # the ledger's RK4 entry, refused here rather than mid-run
-        _rk4_step(axis_spacing(self.n_half, self.extent), 2 * self.n_half,
-                  RK4_TIMES[-1])
         if not 0.0 <= self.tol_scale < np.inf:
             raise ValueError("tol_scale must be finite and non-negative")
         if self.seed < 0:

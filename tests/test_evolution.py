@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,25 @@ def test_time_grid_validation():
         propagate_scalar(pkt, [0.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         propagate_scalar(pkt, [0.0, 1.0], method="nope")
+
+
+@pytest.mark.parametrize("propagate", [
+    lambda w, t: propagate_scalar(w, t),
+    lambda w, t: propagate_scalar(w, t, method="rk4"),
+    lambda w, t: propagate_wave(w, AxialField(w.grid, "g", 0 * w.values), t),
+    lambda w, t: propagate_weyl(SpinorField(w.grid, "g", w.values,
+                                            0 * w.values), t),
+    lambda w, t: propagate_maxwell(VectorField3(w.grid, "g", [
+        w.values, 1j * w.values, 0 * w.values]), t)],
+    ids=["scalar", "rk4", "wave", "weyl", "maxwell"])
+@pytest.mark.parametrize("t", [[0.0, np.inf], [0.0, 1.0, np.inf, np.inf],
+                               [0.0, -np.inf]], ids=["inf", "infs", "-inf"])
+def test_infinite_time_is_refused_before_any_work(propagate, t):
+    w = convert_rep(fwd_packet(), "g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="time grid must be finite"):
+            propagate(w, t)
 
 
 def test_scalar_packet_translates_forward():

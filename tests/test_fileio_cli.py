@@ -476,26 +476,21 @@ def test_cli_propagate_makes_missing_out_parents(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["propagate", "--method", "rk4", "--extent", "1e-300"],
-    ["verify", "--grid-size", "16", "--extent", "1e-300"],
-    ["verify", "--grid-size", "64", "--extent", "1e-5"],
-    ["verify", "--grid-size", "65536", "--extent", "40"]])
-def test_cli_refuses_unbounded_rk4_run(tmp_path, argv):
-    # 1e303 (2.56e8 at 1e-5, 6.55e4 on 131072 nodes) RK4 steps: refused
-    # before the first one; verify refuses the config itself, naming its
-    # grid and ledger flags, and writes no report
+@pytest.mark.parametrize("argv,code", [
+    (["propagate", "--method", "rk4", "--extent", "1e-300"], 0),
+    (["verify", "--grid-size", "16", "--extent", "1e-300"], 1),
+    (["verify", "--grid-size", "64", "--extent", "1e-5"], 1),
+    (["propagate", "--method", "rk4", "--grid-size", "8", "--t-max", "3e8"],
+     0)])
+def test_cli_finishes_rk4_run_of_any_step_count(tmp_path, argv, code):
+    # 5.1e303 (6.4e302, 2.56e8, 2.4e8) RK4 steps: one power of the
+    # full-step factor per snapshot, so each run ends in about a second
+    # and writes its output; the degenerate ledgers fail their entries
     done = _cli(*argv, "--out", str(tmp_path / "out"), timeout=60)
-    assert done.returncode == 2
-    want = "error: rk4 run of" if argv[0] == "propagate" else \
-        f"error: --grid-size {argv[2]} --extent {float(argv[-1])!r} " \
-        "--seed 7 --tol-scale 1.0: rk4 run"
-    assert done.stderr.splitlines()[-1].startswith(want)
-    assert done.stdout == ""
-    assert "2**32 node-steps" in done.stderr
+    assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
     assert "RuntimeWarning" not in done.stderr
-    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "out").exists()
 
 
 def test_cli_verify_degenerate_ledger_fails_without_traceback(tmp_path):
