@@ -21,8 +21,8 @@ import numpy as np
 from .evolution import (_field_from_g, _maxwell_stream, _scalar_stream,
                         _wave_stream, _weyl_stream)
 from .fileio import (FileFormatError, read_beams_json, read_spectral_csv,
-                     read_state_csv, write_beams_json, write_spectral_csv,
-                     write_state_csv)
+                     read_state_csv, write_beams_json, write_diagnostics_csv,
+                     write_spectral_csv, write_state_csv)
 from .grids import AxialField, axis_spacing, make_grid
 from .relativity import BoostParams, boost_beam
 from .spectral import analyze, spectral_derivative, synthesize
@@ -167,16 +167,6 @@ KINDS = {
 }
 
 
-def _write_diag(path, times, diags, columns):
-    """One row per time; NaN (no centered stencil) is written blank."""
-    lines = [",".join(("time",) + columns)]
-    for t, diag in zip(times, diags):
-        cells = [float(t)] + [float(diag[key]) for key in columns]
-        lines.append(",".join("" if np.isnan(x) else repr(x) for x in cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_propagate(args) -> int:
     default, stream, accepts_in, columns = KINDS[args.kind]
     if not args.infile:   # with --in, the file sets the grid and the packet
@@ -238,7 +228,9 @@ def cmd_propagate(args) -> int:
                                  f"{grid.h / 2!r})")
             write_state_csv(snap, os.path.join(tmp, f"snapshot_{i:03d}.csv"))
             diags.append(diag)
-        _write_diag(os.path.join(tmp, "diagnostics.csv"), times, diags, columns)
+        table = {key: [d[key] for d in diags] for key in columns}
+        write_diagnostics_csv({"time": times, **table},
+                              os.path.join(tmp, "diagnostics.csv"))
         os.makedirs(outdir, exist_ok=True)
         for name in os.listdir(tmp):
             os.replace(os.path.join(tmp, name), os.path.join(outdir, name))

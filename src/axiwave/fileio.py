@@ -4,19 +4,25 @@ State CSV: one row per node, `lambda,re,im`, preceded by a comment header
 `# rep=F|G n_half=<int> h=<float>`.  Spectral CSV: `kappa,re,im` with
 header `# dk=<float>`.  Multi-component fields use the same layout with
 `components=<n>` in the header and re/im column pairs per component;
-`write_state_csv` writes both layouts (one field or a list) and
-`read_state_csv` reads both.  The readers reject non-finite cells, and the
-writers refuse to write one (ValueError, before the file is opened), so
-whatever is written reads back.
+`write_state_csv` writes both layouts (one field or a list of components
+on one grid, in one rep) and `read_state_csv` reads both.  The readers
+reject non-finite cells, and the writers refuse to write one, or
+components that do not share a grid and rep (ValueError, before the file
+is opened), so whatever is written reads back.
 Beam ensembles are JSON: {"beams": [{"direction": [x,y,z],
-"kappa": [...], "re": [...], "im": [...]}]}.
+"kappa": [...], "re": [...], "im": [...]}]}.  The diagnostics CSV of a
+propagate run is one column per named quantity, NaN written blank.
 
-Floats are written with repr (shortest round-trip), so identical data
-serializes byte-identically.
+Every float is written as its repr (the shortest text that round-trips),
+so identical data serializes byte-identically; the readers accept exactly
+what `float()` accepts.  A grid's nodes are `offset_nodes(n_half,
+spacing)`, so their text is formatted once per grid and kept for a few
+grids (`_node_text`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -24,7 +30,7 @@ import re
 import numpy as np
 
 from .grids import (AxialField, SpectralProfile, check_grid, make_grid,
-                    make_spectral_grid)
+                    make_spectral_grid, offset_nodes)
 from .relativity import BeamState
 
 
@@ -37,26 +43,43 @@ def _check_finite(path, columns):
         raise ValueError(f"{path}: refusing to write a non-finite value")
 
 
+@functools.lru_cache(maxsize=4)
+def _node_text(n_half: int, spacing: float) -> tuple[str, ...]:
+    """The repr of each of `offset_nodes(n_half, spacing)`: the node text
+    of every grid with the key that `same_as` compares."""
+    return tuple(map(repr, offset_nodes(n_half, spacing).tolist()))
+
+
+def _float_text(column) -> list[str]:
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
+
+
 def _write_rows(path, header, columns):
-    """Header lines, then one row per index of the equal-length float columns."""
-    _check_finite(path, columns)
-    rows = zip(*(c.tolist() for c in columns))
-    lines = header + [",".join(map(repr, row)) for row in rows]
+    """Header lines, then one row per index of the equal-length text
+    columns, in one write."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(
+            [*header, *map(",".join, zip(*columns, strict=True)), ""]))
 
 
 def write_state_csv(fields: AxialField | list[AxialField], path):
-    """One field, or a list of same-grid components (spinor, vector)."""
+    """One field, or a list of components on one grid, in one rep (spinor,
+    vector)."""
     fields = fields if isinstance(fields, list) else [fields]
     grid, n = fields[0].grid, len(fields)
+    if not all(f.grid.same_as(grid) and f.rep == fields[0].rep
+               for f in fields):
+        raise ValueError(f"{path}: refusing to write components on "
+                         "different grids or reps")
+    parts = [part for f in fields for part in (f.values.real, f.values.imag)]
+    _check_finite(path, parts)
     rep = "F" if fields[0].rep == "f" else "G"
     head = f"# rep={rep} n_half={grid.n_half} h={float(grid.h)!r}"
     if n > 1:
         head += f" components={n}"
     names = ["re,im"] if n == 1 else [f"re{i},im{i}" for i in range(1, n + 1)]
-    _write_rows(path, [head, ",".join(["lambda"] + names)], [grid.nodes] + [
-        part for f in fields for part in (f.values.real, f.values.imag)])
+    _write_rows(path, [head, ",".join(["lambda"] + names)],
+                [_node_text(grid.n_half, grid.h), *map(_float_text, parts)])
 
 
 _STATE_HEADER = re.compile(
@@ -92,8 +115,19 @@ def _read_table(path, header_re, expected_cols_fn):
     start = 1
     if start < len(lines) and lines[start].lstrip().startswith(("lambda", "kappa")):
         start += 1
+    body = lines[start:]
+    # the whole body in one cast, which calls float() on each cell; any
+    # fault (a blank line too) is found and reported line by line below
+    if all(line.count(",") == ncols - 1 for line in body):
+        try:
+            data = np.array(",".join(body).split(","), dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(data).all():
+                return meta, data.reshape(len(body), ncols)
     rows = []
-    for i, line in enumerate(lines[start:], start=start + 1):
+    for i, line in enumerate(body, start=start + 1):
         if not line.strip():
             continue
         rows.append(_parse_floats(path, i, line, ncols))
@@ -132,8 +166,11 @@ def read_state_csv(path) -> AxialField | list[AxialField]:
 
 
 def write_spectral_csv(profile: SpectralProfile, path):
-    _write_rows(path, [f"# dk={float(profile.grid.dk)!r}", "kappa,re,im"],
-                [profile.grid.nodes, profile.values.real, profile.values.imag])
+    parts = [profile.values.real, profile.values.imag]
+    _check_finite(path, parts)
+    grid = profile.grid
+    _write_rows(path, [f"# dk={float(grid.dk)!r}", "kappa,re,im"],
+                [_node_text(grid.n_half, grid.dk), *map(_float_text, parts)])
 
 
 def read_spectral_csv(path) -> SpectralProfile:
@@ -143,32 +180,37 @@ def read_spectral_csv(path) -> SpectralProfile:
     return SpectralProfile(sg, data[:, 1] + 1j * data[:, 2])
 
 
-def _json_text(value, pad):
-    """`json.dump(..., indent=1)`'s text of a float or float list (items
-    at indent `pad`), from the C encoder: the same repr."""
-    text = json.dumps(value)
-    if not isinstance(value, list) or not value:
-        return text
-    items = text[1:-1].replace(", ", ",\n" + pad)
-    return f"[\n{pad}{items}\n{pad[:-1]}]"
+def write_diagnostics_csv(table: dict, path):
+    """One column per name of `table` (values per time), NaN (no centered
+    stencil) written blank."""
+    columns = [np.asarray(col, dtype=float).tolist() for col in table.values()]
+    _write_rows(path, [",".join(table)], [
+        ["" if math.isnan(x) else repr(x) for x in col] for col in columns])
+
+
+def _json_list(texts):
+    """`json.dump(..., indent=1)`'s text of a float list at a beam key."""
+    return "[\n    " + ",\n    ".join(texts) + "\n   ]"
 
 
 def write_beams_json(beams, path):
     """The text of `json.dump(payload, fh, indent=1, sort_keys=True)`, one
-    beam at a time (that encoder runs in pure Python once `indent` is set)."""
-    # one dict per beam, its keys in sorted order
-    entries = [{"direction": b.direction, "dk": b.profile.grid.dk,
-                "im": b.profile.values.imag, "kappa": b.profile.grid.nodes,
-                "re": b.profile.values.real} for b in beams]
-    _check_finite(path, [x for entry in entries for x in entry.values()])
+    beam at a time; for a finite float that encoder writes its repr."""
+    beams = list(beams)
+    _check_finite(path, [x for b in beams
+                         for x in (b.direction, b.profile.values)])
     with open(path, "w") as fh:
         fh.write('{\n "beams": [')
-        for i, entry in enumerate(entries):
-            fields = ",\n   ".join(f'"{key}": ' + _json_text(
-                np.asarray(x, dtype=float).tolist(), "    ")
-                for key, x in entry.items())
+        for i, b in enumerate(beams):
+            grid, values = b.profile.grid, b.profile.values
+            fields = ",\n   ".join(f'"{key}": {text}' for key, text in (
+                ("direction", _json_list(_float_text(b.direction))),
+                ("dk", repr(float(grid.dk))),
+                ("im", _json_list(_float_text(values.imag))),
+                ("kappa", _json_list(_node_text(grid.n_half, grid.dk))),
+                ("re", _json_list(_float_text(values.real)))))
             fh.write(f'{"," if i else ""}\n  {{\n   {fields}\n  }}')
-        fh.write("\n ]\n}\n" if entries else "]\n}\n")
+        fh.write("\n ]\n}\n" if beams else "]\n}\n")
 
 
 def read_beams_json(path) -> list[BeamState]:

@@ -874,7 +874,7 @@ def test_cli_main_in_one_process_matches_fresh_processes(tmp_path):
 _MEMORY = """
 import contextlib, gc, io, json, tracemalloc, warnings
 import numpy as np
-from axiwave import cli, spectral, transforms
+from axiwave import cli, fileio, spectral, transforms
 from axiwave.fileio import write_beams_json, write_state_csv
 from axiwave.grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
                            convert_rep, gaussian_packet, make_grid)
@@ -917,7 +917,7 @@ held = sorted({type(o).__name__ for o in gc.garbage if isinstance(
     o, (AxisGrid, SpectralGrid, AxialField, SpectralProfile, np.ndarray))})
 gc.set_debug(0)
 gc.garbage.clear()
-caches = [obj for mod in (spectral, transforms)
+caches = [obj for mod in (fileio, spectral, transforms)
           for obj in vars(mod).values() if hasattr(obj, "cache_info")]
 tracemalloc.start()
 used = []
