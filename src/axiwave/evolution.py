@@ -387,10 +387,8 @@ def _maxwell_stream(comps, t_grid, constraint_tol=1e-12):
     grid = comps[0].grid
     # F1 -+ i F2 itself, not the cancelling |F1|^2 + |F2|^2 +- 2 Im <F1, F2>:
     # a vanishing circular mode then reads at rounding, not its square root
-    mode = np.empty(grid.size, dtype=complex)
-
     def mode_norm(c1, c2, sign):
-        np.add(c1, np.multiply(sign, c2, out=mode), out=mode)
+        mode = c1 + sign * c2
         return np.sqrt(np.vdot(mode, mode).real * grid.h / 2.0)
 
     for c1, c2 in _evolve(comps[:2], t_grid, _maxwell_transfer):

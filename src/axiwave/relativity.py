@@ -115,9 +115,15 @@ class BeamState:
     profile: SpectralProfile = field(repr=False)
 
     def __post_init__(self):
-        if np.shape(self.direction) != (3,):
+        d = np.array(self.direction, dtype=float)
+        if d.shape != (3,):
             raise ValueError("expected a 3-vector")
-        object.__setattr__(self, "direction", _as_unit(self.direction))
+        # one division by the norm leaves |d| within 1.5 eps of 1, and a
+        # second can move d by an ulp: a direction already that close is
+        # kept, so a beam read back from a file has the bits written
+        if not abs(_norm(d) - 1.0) <= 4 * np.finfo(float).eps:
+            d = _as_unit(d)
+        object.__setattr__(self, "direction", d)
 
 
 def boost_four_momentum(k: FourMomentum, b: BoostParams) -> FourMomentum:
@@ -209,7 +215,9 @@ def boost_beam(beam: BeamState, b: BoostParams) -> tuple[BeamState, ...]:
         return (BeamState(beam.direction,
                           SpectralProfile(sg, unfold(new_fwd, new_bwd))),)
     zeros = np.zeros(sg.n_half, dtype=complex)
-    return tuple(BeamState(aberrate_direction(nhat, b),
+    # the aberration formula is unit only to a few eps: one division
+    # brings each new axis within the 1.5 eps that BeamState keeps as is
+    return tuple(BeamState(_as_unit(aberrate_direction(nhat, b)),
                            SpectralProfile(sg, unfold(vals, zeros)))
                  for vals, nhat in ((new_fwd, beam.direction),
                                     (new_bwd, -beam.direction)))

@@ -56,7 +56,6 @@ z<0 (k>0), and Hplus Hminus = Hminus Hplus = -1.
 from __future__ import annotations
 
 import functools
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -102,12 +101,6 @@ def _trig_sum(values: np.ndarray, spacing: float, kind: str) -> np.ndarray:
     return _trig_rows([values], spacing, [kind])[0]
 
 
-@functools.lru_cache(maxsize=4)
-def _row_buffer(n: int, thread: int) -> np.ndarray:
-    # per thread: the r2r kernel runs without the interpreter lock
-    return np.empty((2, n), dtype=complex)
-
-
 def _trig_rows(rows, spacing: float, kinds) -> np.ndarray:
     """Trig transform kinds[i] ("cos"/"sin") of rows[i], for any number of
     rows of one length, from one DCT-IV over all of them; row i of the
@@ -115,22 +108,14 @@ def _trig_rows(rows, spacing: float, kinds) -> np.ndarray:
 
     DST-IV(x)_m = (-1)^m DCT-IV(x reversed)_m is how the r2r kernel itself
     evaluates a DST-IV, so a sin row is reversed on the way in and its odd
-    entries negated on the way out.  One or two rows are transformed in
-    place in a cached (2, n) work buffer (a fresh (2, n) stack at n = 4096
-    lands on the allocator's mmap threshold and costs a page fault storm
-    per call); more rows are transformed and scaled in a fresh stack, so
-    the cache stays bounded by the grid size.  The result is a fresh
-    (rows, n) array.
+    entries negated on the way out.  The rows are filled into one fresh
+    (rows, n) stack, which is transformed and scaled in place and returned.
     """
-    m, n = len(rows), len(rows[0])
-    cached = m <= 2
-    buf = (_row_buffer(n, threading.get_ident())[:m] if cached
-           else np.empty((m, n), dtype=complex))
+    buf = np.empty((len(rows), len(rows[0])), dtype=complex)
     for row, x, kind in zip(buf, rows, kinds):
         row[:] = x if kind == "cos" else x[::-1]
     scale = np.sqrt(2.0 / np.pi) * 0.5 * spacing
-    return np.multiply(scale, _r2r_pair(buf, kinds),
-                       out=None if cached else buf)
+    return np.multiply(scale, _r2r_pair(buf, kinds), out=buf)
 
 
 def _r2r_pair(buf: np.ndarray, kinds) -> np.ndarray:

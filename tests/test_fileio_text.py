@@ -1,7 +1,6 @@
 """The file layer's text: writers against a per-row reference, the CSV
 reader's whole-body parse against its per-line parse, and round trips."""
 
-import json
 import math
 import re
 import tempfile
@@ -192,10 +191,6 @@ def test_csv_write_read_write_is_byte_identical(n_half, log_extent, n_comp,
         assert a.read_bytes() == b.read_bytes()
 
 
-# a beam's "direction" list, which the reader re-normalizes
-_DIRECTION = re.compile(r'"direction": \[[^]]*\]')
-
-
 @settings(max_examples=40, deadline=None)
 @given(n_half=st.integers(8, 40), log_dk=st.floats(-100.0, 100.0),
        count=st.integers(0, 3), **_VALUES)
@@ -214,11 +209,7 @@ def test_beams_json_write_read_write_is_byte_identical(n_half, log_dk, count,
         a, b = Path(tmp, "a.json"), Path(tmp, "b.json")
         write_beams_json(beams, a)
         write_beams_json(read_beams_json(a), b)
-        first, second = a.read_text(), b.read_text()
-    assert _DIRECTION.sub("", first) == _DIRECTION.sub("", second)
-    # BeamState divides the direction it reads by its norm, and x / |x| is
-    # not idempotent in floating point: about 1 unit vector in 100 moves
-    # by up to 2 ulp per read (the example above moves)
-    for x, y in zip(json.loads(first)["beams"], json.loads(second)["beams"]):
-        x, y = np.array(x["direction"]), np.array(y["direction"])
-        assert np.all(np.abs(x - y) <= 4 * np.spacing(np.abs(x)))
+        # x / |x| is not idempotent in floating point: a reader that
+        # divided each direction by its norm again would move about 1 unit
+        # vector in 100 by up to 2 ulp (the example above is one of them)
+        assert a.read_bytes() == b.read_bytes()

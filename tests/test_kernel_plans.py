@@ -5,13 +5,14 @@ and the kernel call counts they save."""
 
 import gc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.fft
 from scipy.fft import dct, dst
 
-from axiwave import evolution, spectral, transforms
+from axiwave import evolution, fileio, spectral, transforms
 from axiwave.evolution import (SpinorField, VectorField3, propagate_maxwell,
                                propagate_scalar, propagate_wave, propagate_weyl)
 from axiwave.grids import (AxialField, AxisGrid, SpectralGrid, convert_rep,
@@ -238,6 +239,26 @@ def test_caches_bounded_by_size_not_grids_seen():
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def _immutable(value):
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, tuple):
+        return all(map(_immutable, value))
+    return isinstance(value, (str, int, float, complex))
+
+
+def test_caches_hand_out_read_only_values():
+    # every cache is keyed by a grid's (n_half, spacing); no cache hands
+    # out a writable array that two callers could share
+    caches = [obj for mod in (fileio, spectral, transforms)
+              for obj in vars(mod).values() if hasattr(obj, "cache_info")]
+    assert len(caches) >= 4
+    for cache in caches:
+        first = cache(8, 0.5)
+        assert _immutable(first), cache.__name__
+        assert cache(8, 0.5) is first
 
 
 @pytest.fixture
@@ -495,6 +516,25 @@ def test_trig_rows_stack_is_bit_identical_to_single_rows(n, m):
     for row, kind, g in zip(rows, kinds, got, strict=True):
         one, = transforms._trig_rows([row], 0.3, [kind])
         assert np.array_equal(g.view(np.uint64), one.view(np.uint64))
+
+
+def test_trig_rows_is_thread_safe():
+    # the r2r kernel runs without the interpreter lock; each call fills
+    # its own stack, so four threads sharing the kernel get the serial bits
+    rng = np.random.default_rng(11)
+    kinds = [("cos", "sin")[i % 2] for i in range(20)]
+    stacks = [[rng.normal(size=(m, 4096)) + 1j * rng.normal(size=(m, 4096))
+               for m in (1, 2, 20)] for _ in range(4)]
+
+    def run(own, times):
+        return [[transforms._trig_rows(s, 0.3, kinds).tobytes() for s in own]
+                for _ in range(times)]
+
+    want = [run(own, 1) for own in stacks]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(run, stacks, [50] * 4))
+    for one, many in zip(want, got, strict=True):
+        assert many == one * 50
 
 
 def masked_continuity_residual(dt2, rho_before, j, rho_after, grid,

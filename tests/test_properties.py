@@ -1,16 +1,21 @@
-"""Property tests of the grid rule, and of the signed Hilbert transform on
-random grids: it is the parity join of He / Ho on the parity halves, bit
-for bit, on both backends, and it commutes with parity."""
+"""Property tests of the grid rule, of the signed Hilbert transform on
+random grids (it is the parity join of He / Ho on the parity halves, bit
+for bit, on both backends, and it commutes with parity) and of the
+analyze/synthesize pair (unitary to rounding, and the trig and FFT routes
+agree)."""
 
 import warnings
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from axiwave.grids import (make_grid, make_spectral_grid, offset_nodes,
-                           parity_join, parity_split, random_packet)
+from axiwave.grids import (AxialField, make_grid, make_spectral_grid,
+                           offset_nodes, parity_join, parity_split,
+                           random_packet)
+from axiwave.spectral import analyze, analyze_fast, synthesize
 from axiwave.transforms import (HalfLineFunction, hilbert_even, hilbert_odd,
                                 hilbert_signed)
+from axiwave.verify import rel_err
 
 grids = st.builds(make_grid, st.integers(8, 2048),
                   st.floats(0.5, 500.0, allow_nan=False))
@@ -47,6 +52,20 @@ def test_signed_hilbert_commutes_with_parity(grid, seed):
                                backend).values
             b = hilbert_signed(psi, sign, backend).values[::-1]
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid=grids, seed=seeds)
+def test_analyze_is_unitary_and_routes_agree(grid, seed):
+    # any samples, not only packets: the DCT-IV behind both maps is
+    # orthogonal, so the round trip is exact to rounding
+    rng = np.random.default_rng(seed)
+    f = AxialField(grid, "f", rng.normal(size=grid.size)
+                   + 1j * rng.normal(size=grid.size))
+    phi = analyze(f)
+    assert rel_err(synthesize(phi).values, f.values) <= 1e-13
+    # the ledger's "fast route equals structural" tolerance
+    assert rel_err(analyze_fast(f).values, phi.values) <= 1e-10
 
 
 # n_half: whole numbers around the minimum of 8, and floats; spacings: any

@@ -411,18 +411,18 @@ def test_stack_validation():
 
 
 def test_kinematics_entries_equal_the_single_vector_loop():
-    # the ledger runs its 1000 draws as stacks; the one-vector loop it
-    # replaced stays here as the reference, and the arithmetic is the same
+    # the ledger draws its 1000 rays, axes and speeds in bulk and runs them
+    # as stacks; a one-vector loop over the same draws stays here as the
+    # reference, and the arithmetic is the same
     from axiwave.verify import RunConfig, _draw_suites, _kinematics
     cfg = RunConfig()
     rng = np.random.default_rng(cfg.seed + 3)
+    rays = rng.normal(size=(2, 1000, 3))
+    speeds = rng.uniform(-0.95, 0.95, 1000)
     worst_null = worst_ab = worst_dop = 0.0
-    for _ in range(1000):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        ax = rng.normal(size=3)
-        ax /= np.linalg.norm(ax)
-        b = BoostParams(rng.uniform(-0.95, 0.95), ax)
+    for n, ax, v in zip(*rays, speeds):
+        n = n / np.linalg.norm(n)
+        b = BoostParams(v, ax / np.linalg.norm(ax))
         kp = boost_four_momentum(FourMomentum(1.0, n), b)
         worst_null = max(worst_null, abs(kp.k0 - np.linalg.norm(kp.k)) / kp.k0)
         ab = aberrate_direction(n, b)
