@@ -254,25 +254,25 @@ def gaussian_packet(grid: AxisGrid, k0: float, width: float,
     return convert_rep(AxialField(grid, G_REP, g), rep)
 
 
-def random_packet(grid: AxisGrid, rng, kmax: float = 3.0,
-                  signs=(1.0, 1.0, 1.0, 1.0), centers=(-0.3, 0.3),
-                  widths=(0.08, 0.2)) -> AxialField:
-    """Random band-limited superposition of Gaussian wavelets, built in g-rep
-    and returned in f-rep.
+def random_packet(grid: AxisGrid, rng, **draw) -> AxialField:
+    """Random wavelets drawn by `_draw_wavelets`, summed by `_wavelet_sum`."""
+    return _wavelet_sum(grid, _draw_wavelets(grid, rng, **draw))
 
-    One wavelet per entry of `signs`, drawn in order: center
-    sign * U(centers) * extent, width U(widths) * extent, carrier
-    U(-kmax, kmax), complex normal amplitude.  signs=(-1, 1) with positive
-    center ranges gives annular probes that vanish near the origin.
-    """
-    lam = grid.nodes
-    big_l = grid.extent
-    g = np.zeros(grid.size, dtype=complex)
-    for sign in signs:
-        c = sign * rng.uniform(*centers) * big_l
-        w = rng.uniform(*widths) * big_l
-        k = rng.uniform(-kmax, kmax)
-        amp = rng.normal() + 1j * rng.normal()
+
+def _draw_wavelets(grid: AxisGrid, rng, kmax=3.0, signs=(1.0, 1.0, 1.0, 1.0),
+                   centers=(-0.3, 0.3), widths=(0.08, 0.2)) -> list:
+    """(c, w, k, amp) per entry of `signs`, drawn in order: center sign *
+    U(centers) * extent, width U(widths) * extent, carrier U(-kmax, kmax),
+    complex normal amplitude.  Signs (-1, 1), centers > 0: annular probes."""
+    return [(sign * rng.uniform(*centers) * grid.extent,
+             rng.uniform(*widths) * grid.extent, rng.uniform(-kmax, kmax),
+             rng.normal() + 1j * rng.normal()) for sign in signs]
+
+
+def _wavelet_sum(grid: AxisGrid, wavelets) -> AxialField:
+    """The wavelets summed in g-rep in their order, returned in f-rep."""
+    lam, g = grid.nodes, np.zeros(grid.size, dtype=complex)
+    for c, w, k, amp in wavelets:
         g += amp * np.exp(-(((lam - c) / w) ** 2)) * np.exp(1j * k * lam)
     return convert_rep(AxialField(grid, G_REP, g), F_REP)
 

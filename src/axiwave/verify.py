@@ -21,9 +21,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grids import (MIN_N_HALF, axis_spacing, convert_rep, gaussian_packet,
-                    inner_product, make_grid, random_packet, sample_field,
-                    spectral_inner_product, spectral_norm, SpectralProfile)
+from .grids import (MIN_N_HALF, _draw_wavelets, _wavelet_sum, axis_spacing,
+                    convert_rep, gaussian_packet, inner_product, make_grid,
+                    random_packet, sample_field, spectral_inner_product,
+                    spectral_norm, SpectralProfile)
 from .operators import (_hilbert, _wrap, adjoint_residual,
                         boost_generator_config, boost_generator_local,
                         boost_ordering_residual, commutator_residual,
@@ -47,9 +48,8 @@ PROBE_COUNT = 8      # packets in each shared probe suite
 PACKET_WIDTH = 10.0  # window width of the ledger's fixed packets
 PACKET_K = 8.0       # and their carrier momentum
 RK4_TIMES = (0.0, 5.0, 10.0)  # of the stepped entry, on the n_half grid
-# half-line probes per kernel call: at grid 1024 one stack of all 50 runs
-# the section no faster (33.6 vs 35.8 ms) and lifts the peak RSS of four
-# ledger runs in one process from 63.9 to 68.3 MiB (+7%); 25 gives 65.3
+# half-line probes per kernel call: at grid 1024 one stack of all 50 is no
+# faster and lifts the peak RSS of four ledger runs from 60.8 to 66.3 MiB
 HALF_LINE_STACK = 10
 
 
@@ -67,7 +67,7 @@ class RunConfig:
             axis_spacing(n, self.extent)
         if not 0.0 <= self.tol_scale < np.inf:
             raise ValueError("tol_scale must be finite and non-negative")
-        if self.seed < 0:
+        if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
 
 
@@ -137,24 +137,19 @@ def _ratio(num: float, den: float) -> float:
 
 
 def _draw_suites(cfg: RunConfig) -> dict:
-    """The config, both grids and the probe suites the sections share, in
-    the order of their draws from the seeded generator."""
+    """The config, both grids and the shared suites as draws in draw order;
+    sections sample what they read; the coarse `probes` are sampled here."""
     rng = np.random.default_rng(cfg.seed)
     grid = make_grid(cfg.n_half, cfg.extent)
     fine = make_grid(2 * cfg.n_half, cfg.extent)
-    halves = []
-    for _ in range(50):
-        k0 = rng.uniform(1.5, 4.0)
-        w = rng.uniform(0.05, 0.1) * grid.extent
-        c = rng.uniform(0.2, 0.4) * grid.extent
-        halves.append(HalfLineFunction(
-            grid.h, gaussian_packet(grid, k0, w, c).values[cfg.n_half:]))
+    halves = [(rng.uniform(1.5, 4.0), rng.uniform(0.05, 0.1) * grid.extent,
+               rng.uniform(0.2, 0.4) * grid.extent) for _ in range(50)]
     probes = [random_packet(grid, rng) for _ in range(PROBE_COUNT)]
-    fine_probes = [random_packet(fine, rng) for _ in range(PROBE_COUNT)]
-    fine_soft = [random_packet(fine, rng, 2.5) for _ in range(PROBE_COUNT)]
+    fine_probes = [_draw_wavelets(fine, rng) for _ in range(PROBE_COUNT)]
+    fine_soft = [_draw_wavelets(fine, rng, 2.5) for _ in range(PROBE_COUNT)]
     # kept away from the origin (1/lambda), the edges and unresolved carriers
-    annular = [random_packet(fine, rng, 2.0, signs=(-1.0, 1.0),
-                             centers=(0.25, 0.35), widths=(0.06, 0.10))
+    annular = [_draw_wavelets(fine, rng, 2.0, signs=(-1.0, 1.0),
+                              centers=(0.25, 0.35), widths=(0.06, 0.10))
                for _ in range(PROBE_COUNT)]
     return dict(cfg=cfg, grid=grid, fine=fine, halves=halves, probes=probes,
                 fine_probes=fine_probes, fine_soft=fine_soft, annular=annular)
@@ -189,8 +184,10 @@ def _half_line_transforms(cfg, grid, halves, probes, **_):
     mask80 = np.arange(grid.n_half) < int(0.8 * grid.n_half)
     r_cos = r_sin = r_he = r_ho = r_eo = r_oe = r_backend = 0.0
     for i in range(0, len(halves), HALF_LINE_STACK):
+        stack = [HalfLineFunction(grid.h, gaussian_packet(grid, *d).values[
+            grid.n_half:]) for d in halves[i:i + HALF_LINE_STACK]]
         for e_cos, e_sin, e_he, e_ho, e_eo, e_oe in _half_line_stack(
-                halves[i:i + HALF_LINE_STACK], mask80):
+                stack, mask80):
             r_cos, r_sin = max(r_cos, e_cos), max(r_sin, e_sin)
             r_he, r_ho = max(r_he, e_he), max(r_ho, e_ho)
             r_backend = max(r_backend, e_he / 2.0, e_ho / 2.0)
@@ -240,7 +237,7 @@ def _unitary_map(cfg, grid, fine, probes, **_):
     def unitarity_error(g):
         rng_u = np.random.default_rng(cfg.seed + 1)
         worst = 0.0
-        for f in [random_packet(g, rng_u) for _ in range(4)]:
+        for f in (random_packet(g, rng_u) for _ in range(4)):
             back = synthesize(analyze(f)).values
             worst = max(worst, rel_err(back, f.values, g.interior_mask()))
         return worst
@@ -304,6 +301,7 @@ def _hamiltonian_forms(grid, probes, **_):
 
 
 def _adjoint_suite(cfg, grid, fine, probes, fine_probes, **_):
+    fine_probes = [_wavelet_sum(fine, d) for d in fine_probes]
     pt = radial_momentum_tilde(fine)
     yield ("radial momentum symmetric", "<a, pt b> = <pt a, b> (unit weight)",
            adjoint_residual(pt, pt, "unit", fine_probes), 1e-3, fine)
@@ -342,6 +340,8 @@ def _adjoint_suite(cfg, grid, fine, probes, fine_probes, **_):
 
 
 def _commutator_suite(grid, fine, probes, fine_soft, annular, **_):
+    fine_soft = [_wavelet_sum(fine, d) for d in fine_soft]
+    annular = [_wavelet_sum(fine, d) for d in annular]
     n_op = boost_generator_config(fine, "h_first")
     h_op, p_op = pbar0(fine, "spectral"), pbar(fine)
     yield ("boost-energy commutator", "[N, p0] = i pbar",

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -256,6 +257,26 @@ LEDGER = {
 def test_run_config_is_the_four_values_callers_set():
     assert [f.name for f in fields(RunConfig)] == [
         "n_half", "extent", "seed", "tol_scale"]
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", None])
+def test_run_config_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        RunConfig(seed=seed)
+
+
+def test_ledger_traced_peak_at_grid_1024():
+    # the probe suites are kept as their draws and each is sampled where
+    # it is read: 2.3 MiB here, 4.9 MiB when every sampled suite is held
+    cfg = RunConfig(n_half=1024)
+    run_verification(cfg)   # fills the plan caches
+    tracemalloc.start()
+    try:
+        run_verification(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 20
 
 
 def test_ledger_order_and_grids(report):

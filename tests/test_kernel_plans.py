@@ -1,7 +1,9 @@
 """Cached FFT plans, the one DCT-IV trig kernel, the RK4 stepper on its
 trig modes and the half-grid transfer symbols: the same bits as the
 unplanned formulas (the stepper to rounding), bounded read-only caches,
-and the kernel call counts they save."""
+and the kernel call counts they save.  The ledger's probe suites, kept as
+their draws and sampled where they are read, have the bits of suites
+sampled up front."""
 
 import gc
 import weakref
@@ -12,13 +14,17 @@ import pytest
 import scipy.fft
 from scipy.fft import dct, dst
 
-from axiwave import evolution, fileio, spectral, transforms
+from axiwave import evolution, fileio, spectral, transforms, verify
 from axiwave.evolution import (SpinorField, VectorField3, propagate_maxwell,
                                propagate_scalar, propagate_wave, propagate_weyl)
-from axiwave.grids import (AxialField, AxisGrid, SpectralGrid, convert_rep,
-                           make_grid, parity_join, parity_split, random_packet)
-from axiwave.verify import (HALF_LINE_STACK, RunConfig, _draw_suites,
-                            _half_line_transforms, rel_err, run_verification)
+from axiwave.grids import (AxialField, AxisGrid, SpectralGrid,
+                           _draw_wavelets, _wavelet_sum, convert_rep,
+                           gaussian_packet, make_grid, parity_join,
+                           parity_split, random_packet)
+from axiwave.transforms import HalfLineFunction
+from axiwave.verify import (HALF_LINE_STACK, PROBE_COUNT, RunConfig,
+                            _draw_suites, _half_line_transforms, rel_err,
+                            run_verification)
 
 SIZES = (8, 1000, 4096)
 KIND_PAIRS = [(a, b) for a in ("cos", "sin") for b in ("cos", "sin")]
@@ -461,7 +467,8 @@ def test_half_line_section_makes_six_r2r_calls_per_stack(r2r_calls):
     # per stack of up to HALF_LINE_STACK probes: one cos+sin trig round
     # trip, one spectral He+Ho and one He Ho + Ho He call, two r2r calls
     # each, however many probes the stack holds; the section's loop over
-    # the probes runs before its first entry is yielded
+    # the probes runs before its first entry is yielded.  `halves` holds
+    # the probes' draws, and sampling a stack from them calls no r2r
     suites = _draw_suites(RunConfig())
     assert HALF_LINE_STACK == 10 and len(suites["halves"]) == 50
     for count, stacks in ((1, 1), (3, 1), (10, 1), (11, 2), (50, 5)):
@@ -498,11 +505,95 @@ def per_probe_half_line_entries(halves, n_half):
 
 @pytest.mark.parametrize("count", (1, 10, 13))
 def test_half_line_stacks_equal_per_probe_calls(count):
+    # the section samples its first `count` draws; the reference runs on
+    # the same probes sampled up front
     suites = _draw_suites(RunConfig())
-    halves = suites["halves"][:count]
-    entries = _half_line_transforms(**{**suites, "halves": halves})
+    entries = _half_line_transforms(**{**suites,
+                                       "halves": suites["halves"][:count]})
     got = [next(entries)[2] for _ in range(7)]
+    halves = eager_suites(RunConfig())["halves"][:count]
     assert got == per_probe_half_line_entries(halves, suites["grid"].n_half)
+
+
+def eager_packet(grid, rng, kmax=3.0, signs=(1.0, 1.0, 1.0, 1.0),
+                 centers=(-0.3, 0.3), widths=(0.08, 0.2)):
+    """`random_packet` as one loop that draws each wavelet and adds it in
+    at once: the reference for the split into a draw and a sample."""
+    lam, g = grid.nodes, np.zeros(grid.size, dtype=complex)
+    for sign in signs:
+        c = sign * rng.uniform(*centers) * grid.extent
+        w = rng.uniform(*widths) * grid.extent
+        k = rng.uniform(-kmax, kmax)
+        amp = rng.normal() + 1j * rng.normal()
+        g += amp * np.exp(-(((lam - c) / w) ** 2)) * np.exp(1j * k * lam)
+    return convert_rep(AxialField(grid, "g", g), "f")
+
+
+# the ledger's packet suites in draw order: name, on the fine grid, draw
+PACKET_SUITES = (
+    ("probes", False, {}), ("fine_probes", True, {}),
+    ("fine_soft", True, {"kmax": 2.5}),
+    ("annular", True, {"kmax": 2.0, "signs": (-1.0, 1.0),
+                       "centers": (0.25, 0.35), "widths": (0.06, 0.10)}))
+
+
+def eager_suites(cfg):
+    """Every shared probe suite of the ledger sampled as it is drawn, all
+    held at once: the reference for suites kept as their draws."""
+    rng = np.random.default_rng(cfg.seed)
+    grid = make_grid(cfg.n_half, cfg.extent)
+    fine = make_grid(2 * cfg.n_half, cfg.extent)
+    halves = []
+    for _ in range(50):
+        k0 = rng.uniform(1.5, 4.0)
+        w = rng.uniform(0.05, 0.1) * grid.extent
+        c = rng.uniform(0.2, 0.4) * grid.extent
+        halves.append(HalfLineFunction(
+            grid.h, gaussian_packet(grid, k0, w, c).values[cfg.n_half:]))
+    suites = {"halves": halves}
+    for name, on_fine, draw in PACKET_SUITES:
+        suites[name] = [eager_packet(fine if on_fine else grid, rng, **draw)
+                        for _ in range(PROBE_COUNT)]
+    return suites
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", (7, 123))
+@pytest.mark.parametrize("name, on_fine, draw", PACKET_SUITES)
+def test_wavelet_draw_then_sum_is_the_eager_packet(seed, name, on_fine, draw):
+    grid = make_grid(512 if on_fine else 256, 40.0)
+    ref, split, whole = (np.random.default_rng(seed) for _ in range(3))
+    for _ in range(PROBE_COUNT):
+        want = eager_packet(grid, ref, **draw).values
+        got = _wavelet_sum(grid, _draw_wavelets(grid, split, **draw)).values
+        assert same_bits(got, want)
+        assert same_bits(random_packet(grid, whole, **draw).values, want)
+        assert split.bit_generator.state == ref.bit_generator.state
+        assert whole.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", (7, 123))
+def test_ledger_samples_its_draws_to_the_eager_suites(seed, monkeypatch):
+    cfg = RunConfig(seed=seed)
+    suites, want = _draw_suites(cfg), eager_suites(cfg)
+    stacks = []   # the half-line probes as the section samples them
+    monkeypatch.setattr(verify, "_half_line_stack",
+                        lambda stack, mask80: stacks.append(stack) or ())
+    next(_half_line_transforms(**suites))
+    assert [len(s) for s in stacks] == [HALF_LINE_STACK] * 5
+    for got, ref in zip([f for s in stacks for f in s], want["halves"],
+                        strict=True):
+        assert got.spacing == ref.spacing
+        assert same_bits(got.values, ref.values)
+    for name, on_fine, _ in PACKET_SUITES:
+        grid = suites["fine" if on_fine else "grid"]
+        got = suites[name] if name == "probes" else [
+            _wavelet_sum(grid, d) for d in suites[name]]
+        for a, b in zip(got, want[name], strict=True):
+            assert a.grid.same_as(b.grid) and same_bits(a.values, b.values)
 
 
 @pytest.mark.parametrize("n", (256, 1024, 4096))
