@@ -42,7 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import INTERIOR, AxialField, AxisGrid, convert_rep, unfold
+from .grids import (INTERIOR, AxialField, AxisGrid, convert_rep, g_values,
+                    unfold)
 from .spectral import (_from_modes, _to_modes, fourier_full,
                        fourier_full_inverse)
 from .transforms import hilbert_signed
@@ -118,10 +119,6 @@ def _check_times(t_grid) -> np.ndarray:
     return t
 
 
-def _g_of(fld: AxialField) -> np.ndarray:
-    return convert_rep(fld, "g").values
-
-
 def _field_from_g(grid, g, rep):
     return convert_rep(AxialField(grid, "g", g), rep)
 
@@ -149,15 +146,12 @@ def _rho_j_norm(grid, g, hg):
 def density_current(psi: AxialField):
     """Non-negative density rho and axial current J of the first-order flow,
     from the spectral Hilbert transform."""
-    rho, j, _ = _scalar_diagnostics(psi.grid, _g_of(psi))
-    return rho, j
+    return _scalar_diagnostics(psi.grid, g_values(psi))[:2]
 
 
 def sigma_density(psi: AxialField, dpsi_dt: AxialField) -> np.ndarray:
     """Second-order conserved density i (psi* dt psi - CC); indefinite."""
-    g = _g_of(psi)
-    gdot = _g_of(dpsi_dt)
-    return -2.0 * np.imag(np.conj(g) * gdot)
+    return -2.0 * np.imag(np.conj(g_values(psi)) * g_values(dpsi_dt))
 
 
 def _evolve(comps, t_grid, transfer, hilbert=False):
@@ -173,7 +167,7 @@ def _evolve(comps, t_grid, transfer, hilbert=False):
     """
     t = _check_times(t_grid)
     sg = comps[0].grid.conjugate()
-    ghats = [fourier_full(_g_of(c), c.grid) for c in comps]
+    ghats = [fourier_full(g_values(c), c.grid) for c in comps]
     if hilbert:
         ghats.append(-1j * np.sign(sg.nodes) * ghats[0])
     k = sg.positive_nodes()
@@ -280,7 +274,7 @@ def _scalar_stream(comps, t_grid, method="spectral", dt=None):
     elif method == "rk4":
         dt = _rk4_step(grid.h, dt)
         flow = ((g, _scalar_diagnostics(grid, g))
-                for (g,) in _rk4(grid, _g_of(comps[0]), t, dt))
+                for (g,) in _rk4(grid, g_values(comps[0]), t, dt))
     else:
         raise ValueError(f"unknown method {method!r}")
 

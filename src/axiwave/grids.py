@@ -277,22 +277,30 @@ def _wavelet_sum(grid: AxisGrid, wavelets) -> AxialField:
     return convert_rep(AxialField(grid, G_REP, g), F_REP)
 
 
+def g_values(fld: AxialField) -> np.ndarray:
+    """The g-representation values of `fld`."""
+    return convert_rep(fld, G_REP).values
+
+
 def inner_product(a: AxialField, b: AxialField, weight: str = "unit") -> complex:
     """Weighted nodal inner product, conjugate-linear in the first argument.
 
     weight="unit" is the axis restriction of the plain volume product
     (measure lambda^2 h); weight="inv_r" restricts the 1/r-weighted product
-    (measure |lambda| h).  Fields are converted to f-rep internally.
+    (measure |lambda| h).  Computed on g-values by `g_product`.
     """
     if not a.grid.same_as(b.grid):
         raise GridMismatchError("fields live on different grids")
+    return g_product(a.grid, g_values(a), g_values(b), weight)
+
+
+def g_product(grid: AxisGrid, ga: np.ndarray, gb: np.ndarray,
+              weight: str) -> complex:
+    """`inner_product` of g-value arrays: measure |lambda| h or h (inv_r)."""
     if weight not in _FIELD_WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
-    fa = convert_rep(a, F_REP).values
-    fb = convert_rep(b, F_REP).values
-    lam = a.grid.nodes
-    w = lam * lam if weight == "unit" else np.abs(lam)
-    return complex(np.sum(w * np.conj(fa) * fb) * a.grid.h)
+    w = np.abs(grid.nodes) if weight == "unit" else 1.0
+    return complex(np.vdot(ga, w * gb) * grid.h)
 
 
 def spectral_inner_product(a: SpectralProfile, b: SpectralProfile,

@@ -1,11 +1,11 @@
 """The operator zoo: radial momenta, the positive Hamiltonian, boost
 generators, and residual harnesses for their algebra.
 
-Every factory returns a LinearOperatorHandle whose `apply` maps axis
-fields to axis fields (input representation is preserved).  The kernels
-act on the weighted representation g = sqrt|lambda| f, where the calculus
-is natural; only pt and the s multipliers act on f.  `_wrap` is the one
-place that converts, once on the way in and once on the way out.
+Every factory returns a LinearOperatorHandle whose kernel maps g-values to
+g-values, g = sqrt|lambda| f, where the calculus is natural; pt and the s
+multipliers, stated on f, are conjugated by sqrt|lambda| in their kernels.
+`apply` converts a field to g and back once; the residual harnesses take
+each probe to g once and compose kernels on arrays.
 
 Derivatives that appear inside compositions with the signed Hilbert
 transforms are taken per half-line (4th-order stencils that never
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._fd import derivative_per_half
-from .grids import AxialField, AxisGrid, convert_rep, inner_product
+from .grids import AxialField, AxisGrid, convert_rep, g_product, g_values
 from .spectral import fourier_full, fourier_full_inverse, spectral_derivative
 from .transforms import hilbert_signed
 
@@ -54,24 +54,26 @@ _BOOST_ORDERINGS = ("h_first", "h_last")
 
 @dataclass(frozen=True, eq=False)
 class LinearOperatorHandle:
-    """A labelled linear map on axis fields of one grid."""
+    """A labelled linear map on the fields of one grid: its `kernel` on g."""
 
     label: str
     grid: AxisGrid
-    apply: Callable[[AxialField], AxialField] = field(repr=False)
+    kernel: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
-
-def _wrap(label: str, grid: AxisGrid, fn: Callable[[np.ndarray], np.ndarray],
-          rep: str = "g") -> LinearOperatorHandle:
-    """Build a handle from a kernel acting on `rep`-representation values."""
-
-    def apply(fld: AxialField) -> AxialField:
-        if not fld.grid.same_as(grid):
-            raise ValueError(f"{label}: field lives on a different grid")
-        out = AxialField(grid, rep, fn(convert_rep(fld, rep).values))
+    def apply(self, fld: AxialField) -> AxialField:
+        """The kernel on `fld`, returned in `fld`'s representation."""
+        if not fld.grid.same_as(self.grid):
+            raise ValueError(f"{self.label}: field lives on a different grid")
+        out = AxialField(self.grid, "g", self.kernel(g_values(fld)))
         return convert_rep(out, fld.rep)
 
-    return LinearOperatorHandle(label=label, grid=grid, apply=apply)
+
+def _probe_gs(handles, probes):
+    """The probes' g-values, each taken once, on the handles' one grid."""
+    if any(x is not None and not x.grid.same_as(handles[0].grid)
+           for x in (*handles, *probes)):
+        raise ValueError("handles and probes live on different grids")
+    return map(g_values, probes)
 
 
 def _routes_residual(handles, probes) -> float:
@@ -79,8 +81,8 @@ def _routes_residual(handles, probes) -> float:
     relative to the largest interior output norm of each probe."""
     mask = handles[0].grid.interior_mask()
     worst = 0.0
-    for f in probes:
-        outs = [convert_rep(h.apply(f), "g").values for h in handles]
+    for g in _probe_gs(handles, probes):
+        outs = [h.kernel(g) for h in handles]
         scale = max(np.linalg.norm(o[mask]) for o in outs)
         worst = max(worst, max(np.linalg.norm((a - b)[mask]) for a, b in
                                itertools.combinations(outs, 2)) / scale)
@@ -102,12 +104,9 @@ def radial_momentum_tilde(grid: AxisGrid) -> LinearOperatorHandle:
     continuous through the origin; a violation shows up as the surface
     term probed by `adjoint_residual`.
     """
-    lam = grid.nodes
-
-    def fn(f):
-        return -1j * _dhalf(lam * f, grid) / lam
-
-    return _wrap("pt", grid, fn, rep="f")
+    lam, root = grid.nodes, np.sqrt(np.abs(grid.nodes))
+    return LinearOperatorHandle("pt", grid, lambda g: -1j * root * _dhalf(
+        lam * (g / root), grid) / lam)
 
 
 def pbar(grid: AxisGrid) -> LinearOperatorHandle:
@@ -116,7 +115,8 @@ def pbar(grid: AxisGrid) -> LinearOperatorHandle:
     Realized spectrally in g-representation, hence self-adjoint for the
     1/r product up to rounding.
     """
-    return _wrap("pbar", grid, lambda g: -1j * spectral_derivative(g, grid))
+    return LinearOperatorHandle(
+        "pbar", grid, lambda g: -1j * spectral_derivative(g, grid))
 
 
 def pbar0(grid: AxisGrid, form: str = "spectral") -> LinearOperatorHandle:
@@ -137,13 +137,13 @@ def pbar0(grid: AxisGrid, form: str = "spectral") -> LinearOperatorHandle:
     if form == "spectral":
         sg = grid.conjugate()
         absk = np.abs(sg.nodes)
-        return _wrap(label, grid, lambda g: fourier_full_inverse(
-            absk * fourier_full(g, grid), sg))
+        return LinearOperatorHandle(label, grid, lambda g: (
+            fourier_full_inverse(absk * fourier_full(g, grid), sg)))
     sgn = np.sign(grid.nodes)
     if form == "left":
-        return _wrap(label, grid, lambda g: -sgn * _dhalf(
+        return LinearOperatorHandle(label, grid, lambda g: -sgn * _dhalf(
             _hilbert(g, grid, "plus"), grid))
-    return _wrap(label, grid, lambda g: -_hilbert(
+    return LinearOperatorHandle(label, grid, lambda g: -_hilbert(
         sgn * _dhalf(g, grid), grid, "minus"))
 
 
@@ -161,12 +161,13 @@ def four_vector_ops(grid: AxisGrid, which: str):
     """
     lam = grid.nodes
     if which == "s":
-        s0 = _wrap("s0", grid, lambda f: -f / np.abs(lam), rep="f")
-        s3 = _wrap("s3", grid, lambda f: f / lam, rep="f")
-        return s0, s3
+        # multipliers commute with the sqrt|lambda| conjugation
+        return (LinearOperatorHandle("s0", grid, lambda g: -g / np.abs(lam)),
+                LinearOperatorHandle("s3", grid, lambda g: g / lam))
     if which == "t":
         sgn = np.sign(lam)
-        t0 = _wrap("t0", grid, lambda g: 1j * sgn * _dhalf(g, grid))
+        t0 = LinearOperatorHandle("t0", grid,
+                                  lambda g: 1j * sgn * _dhalf(g, grid))
         return t0, pbar(grid)
     raise ValueError(f"unknown four-vector family {which!r}")
 
@@ -177,13 +178,9 @@ def boost_generator_local(grid: AxisGrid) -> LinearOperatorHandle:
     Realized in the g-representation, where the same operator reads
     i sgn (lambda d/dlambda + 3/2) on smooth samples.
     """
-    lam = grid.nodes
-    sgn = np.sign(lam)
-
-    def fn(g):
-        return 1j * sgn * (lam * _dhalf(g, grid) + 1.5 * g)
-
-    return _wrap("N'", grid, fn)
+    lam, sgn = grid.nodes, np.sign(grid.nodes)
+    return LinearOperatorHandle("N'", grid, lambda g: 1j * sgn * (
+        lam * _dhalf(g, grid) + 1.5 * g))
 
 
 def boost_generator_config(grid: AxisGrid, ordering: str = "h_first"
@@ -200,8 +197,7 @@ def boost_generator_config(grid: AxisGrid, ordering: str = "h_first"
     """
     if ordering not in _BOOST_ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    lam = grid.nodes
-    sgn = np.sign(lam)
+    lam, sgn = grid.nodes, np.sign(grid.nodes)
 
     def dilation(g):
         # sqrt(r) (r grad - 2 rhat d_r r).n (1/sqrt r) = -sgn (lambda d + 3/2)
@@ -209,8 +205,10 @@ def boost_generator_config(grid: AxisGrid, ordering: str = "h_first"
 
     label = f"N[{ordering}]"
     if ordering == "h_first":
-        return _wrap(label, grid, lambda g: _hilbert(dilation(g), grid, "minus"))
-    return _wrap(label, grid, lambda g: dilation(_hilbert(g, grid, "plus")))
+        return LinearOperatorHandle(
+            label, grid, lambda g: _hilbert(dilation(g), grid, "minus"))
+    return LinearOperatorHandle(
+        label, grid, lambda g: dilation(_hilbert(g, grid, "plus")))
 
 
 def boost_ordering_residual(grid: AxisGrid,
@@ -232,15 +230,12 @@ def commutator_residual(a: LinearOperatorHandle, b: LinearOperatorHandle,
         raise ValueError("empty probe list")
     mask = a.grid.interior_mask()
     worst = 0.0
-    for f in probes:
-        ab = a.apply(b.apply(f))
-        ba = b.apply(a.apply(f))
-        resid = convert_rep(ab, "g").values - convert_rep(ba, "g").values
+    for g in _probe_gs((a, b, expected), probes):
+        resid = a.kernel(b.kernel(g)) - b.kernel(a.kernel(g))
         if expected is not None:
-            resid = resid - scale * convert_rep(expected.apply(f), "g").values
-        fg = convert_rep(f, "g").values
+            resid = resid - scale * expected.kernel(g)
         worst = max(worst, np.linalg.norm(resid[mask]) /
-                    np.linalg.norm(fg[mask]))
+                    np.linalg.norm(g[mask]))
     return worst
 
 
@@ -250,28 +245,25 @@ def adjoint_residual(a: LinearOperatorHandle, b: LinearOperatorHandle,
 
     The denominator carries the operator output norms so that residuals of
     operators with very different scales are comparable.  weight must be
-    "unit" or "inv_r" (`grids.inner_product` checks it).
+    "unit" or "inv_r" (`grids.g_product` checks it).
     """
     if len(probes) < 2:
         raise ValueError("need at least two probes")
+
+    def dot(u, v):
+        return g_product(a.grid, u, v, weight)
+
     worst = 0.0
-    for x, y in zip(probes[:-1], probes[1:]):
-        ay = a.apply(y)
-        bx = b.apply(x)
-        gap = abs(inner_product(x, ay, weight) - inner_product(bx, y, weight))
-        den = max(
-            np.sqrt(inner_product(x, x, weight).real
-                    * inner_product(ay, ay, weight).real),
-            np.sqrt(inner_product(bx, bx, weight).real
-                    * inner_product(y, y, weight).real),
-        )
+    for x, y in itertools.pairwise(_probe_gs((a, b), probes)):
+        ay, bx = a.kernel(y), b.kernel(x)
+        gap = abs(dot(x, ay) - dot(bx, y))
+        den = max(np.sqrt(dot(x, x).real * dot(ay, ay).real),
+                  np.sqrt(dot(bx, bx).real * dot(y, y).real))
         worst = max(worst, gap / den)
     return worst
 
 
 def rayleigh_quotient(handle: LinearOperatorHandle, f: AxialField) -> float:
-    """<f, H f> / <f, f> in the 1/r inner product."""
-    num = inner_product(f, handle.apply(f), "inv_r").real
-    den = inner_product(f, f, "inv_r").real
-    return num / den
-
+    """<f, H f> / <f, f> in the 1/r inner product: the flat sum on g."""
+    g, = _probe_gs((handle,), (f,))
+    return float(np.vdot(g, handle.kernel(g)).real / np.vdot(g, g).real)

@@ -41,7 +41,7 @@ import functools
 import numpy as np
 
 from .grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
-                    convert_rep, parity_join, parity_split, unfold)
+                    convert_rep, g_values, parity_join, parity_split, unfold)
 from .transforms import _trig_rows
 
 _PLAN_CACHE_SIZE = 8   # grids whose plans stay cached at once
@@ -119,7 +119,7 @@ def analyze(psi: AxialField) -> SpectralProfile:
     """
     grid = psi.grid
     sgrid = grid.conjugate()
-    ce, so = _to_modes(convert_rep(psi, "g").values, grid)
+    ce, so = _to_modes(g_values(psi), grid)
     root = np.sqrt(sgrid.positive_nodes())
     phi_plus = (ce - 1j * so) / root
     phi_minus = (ce + 1j * so) / root
@@ -137,7 +137,7 @@ def synthesize(phi: SpectralProfile) -> AxialField:
 
 def analyze_fast(psi: AxialField) -> SpectralProfile:
     """Same map as `analyze` through the phased full-line FFT."""
-    g = convert_rep(psi, "g").values
+    g = g_values(psi)
     sgrid = psi.grid.conjugate()
     ghat = fourier_full(g, psi.grid)
     return SpectralProfile(sgrid, ghat / np.sqrt(np.abs(sgrid.nodes)))

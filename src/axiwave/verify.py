@@ -22,18 +22,17 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .grids import (MIN_N_HALF, _draw_wavelets, _wavelet_sum, axis_spacing,
-                    convert_rep, gaussian_packet, inner_product, make_grid,
+                    g_values, gaussian_packet, inner_product, make_grid,
                     random_packet, sample_field, spectral_inner_product,
                     spectral_norm, SpectralProfile)
-from .operators import (_hilbert, _wrap, adjoint_residual,
+from .operators import (_dhalf, _hilbert, adjoint_residual,
                         boost_generator_config, boost_generator_local,
                         boost_ordering_residual, commutator_residual,
                         four_vector_ops, pbar, pbar0,
                         pbar0_triangle_residual, radial_momentum_tilde,
                         rayleigh_quotient, LinearOperatorHandle)
-from .evolution import (packet_centroid, propagate_maxwell,
-                        propagate_scalar, propagate_weyl, SpinorField,
-                        VectorField3)
+from .evolution import (packet_centroid, propagate_maxwell, propagate_scalar,
+                        propagate_weyl, SpinorField, VectorField3)
 from .relativity import (BeamState, BoostParams, FourMomentum,
                          aberrate_direction, boost_beam, boost_four_momentum,
                          doppler_factor, momentum_boost_generator)
@@ -41,7 +40,7 @@ from .spectral import analyze, analyze_fast, fourier_full, \
     fourier_full_inverse, synthesize
 from .transforms import HalfLineFunction, _hilbert_core, _trig_rows, \
     hilbert_even, hilbert_odd, hilbert_signed, trig_transform
-from ._fd import derivative as fd_derivative, derivative_per_half
+from ._fd import derivative as fd_derivative
 
 MACHINE_FLOOR = 1e-12
 PROBE_COUNT = 8      # packets in each shared probe suite
@@ -69,6 +68,9 @@ class RunConfig:
             raise ValueError("tol_scale must be finite and non-negative")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
+        for name, kind in (("n_half", int), ("extent", float),
+                           ("tol_scale", float)):   # so JSON takes them
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -277,11 +279,9 @@ def _hamiltonian_forms(grid, probes, **_):
            pbar0_triangle_residual(grid, probes), 2e-2)
 
     left, right, p_op = pbar0(grid, "left"), pbar0(grid, "right"), pbar(grid)
-    r_sq = 0.0
-    for f in probes[:4]:
-        via_h = convert_rep(left.apply(right.apply(f)), "g").values
-        via_p = convert_rep(p_op.apply(p_op.apply(f)), "g").values
-        r_sq = max(r_sq, rel_err(via_h, via_p, grid.interior_mask()))
+    r_sq = max(rel_err(left.kernel(right.kernel(g)),
+                       p_op.kernel(p_op.kernel(g)), grid.interior_mask())
+               for g in map(g_values, probes[:4]))
     yield "squared hamiltonian", "(p0)^2 = pbar^2", r_sq, 2e-2
 
     pkt = gaussian_packet(grid, PACKET_K / 2.0, PACKET_WIDTH)
@@ -292,10 +292,8 @@ def _hamiltonian_forms(grid, probes, **_):
            "p0 (windowed wave_k) = k (windowed wave_k)",
            rel_err(out.values, (PACKET_K / 2.0) * pkt.values, m_eig), 2e-2)
 
-    worst_q = 0.0
-    for f in probes:
-        worst_q = min(worst_q, rayleigh_quotient(spec_h, f))
-        worst_q = min(worst_q, rayleigh_quotient(left, f))
+    worst_q = min(0.0, *(rayleigh_quotient(op, f) for f in probes
+                         for op in (spec_h, left)))
     yield ("hamiltonian positivity", "Rayleigh quotients of p0 >= 0",
            max(0.0, -worst_q), 1e-3)
 
@@ -319,8 +317,10 @@ def _adjoint_suite(cfg, grid, fine, probes, fine_probes, **_):
     yield ("weighted momentum self-adjoint", "<a, pbar b> = <pbar a, b> (1/r)",
            adjoint_residual(p_op, p_op, "inv_r", probes), 1e-3)
 
-    w_plus = _wrap("Wplus", grid, lambda g: _hilbert(g, grid, "plus"))
-    w_minus = _wrap("Wminus", grid, lambda g: -_hilbert(g, grid, "minus"))
+    w_plus = LinearOperatorHandle("Wplus", grid,
+                                  lambda g: _hilbert(g, grid, "plus"))
+    w_minus = LinearOperatorHandle("Wminus", grid,
+                                   lambda g: -_hilbert(g, grid, "minus"))
     yield ("signed hilbert adjoints",
            "(r^-1/2 Hplus r^1/2)+ = -(r^-1/2 Hminus r^1/2)",
            adjoint_residual(w_plus, w_minus, "inv_r", probes), 1e-2)
@@ -337,6 +337,11 @@ def _adjoint_suite(cfg, grid, fine, probes, fine_probes, **_):
            adjoint_residual(n_op, n_op, "inv_r", n_probes), 5e-2, fine)
     yield ("boost generator orderings", "Hminus-first = Hplus-last",
            boost_ordering_residual(fine, fine_probes[:4]), 5e-2, fine)
+    nl = boost_generator_local(fine)
+    yield ("boost generator factors", "N = (r^-1/2 Hminus r^1/2) (i N')",
+           max(rel_err(n_op.kernel(g), _hilbert(1j * nl.kernel(g), fine,
+                                                "minus"))
+               for g in map(g_values, fine_probes)), MACHINE_FLOOR, fine)
 
 
 def _commutator_suite(grid, fine, probes, fine_soft, annular, **_):
@@ -360,10 +365,12 @@ def _commutator_suite(grid, fine, probes, fine_soft, annular, **_):
         yield (f"local boost with {pair}", f"[N', {a}] = i {b}",
                commutator_residual(nl, op_a, op_b, 1j, annular), 5e-2, fine)
 
-    dr = _wrap("d_r", grid, lambda f: np.sign(grid.nodes)
-               * derivative_per_half(f, grid.n_half, grid.h), rep="f")
+    # both act on f, so they are conjugated by sqrt|lambda| on g
+    root, sgn = np.sqrt(np.abs(grid.nodes)), np.sign(grid.nodes)
+    dr = LinearOperatorHandle("d_r", grid,
+                              lambda g: root * sgn * _dhalf(g / root, grid))
     hp = LinearOperatorHandle("Hplus", grid,
-                              lambda fld: hilbert_signed(fld, "plus"))
+                              lambda g: root * _hilbert(g / root, grid, "plus"))
     witness = commutator_residual(dr, hp, None, 1.0, probes[:4])
     yield ("noncommutation witness", "[d_r, Hplus] bounded away from zero",
            max(0.0, 10 * 5e-2 - witness), 1e-12)
@@ -409,8 +416,7 @@ def _evolution(cfg, grid, **_):
     ws = propagate_weyl(SpinorField(grid, "g", pkt.values, np.conj(
         pkt.values)), [0.0, 1e-4, 2e-4]).snapshots
     p_op = pbar(grid)
-    gen = np.stack([p_op.apply(ws[1].component(0)).values,
-                    -p_op.apply(ws[1].component(1)).values])
+    gen = np.stack([p_op.kernel(ws[1].up), -p_op.kernel(ws[1].down)])
     s0, s2 = (np.stack([s.up, s.down]) for s in (ws[0], ws[2]))
     gap = np.max(np.abs(1j * (s2 - s0) / 2e-4 - gen))
     yield ("Weyl generator", "i dPsi/dt = sigma . pbar Psi",
@@ -424,7 +430,7 @@ def _evolution(cfg, grid, **_):
            abs((cm[1] - cm[0]) / 6.0 - 1.0), 2e-2)
 
     sg = grid.conjugate()
-    gt = convert_rep(mres.snapshots[1].component(0), "g").values
+    gt = g_values(mres.snapshots[1].component(0))
     back = fourier_full_inverse(np.exp(1j * sg.nodes * 6.0)
                                 * fourier_full(gt, grid), sg)
     yield ("vector wave translates", "F(t) = F(0) shifted by t",
@@ -485,12 +491,11 @@ def _kinematics(cfg, grid, fine, **_):
 
     fphi, fbeam = forward_beam(fine.conjugate())
     psi = synthesize(fphi)
-    psi_g = convert_rep(psi, "g").values
+    psi_g = g_values(psi)
     dv = 2e-4
     moved = boost_beam(fbeam, BoostParams(dv, fbeam.direction))[0].profile
-    dactual = convert_rep(synthesize(moved), "g").values - psi_g
-    dpred = -1j * dv * convert_rep(
-        boost_generator_config(fine, "h_first").apply(psi), "g").values
+    dactual = g_values(synthesize(moved)) - psi_g
+    dpred = -1j * dv * boost_generator_config(fine, "h_first").kernel(psi_g)
     yield ("generator cancellation across modules",
            "boost flow of phi = -i dv N acting on psi",
            rel_err(dactual, dpred, fine.interior_mask()), 5e-2, fine)

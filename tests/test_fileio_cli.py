@@ -502,7 +502,7 @@ def test_cli_verify_degenerate_ledger_fails_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["summary"]["failed"] > 0
-    assert len(report["entries"]) == 48
+    assert len(report["entries"]) == 49
     assert "summary:" in done.stdout
 
 

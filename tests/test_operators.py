@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,22 @@ def test_handle_output_independent_of_input_rep(index):
     assert rel_err(convert_rep(out_f, "g").values, out_g.values) <= 1e-12
 
 
+def test_apply_refuses_a_field_of_another_grid():
+    other = make_grid(128, 40.0)
+    fld = gaussian_packet(other, 2.0, width=4.0)
+    for handle in _every_factory(GRID):
+        with pytest.raises(ValueError, match=re.escape(handle.label)):
+            handle.apply(fld)
+    # the harnesses, which call kernels on arrays, refuse a mixed grid too
+    p = pbar(GRID)
+    with pytest.raises(ValueError, match="different grids"):
+        commutator_residual(p, p, None, 1.0, [fld])
+    with pytest.raises(ValueError, match="different grids"):
+        adjoint_residual(p, pbar(other), "inv_r", probes(GRID, 2))
+    with pytest.raises(ValueError, match="different grids"):
+        rayleigh_quotient(p, fld)
+
+
 def test_pt_kernel_contains_inverse_lambda():
     pt = radial_momentum_tilde(GRID)
     f = sample_field(lambda x: 1.0 / x, GRID)
@@ -120,14 +138,15 @@ def test_pr_not_symmetric_contrast():
     # perfectly continuity-respecting probe still leaves a finite defect
     grid = make_grid(512, 40.0)
     lam = grid.nodes
+    root = np.sqrt(np.abs(lam))
 
     def fn(f):
         # d_r (r f) = d/dlambda (lambda f) on both rays; 1/r = 1/|lambda|
         return -1j * derivative_per_half(lam * f, grid.n_half, grid.h) \
             / np.abs(lam)
 
-    pr = LinearOperatorHandle("p_r", grid, lambda fld: fld.copy_with(
-        fn(convert_rep(fld, "f").values)))
+    # stated on f, so its g-kernel is conjugated by sqrt|lambda|
+    pr = LinearOperatorHandle("p_r", grid, lambda g: root * fn(g / root))
     a = sample_field(lambda x: np.exp(-x ** 2) / x, grid)
     defect = inner_product(a, pr.apply(a), "unit") \
         - inner_product(pr.apply(a), a, "unit")
@@ -284,22 +303,15 @@ def test_boost_hermitian_inv_r():
 def test_hilbert_conjugate_adjoint_pair():
     # (r^{-1/2} Hpm r^{1/2})^dag = -(r^{-1/2} Hmp r^{1/2}) under inv_r
     grid = GRID
-    root = np.sqrt(np.abs(grid.nodes))
 
     def conj_h(sign):
-        def fn(f):
-            u = hilbert_signed(AxialField(grid, "g", root * f), sign)
-            return u.values / root
-        def apply(fld):
-            f = convert_rep(fld, "f")
-            return convert_rep(AxialField(grid, "f", fn(f.values)), fld.rep)
-        return LinearOperatorHandle(f"W{sign}", grid, apply)
+        # r^{-1/2} Hpm r^{1/2} on f is Hpm itself on g = r^{1/2} f
+        return LinearOperatorHandle(f"W{sign}", grid, lambda g: hilbert_signed(
+            AxialField(grid, "g", g), sign).values)
 
     wp, wm = conj_h("plus"), conj_h("minus")
-    neg_wm = LinearOperatorHandle("-Wminus", grid,
-                                  lambda fld: fld.copy_with(-wm.apply(fld).values))
-    neg_wp = LinearOperatorHandle("-Wplus", grid,
-                                  lambda fld: fld.copy_with(-wp.apply(fld).values))
+    neg_wm = LinearOperatorHandle("-Wminus", grid, lambda g: -wm.kernel(g))
+    neg_wp = LinearOperatorHandle("-Wplus", grid, lambda g: -wp.kernel(g))
     ps = probes(grid, 6, rng=np.random.default_rng(54))
     assert adjoint_residual(wp, neg_wm, "inv_r", ps) <= 1e-2
     assert adjoint_residual(wm, neg_wp, "inv_r", ps) <= 1e-2
@@ -309,14 +321,17 @@ def test_noncommutation_witness():
     # the derivative and Hplus components of pbar0 genuinely do not commute
     grid = GRID
     sgn = np.sign(grid.nodes)
+    root = np.sqrt(np.abs(grid.nodes))
 
-    def d_r(fld):
-        f = convert_rep(fld, "f")
-        out = sgn * derivative_per_half(f.values, grid.n_half, grid.h)
-        return convert_rep(AxialField(grid, "f", out), fld.rep)
+    # both act on f-values, so their g-kernels are conjugated by sqrt|lambda|
+    def d_r(g):
+        return root * sgn * derivative_per_half(g / root, grid.n_half, grid.h)
+
+    def h_plus(g):
+        return root * hilbert_signed(AxialField(grid, "g", g / root),
+                                     "plus").values
 
     dr = LinearOperatorHandle("d_r", grid, d_r)
-    hp = LinearOperatorHandle("Hplus", grid,
-                              lambda fld: hilbert_signed(fld, "plus"))
+    hp = LinearOperatorHandle("Hplus", grid, h_plus)
     ps = probes(grid, 4, rng=np.random.default_rng(55))
     assert commutator_residual(dr, hp, None, 1.0, ps) > 10 * 0.05
