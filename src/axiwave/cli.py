@@ -18,12 +18,12 @@ import tempfile
 
 import numpy as np
 
-from .evolution import (_field_from_g, _maxwell_stream, _scalar_stream,
-                        _wave_stream, _weyl_stream)
+from .evolution import (_maxwell_stream, _scalar_stream, _wave_stream,
+                        _weyl_stream)
 from .fileio import (FileFormatError, read_beams_json, read_spectral_csv,
                      read_state_csv, write_beams_json, write_diagnostics_csv,
                      write_spectral_csv, write_state_csv)
-from .grids import AxialField, axis_spacing, make_grid
+from .grids import AxialField, axis_spacing, field_from_g, make_grid
 from .relativity import BoostParams, boost_beam
 from .spectral import analyze, spectral_derivative, synthesize
 from .transforms import cosine_taper
@@ -114,12 +114,12 @@ def _require(checks):
 
 
 def _grid_flags(args, build):
-    """build(), its ValueError prefixed with the grid flags (and verify's
-    ledger flags) and their values: the library states the rule that
-    failed in its own terms (n_half, h = extent / grid size, ...)."""
+    """build(), its ValueError or MemoryError prefixed with the grid flags
+    (and verify's ledger flags) and their values: the library states the
+    rule that failed in its own terms (n_half, h = extent / grid size, ...)."""
     try:
         return build()
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         flags = " ".join(f"--{key.replace('_', '-')} {value!r}"
                          for key, value in vars(args).items()
                          if key in ("grid_size", "extent", "seed", "tol_scale"))
@@ -135,7 +135,7 @@ def cmd_verify(args) -> int:
             os.path.dirname(os.path.abspath(out))):
         raise ValueError(f"--out {out} is not a file in an existing "
                          "directory")
-    report = run_verification(cfg)
+    report = _grid_flags(args, lambda: run_verification(cfg))
     print(report.to_text())
     with open(out, "w") as fh:
         fh.write(report.to_json())
@@ -214,7 +214,7 @@ def cmd_propagate(args) -> int:
         kw = {"method": args.method} if args.kind == "scalar" else {}
         diags = []
         for i, (rows, diag) in enumerate(stream(comps, times, **kw)):
-            snap = [_field_from_g(comps[0].grid, g, "f") for g in rows[:n_comp]]
+            snap = [field_from_g(comps[0].grid, g, "f") for g in rows[:n_comp]]
             # continuity_residual is filled in one time later
             checked = [c.values for c in snap] + [
                 diag[key] for key in columns if key != "continuity_residual"]
@@ -254,17 +254,15 @@ def cmd_boost(args) -> int:
 
 def cmd_transform(args) -> int:
     if args.inverse:
-        phi = read_spectral_csv(args.infile)
-        fld = synthesize(phi)
         path = args.out or "state.csv"
-        write_state_csv(fld, path)
+        write_state_csv(synthesize(read_spectral_csv(args.infile)), path)
     else:
         fld = read_state_csv(args.infile)
         if isinstance(fld, list):
-            raise FileFormatError("transform expects a single-component state")
-        phi = analyze(fld)
+            raise FileFormatError(f"{args.infile}: transform expects a "
+                                  "single-component state")
         path = args.out or "spectral.csv"
-        write_spectral_csv(phi, path)
+        write_spectral_csv(analyze(fld), path)
     print(f"written to {path}")
     return 0
 

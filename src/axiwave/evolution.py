@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import (INTERIOR, AxialField, AxisGrid, convert_rep, g_values,
+from .grids import (INTERIOR, AxialField, AxisGrid, field_from_g, g_values,
                     unfold)
 from .spectral import (_from_modes, _to_modes, fourier_full,
                        fourier_full_inverse)
@@ -117,10 +117,6 @@ def _check_times(t_grid) -> np.ndarray:
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise ValueError("time grid must be strictly increasing")
     return t
-
-
-def _field_from_g(grid, g, rep):
-    return convert_rep(AxialField(grid, "g", g), rep)
 
 
 def _scalar_diagnostics(grid, g, backend="spectral"):
@@ -303,7 +299,7 @@ def propagate_scalar(psi0: AxialField, t_grid: Sequence[float],
     RK4's full-step factor, whatever its step count.
     """
     return _collect(t_grid, _scalar_stream([psi0], t_grid, method, dt),
-                    lambda rows: _field_from_g(psi0.grid, rows[0], psi0.rep))
+                    lambda rows: field_from_g(psi0.grid, rows[0], psi0.rep))
 
 
 def _continuity_residual(dt2, rho_before, j, rho_after, grid) -> float:
@@ -346,7 +342,7 @@ def propagate_wave(psi0: AxialField, dpsi0_dt: AxialField,
     positive for forward movers) and the extrema "sigma_min", "sigma_max".
     """
     return _collect(t_grid, _wave_stream([psi0, dpsi0_dt], t_grid), lambda rows:
-                    tuple(_field_from_g(psi0.grid, g, psi0.rep) for g in rows))
+                    tuple(field_from_g(psi0.grid, g, psi0.rep) for g in rows))
 
 
 def _weyl_stream(comps, t_grid):
@@ -368,7 +364,7 @@ def propagate_weyl(psi0: SpinorField, t_grid: Sequence[float]) -> EvolutionResul
     grid, rep = psi0.grid, psi0.rep
     stream = _weyl_stream([psi0.component(0), psi0.component(1)], t_grid)
     return _collect(t_grid, stream, lambda rows: SpinorField(grid, rep, *(
-        _field_from_g(grid, x, rep).values for x in rows)))
+        field_from_g(grid, x, rep).values for x in rows)))
 
 
 def _maxwell_stream(comps, t_grid, constraint_tol=1e-12):
@@ -407,7 +403,7 @@ def propagate_maxwell(f0: VectorField3, t_grid: Sequence[float],
     return _collect(t_grid, _maxwell_stream(
         [f0.component(i) for i in range(3)], t_grid, constraint_tol),
         lambda rows: VectorField3(grid, rep, [
-            _field_from_g(grid, c, rep).values for c in rows]))
+            field_from_g(grid, c, rep).values for c in rows]))
 
 
 def packet_centroid(psi: AxialField) -> float:

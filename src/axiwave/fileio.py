@@ -7,8 +7,9 @@ header `# dk=<float>`.  Multi-component fields use the same layout with
 `write_state_csv` writes both layouts (one field or a list of components
 on one grid, in one rep) and `read_state_csv` reads both.  The readers
 reject non-finite cells, and the writers refuse to write one, or
-components that do not share a grid and rep (ValueError, before the file
-is opened), so whatever is written reads back.
+components that do not share a grid and rep, or more than 3 of them
+(ValueError, before the file is opened), so whatever is written reads
+back.
 Beam ensembles are JSON: {"beams": [{"direction": [x,y,z],
 "kappa": [...], "re": [...], "im": [...]}]}.  The diagnostics CSV of a
 propagate run is one column per named quantity, NaN written blank.
@@ -66,6 +67,8 @@ def write_state_csv(fields: AxialField | list[AxialField], path):
     """One field, or a list of components on one grid, in one rep (spinor,
     vector)."""
     fields = fields if isinstance(fields, list) else [fields]
+    if not 1 <= len(fields) <= 3:   # a field, a spinor or a 3-vector
+        raise ValueError(f"{path}: refusing to write {len(fields)} components")
     grid, n = fields[0].grid, len(fields)
     if not all(f.grid.same_as(grid) and f.rep == fields[0].rep
                for f in fields):
@@ -84,7 +87,7 @@ def write_state_csv(fields: AxialField | list[AxialField], path):
 
 _STATE_HEADER = re.compile(
     r"#\s*rep=(?P<rep>[FG])\s+n_half=(?P<n>\d+)\s+h=(?P<h>[^\s]+)"
-    r"(?:\s+components=(?P<c>\d+))?\s*$")
+    r"(?:\s+components=(?P<c>[1-3]))?\s*$")
 _SPECTRAL_HEADER = re.compile(r"#\s*dk=(?P<dk>[^\s]+)\s*$")
 
 
@@ -104,7 +107,10 @@ def _parse_floats(path, lineno, line, expected):
 
 def _read_table(path, header_re, expected_cols_fn):
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
     if not lines:
         raise FileFormatError(f"{path}:1: empty file")
     m = header_re.match(lines[0])
@@ -136,9 +142,9 @@ def _read_table(path, header_re, expected_cols_fn):
 
 def _file_grid(prefix, name, text, n_half, column, build):
     """The grid `build(n_half, spacing)` of a file's spacing `name`=`text`,
-    by the grid rule; `column` must hold its nodes."""
+    by the grid rule; `column` must hold its nodes.  n_half may be text."""
     try:
-        spacing = float(text)
+        spacing, n_half = float(text), int(n_half)
         check_grid(n_half, spacing, name, conjugate=True)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{prefix}{name}={text}: {exc}") from None
@@ -153,13 +159,12 @@ def _file_grid(prefix, name, text, n_half, column, build):
 
 def read_state_csv(path) -> AxialField | list[AxialField]:
     """Read a state CSV; returns a list when the file has several components."""
-    meta, data = _read_table(
-        path, _STATE_HEADER,
-        lambda m: 1 + 2 * (int(m["c"]) if m["c"] else 1))
-    grid = _file_grid(f"{path}:1: ", "h", meta["h"], int(meta["n"]), data[:, 0],
+    meta, data = _read_table(path, _STATE_HEADER,
+                             lambda m: 1 + 2 * int(m["c"] or 1))
+    grid = _file_grid(f"{path}:1: ", "h", meta["h"], meta["n"], data[:, 0],
                       lambda n, h: make_grid(n, n * h))
     rep = "f" if meta["rep"] == "F" else "g"
-    n_comp = int(meta["c"]) if meta["c"] else 1
+    n_comp = int(meta["c"] or 1)
     fields = [AxialField(grid, rep, data[:, 1 + 2 * i] + 1j * data[:, 2 + 2 * i])
               for i in range(n_comp)]
     return fields[0] if n_comp == 1 else fields
@@ -215,10 +220,12 @@ def write_beams_json(beams, path):
 
 def read_beams_json(path) -> list[BeamState]:
     with open(path) as fh:
-        try:
-            payload = json.load(fh)
+        try:   # integers read as floats: one beyond float range is inf
+            payload = json.load(fh, parse_int=float)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:   # bytes that are not UTF-8
+            raise FileFormatError(f"{path}: {exc}") from None
     if not isinstance(payload, dict) or \
             not isinstance(payload.get("beams"), list):
         raise FileFormatError(f"{path}: need an object with a 'beams' list")

@@ -9,14 +9,18 @@ so no node sits at the origin and every factor 1/lambda, 1/sqrt|lambda|
 stays finite on the grid.  The conjugate momentum grid uses the same offset
 pattern with spacing dk = pi / extent; with that choice the discrete
 Fourier map between the two grids is exactly unitary.  The grid rule that
-`check_grid` applies to every grid: n_half is an integer >= 8 and the
-spacing s has 0 < s/2 and (n_half - 1/2) s < inf, so all nodes are finite,
-nonzero and distinct; on an axis grid pi / extent passes too.
+`check_grid` applies to every grid: n_half is an integer from 8 to
+MAX_N_HALF and the spacing s has 0 < s/2 and (n_half - 1/2) s < inf, so
+all nodes are finite, nonzero and distinct; on an axis grid pi / extent
+passes too.
 
 Fields come in two representations:
 
     f-rep : raw samples psi(lambda)
     g-rep : weighted samples g = sqrt|lambda| * psi(lambda)
+
+The calculus runs on g-arrays: `g_values` reads a field's g and
+`field_from_g` makes a field of g, through `convert_rep`.
 
 The two inner products are nodal (midpoint) quadratures of the volume
 integrals restricted to the axis; the r^2 Jacobian of the line restriction
@@ -45,6 +49,8 @@ _REPS = (F_REP, G_REP)
 _FIELD_WEIGHTS = ("unit", "inv_r")
 _SPECTRAL_WEIGHTS = ("inv_k", "k")
 MIN_N_HALF = 8
+# the most nodes per side whose 2 n_half float64 values numpy can address
+MAX_N_HALF = int(np.iinfo(np.intp).max) // 16
 # the interior band |lambda| <= INTERIOR * extent of every interior norm
 INTERIOR = 0.6
 
@@ -130,6 +136,9 @@ def check_grid(n_half, spacing, name="spacing", conjugate=False) -> None:
     if not (isinstance(n_half, (int, np.integer)) and n_half >= MIN_N_HALF):
         raise ValueError(f"grid too coarse: n_half must be an integer >= "
                          f"{MIN_N_HALF}, got {n_half!r}")
+    if n_half > MAX_N_HALF:   # its bits: repr() refuses 4,301 digits
+        raise ValueError(f"grid too fine: n_half must be at most {MAX_N_HALF}"
+                         f", got one of {int(n_half).bit_length()} bits")
     n, step = int(n_half), float(spacing)
     for label in ("spacing", "pi/extent") if conjugate else ("spacing",):
         if not (0.0 < step / 2 and (n - 0.5) * step < np.inf):
@@ -140,7 +149,7 @@ def check_grid(n_half, spacing, name="spacing", conjugate=False) -> None:
 
 def axis_spacing(n_half, extent) -> float:
     """h = extent / n_half of a usable axis grid; errors name `extent`."""
-    h = float(extent) / max(n_half, 1)   # a bad n_half fails the check
+    h = float(extent) / min(max(n_half, 1), MAX_N_HALF)   # checked below
     check_grid(n_half, h, "extent", conjugate=True)
     return h
 
@@ -215,14 +224,12 @@ def sample_field(generator, grid: AxisGrid) -> AxialField:
 
 def convert_rep(fld: AxialField, target: str) -> AxialField:
     """Convert between f- and g-representation (multiply/divide sqrt|lambda|)."""
-    if target not in _REPS:
-        raise ValueError(f"unknown representation {target!r}")
     if target == fld.rep:
         return fld
-    root = np.sqrt(np.abs(fld.grid.nodes))
-    if target == G_REP:
-        return AxialField(fld.grid, G_REP, fld.values * root)
-    return AxialField(fld.grid, F_REP, fld.values / root)
+    if target == F_REP:
+        return AxialField(fld.grid, F_REP,
+                          fld.values / np.sqrt(np.abs(fld.grid.nodes)))
+    return AxialField(fld.grid, target, g_values(fld))   # checks `target`
 
 
 def fold(values: np.ndarray, n_half: int):
@@ -251,7 +258,7 @@ def gaussian_packet(grid: AxisGrid, k0: float, width: float,
     """Windowed plane wave exp(-((l-c)/w)^2) exp(i k0 l), built in g-rep."""
     lam = grid.nodes
     g = np.exp(-(((lam - center) / width) ** 2)) * np.exp(1j * k0 * lam)
-    return convert_rep(AxialField(grid, G_REP, g), rep)
+    return field_from_g(grid, g, rep)
 
 
 def random_packet(grid: AxisGrid, rng, **draw) -> AxialField:
@@ -274,12 +281,19 @@ def _wavelet_sum(grid: AxisGrid, wavelets) -> AxialField:
     lam, g = grid.nodes, np.zeros(grid.size, dtype=complex)
     for c, w, k, amp in wavelets:
         g += amp * np.exp(-(((lam - c) / w) ** 2)) * np.exp(1j * k * lam)
-    return convert_rep(AxialField(grid, G_REP, g), F_REP)
+    return field_from_g(grid, g, F_REP)
 
 
 def g_values(fld: AxialField) -> np.ndarray:
-    """The g-representation values of `fld`."""
-    return convert_rep(fld, G_REP).values
+    """The g-representation values of `fld`: its own array if it is in g."""
+    if fld.rep == G_REP:
+        return fld.values
+    return fld.values * np.sqrt(np.abs(fld.grid.nodes))
+
+
+def field_from_g(grid: AxisGrid, g: np.ndarray, rep: str) -> AxialField:
+    """The field of g-values `g` on `grid`, in representation `rep`."""
+    return convert_rep(AxialField(grid, G_REP, g), rep)
 
 
 def inner_product(a: AxialField, b: AxialField, weight: str = "unit") -> complex:

@@ -4,7 +4,8 @@ generators, and residual harnesses for their algebra.
 Every factory returns a LinearOperatorHandle whose kernel maps g-values to
 g-values, g = sqrt|lambda| f, where the calculus is natural; pt and the s
 multipliers, stated on f, are conjugated by sqrt|lambda| in their kernels.
-`apply` converts a field to g and back once; the residual harnesses take
+The Hilbert factors call `transforms._hilbert` on g, so only `apply`
+builds a field (by `grids.field_from_g`); the residual harnesses take
 each probe to g once and compose kernels on arrays.
 
 Derivatives that appear inside compositions with the signed Hilbert
@@ -44,9 +45,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._fd import derivative_per_half
-from .grids import AxialField, AxisGrid, convert_rep, g_product, g_values
+from .grids import AxialField, AxisGrid, field_from_g, g_product, g_values
 from .spectral import fourier_full, fourier_full_inverse, spectral_derivative
-from .transforms import hilbert_signed
+from .transforms import _hilbert
 
 _PBAR0_FORMS = ("left", "right", "spectral")
 _BOOST_ORDERINGS = ("h_first", "h_last")
@@ -64,8 +65,7 @@ class LinearOperatorHandle:
         """The kernel on `fld`, returned in `fld`'s representation."""
         if not fld.grid.same_as(self.grid):
             raise ValueError(f"{self.label}: field lives on a different grid")
-        out = AxialField(self.grid, "g", self.kernel(g_values(fld)))
-        return convert_rep(out, fld.rep)
+        return field_from_g(self.grid, self.kernel(g_values(fld)), fld.rep)
 
 
 def _probe_gs(handles, probes):
@@ -91,10 +91,6 @@ def _routes_residual(handles, probes) -> float:
 
 def _dhalf(values: np.ndarray, grid: AxisGrid) -> np.ndarray:
     return derivative_per_half(values, grid.n_half, grid.h)
-
-
-def _hilbert(g: np.ndarray, grid: AxisGrid, sign: str) -> np.ndarray:
-    return hilbert_signed(AxialField(grid, "g", g), sign).values
 
 
 def radial_momentum_tilde(grid: AxisGrid) -> LinearOperatorHandle:

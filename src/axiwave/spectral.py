@@ -41,7 +41,7 @@ import functools
 import numpy as np
 
 from .grids import (AxialField, AxisGrid, SpectralGrid, SpectralProfile,
-                    convert_rep, g_values, parity_join, parity_split, unfold)
+                    field_from_g, g_values, parity_join, parity_split, unfold)
 from .transforms import _trig_rows
 
 _PLAN_CACHE_SIZE = 8   # grids whose plans stay cached at once
@@ -132,7 +132,7 @@ def synthesize(phi: SpectralProfile) -> AxialField:
     even, odd = parity_split(np.sqrt(np.abs(sgrid.nodes)) * phi.values,
                              sgrid.n_half)
     g = _from_modes([even, 1j * odd], sgrid)
-    return convert_rep(AxialField(sgrid.axis_grid(), "g", g), "f")
+    return field_from_g(sgrid.axis_grid(), g, "f")
 
 
 def analyze_fast(psi: AxialField) -> SpectralProfile:

@@ -30,9 +30,9 @@ with two independent realizations:
 
 `_hilbert_core` is the one backend switch behind every Hilbert transform,
 and every trig transform, the RK4 stepper's included, runs on the one
-DCT-IV kernel `_trig_rows`, over any number of rows.  That kernel is
-`scipy.fft.dct`, looked up at call time: importing the package loads no
-scipy, and `scipy.fft` loads on the first r2r call.
+DCT-IV kernel `_trig_rows`, over any number of rows.  That kernel makes
+one `scipy.fft.dct` call, looked up at call time: importing the package
+loads no scipy, and `scipy.fft` loads on the first r2r call.
 
 The quadrature never forms its n x n kernel.  On the offset grid
 r_i = (i + 1/2) h the partial fractions
@@ -50,7 +50,8 @@ The signed full-line combinations act on axis fields:
     Hminus = (1/2) [ (He + Ho) - (He - Ho) P ]
 
 where P is parity.  Hplus e^{ikz} = +i e^{ikz} for z>0 and -i e^{ikz} for
-z<0 (k>0), and Hplus Hminus = Hminus Hplus = -1.
+z<0 (k>0), and Hplus Hminus = Hminus Hplus = -1.  `_hilbert` is both on
+arrays, the kernel of `hilbert_signed` and of the operators on g.
 """
 
 from __future__ import annotations
@@ -108,33 +109,22 @@ def _trig_rows(rows, spacing: float, kinds) -> np.ndarray:
 
     DST-IV(x)_m = (-1)^m DCT-IV(x reversed)_m is how the r2r kernel itself
     evaluates a DST-IV, so a sin row is reversed on the way in and its odd
-    entries negated on the way out.  The rows are filled into one fresh
-    (rows, n) stack, which is transformed and scaled in place and returned.
-    """
-    buf = np.empty((len(rows), len(rows[0])), dtype=complex)
-    for row, x, kind in zip(buf, rows, kinds):
-        row[:] = x if kind == "cos" else x[::-1]
-    scale = np.sqrt(2.0 / np.pi) * 0.5 * spacing
-    return np.multiply(scale, _r2r_pair(buf, kinds), out=buf)
-
-
-def _r2r_pair(buf: np.ndarray, kinds) -> np.ndarray:
-    """The unscaled DCT-IV / DST-IV core of `_trig_rows`, in place.
-
-    `buf` is a C-contiguous complex (rows, n) array; each sin row must hold
-    its input reversed.  Its float view (rows, n, 2) goes through one real
-    DCT-IV along the node axis, so the real and imaginary parts of every
-    row are transformed in one call (scipy's complex branch makes two).
-    Returns `buf`.
+    entries negated on the way out.  The rows fill one fresh (rows, n)
+    stack, whose float view (rows, n, 2) takes one real DCT-IV along the
+    nodes (scipy's complex branch makes two), and is scaled in place.
     """
     import scipy.fft  # loaded on the first r2r call, not at import
 
+    buf = np.empty((len(rows), len(rows[0])), dtype=complex)
+    for row, x, kind in zip(buf, rows, kinds):
+        row[:] = x if kind == "cos" else x[::-1]
     scipy.fft.dct(buf.view(float).reshape(*buf.shape, 2), type=4, axis=1,
                   overwrite_x=True)
     for row, kind in zip(buf, kinds):
         if kind == "sin":
             np.negative(row[1::2], out=row[1::2])
-    return buf
+    scale = np.sqrt(2.0 / np.pi) * 0.5 * spacing
+    return np.multiply(scale, buf, out=buf)
 
 
 def trig_transform(f: HalfLineFunction, kind: str = "cos") -> HalfLineFunction:
@@ -151,15 +141,11 @@ def trig_transform(f: HalfLineFunction, kind: str = "cos") -> HalfLineFunction:
 
 def _warn_if_not_decayed(values: np.ndarray, label: str):
     n_edge = max(1, values.size // 20)
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return
-    if np.max(np.abs(values[-n_edge:])) > 1e-3 * peak:
-        warnings.warn(
-            f"{label}: input has not decayed at the grid edge; the "
-            "finite-domain transform is unreliable near truncation",
-            stacklevel=4,
-        )
+    # the edge is part of the peak, so an input of zeros never warns
+    if np.max(np.abs(values[-n_edge:])) > 1e-3 * np.max(np.abs(values)):
+        warnings.warn(f"{label}: input has not decayed at the grid edge; the "
+                      "finite-domain transform is unreliable near truncation",
+                      stacklevel=4)
 
 
 @functools.lru_cache(maxsize=8)
@@ -284,19 +270,19 @@ def cosine_taper(x: np.ndarray, width: float, ramp: float) -> np.ndarray:
     return out
 
 
-def hilbert_signed(fld: AxialField, sign: str = "plus",
-                   backend: str = "spectral") -> AxialField:
-    """Full-line signed Hilbert transform Hplus / Hminus of an axis field.
-
-    Acts on the raw samples of whatever representation the field is in;
-    callers manage the sqrt(r) conjugations.
-    """
+def _hilbert(values, grid, sign: str, backend="spectral") -> np.ndarray:
+    """Hplus / Hminus of the samples `values` on the axis grid `grid`."""
     if sign not in ("plus", "minus"):
         raise ValueError(f"unknown sign {sign!r}")
-    parts = parity_split(fld.values, fld.grid.n_half)
-    # plus: even part -> He (even output), odd part -> Ho (odd output);
-    # minus: even part through the odd kernel (even output), odd part
-    # through the even kernel (odd output)
+    parts = parity_split(values, grid.n_half)
+    # plus: He on the even part, Ho on the odd; minus: Ho on the even part,
+    # He on the odd (each output keeps its part's parity)
     kernels = ("even", "odd") if sign == "plus" else ("odd", "even")
-    return fld.copy_with(parity_join(*_hilbert_core(parts, fld.grid.h,
-                                                    kernels, backend)))
+    return parity_join(*_hilbert_core(parts, grid.h, kernels, backend))
+
+
+def hilbert_signed(fld: AxialField, sign: str = "plus",
+                   backend: str = "spectral") -> AxialField:
+    """Full-line signed Hilbert transform Hplus / Hminus of an axis field,
+    on the raw samples of its representation: callers manage sqrt(r)."""
+    return fld.copy_with(_hilbert(fld.values, fld.grid, sign, backend))

@@ -25,10 +25,9 @@ from .grids import (MIN_N_HALF, _draw_wavelets, _wavelet_sum, axis_spacing,
                     g_values, gaussian_packet, inner_product, make_grid,
                     random_packet, sample_field, spectral_inner_product,
                     spectral_norm, SpectralProfile)
-from .operators import (_dhalf, _hilbert, adjoint_residual,
-                        boost_generator_config, boost_generator_local,
-                        boost_ordering_residual, commutator_residual,
-                        four_vector_ops, pbar, pbar0,
+from .operators import (_dhalf, adjoint_residual, boost_generator_config,
+                        boost_generator_local, boost_ordering_residual,
+                        commutator_residual, four_vector_ops, pbar, pbar0,
                         pbar0_triangle_residual, radial_momentum_tilde,
                         rayleigh_quotient, LinearOperatorHandle)
 from .evolution import (packet_centroid, propagate_maxwell, propagate_scalar,
@@ -38,8 +37,8 @@ from .relativity import (BeamState, BoostParams, FourMomentum,
                          doppler_factor, momentum_boost_generator)
 from .spectral import analyze, analyze_fast, fourier_full, \
     fourier_full_inverse, synthesize
-from .transforms import HalfLineFunction, _hilbert_core, _trig_rows, \
-    hilbert_even, hilbert_odd, hilbert_signed, trig_transform
+from .transforms import HalfLineFunction, _hilbert, _hilbert_core, \
+    _trig_rows, hilbert_even, hilbert_odd, hilbert_signed, trig_transform
 from ._fd import derivative as fd_derivative
 
 MACHINE_FLOOR = 1e-12
@@ -223,13 +222,12 @@ def _half_line_transforms(cfg, grid, halves, probes, **_):
         k0 = rng_t.uniform(1.5, 3.0)
         spec = np.exp(-(((kpos - k0) / 1.0) ** 2)) \
             * (rng_t.normal() + 1j * rng_t.normal())
-        a = HalfLineFunction(dk, spec)
-        ka = HalfLineFunction(dk, kpos * spec)
+        a_cos, a_sin, ka_cos, ka_sin = (
+            trig_transform(HalfLineFunction(dk, x), kind).values
+            for x in (spec, kpos * spec) for kind in ("cos", "sin"))
         for sgn_i in (1.0, -1.0):
-            lhs = trig_transform(ka, "cos").values \
-                + sgn_i * 1j * trig_transform(ka, "sin").values
-            base = trig_transform(a, "cos").values \
-                + sgn_i * 1j * trig_transform(a, "sin").values
+            lhs = ka_cos + sgn_i * 1j * ka_sin
+            base = a_cos + sgn_i * 1j * a_sin
             rhs = -sgn_i * 1j * fd_derivative(base, grid.h)
             r_twine = max(r_twine, rel_err(lhs, rhs, mask_tw))
     yield "derivative intertwining", "Fpm~ k = -/+ i d_r Fpm~", r_twine, 1e-2
@@ -265,11 +263,14 @@ def _unitary_map(cfg, grid, fine, probes, **_):
     yield ("fast route equals structural", "FFT route = trig route", r_fast,
            1e-10)
 
+    # relative to |a||b| (Cauchy-Schwarz), not to <a,b>, which may be ~0
     r_parseval = 0.0
     for a, b, phi_a, phi_b in zip(probes, probes[1:], phis, phis[1:]):
         lhs = spectral_inner_product(phi_a, phi_b, "k")
         rhs = inner_product(a, b, "inv_r")
-        r_parseval = max(r_parseval, abs(lhs - rhs) / abs(rhs))
+        den = np.sqrt(inner_product(a, a, "inv_r").real
+                      * inner_product(b, b, "inv_r").real)
+        r_parseval = max(r_parseval, abs(lhs - rhs) / den)
     yield ("unitarity of the weighted pair",
            "<Ua,Ub> k-weight = <a,b> 1/r-weight", r_parseval, 1e-2)
 

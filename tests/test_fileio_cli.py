@@ -268,7 +268,10 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
         assert not (tmp_path / "run").exists()
-    for flag, value in GRID_FLAGS:
+    # above the grid rule's n_half; 2**57 passes it, but numpy refuses at
+    # once to allocate its 1 EiB of int64 indices
+    for flag, value in GRID_FLAGS + (("--grid-size", str(10 ** 18)),
+                                     ("--grid-size", str(2 ** 57))):
         assert main(["verify", flag, value,
                      "--out", str(tmp_path / "report.json")]) == 2
         cap = capsys.readouterr()
@@ -279,7 +282,8 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
 GRID_FLAGS = (("--grid-size", "0"), ("--grid-size", "7"), ("--grid-size", "-4"),
               ("--extent", "nan"), ("--extent", "inf"),
               ("--extent", "0"), ("--extent", "-1"),
-              ("--extent", "5e-324"), ("--extent", "1e-310"))
+              ("--extent", "5e-324"), ("--extent", "1e-310"),
+              ("--grid-size", str(10 ** 400)))   # beyond float range
 
 
 @pytest.mark.parametrize("size", ["8", "15"])
@@ -589,6 +593,27 @@ def test_cli_transform_rejects_oversized_header(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("header", [
+    "# rep=F n_half=1" + "0" * 400 + " h=0.15625",     # beyond float range
+    "# rep=F n_half=1" + "0" * 5000 + " h=0.15625",    # beyond int()'s digits
+    "# rep=F n_half=256 h=0.15625 components=1" + "0" * 30,
+    "# rep=F n_half=256 h=0.15625 components=0"],
+    ids=["n_half_400_digits", "n_half_5000_digits", "components_31_digits",
+         "components_0"])
+@pytest.mark.parametrize("command", ["transform", "propagate"])
+def test_cli_refuses_oversized_header_integers_at_the_header(
+        tmp_path, capsys, header, command):
+    grid = make_grid(256, 40.0)
+    src = tmp_path / "state.csv"
+    src.write_text("\n".join([header, "lambda,re,im"] + [
+        f"{float(lam)!r},0.0,0.0" for lam in grid.nodes]) + "\n")
+    code = main([command, "--in", str(src), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {src}:1: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def _beam(**overrides):
     """One valid beam entry (16 half-offset nodes, dk 0.5), fields replaced."""
     kappa = [(j - 7.5) * 0.5 for j in range(16)]
@@ -603,7 +628,12 @@ def _beam(**overrides):
     _beam(dk=None), _beam(kappa={"a": 1}), _beam(re={"a": 1}),
     _beam(im={"a": 1}), _beam(direction={"a": 1}),
     _beam(direction=[0.0, 0.0, float("nan")]),
-    _beam(re=[float("inf")] * 16), _beam(dk=float("nan"))])
+    _beam(re=[float("inf")] * 16), _beam(dk=float("nan")),
+    # integers beyond float range
+    _beam(direction=[10 ** 400, 0.0, 1.0]),
+    _beam(kappa=[10 ** 400] + [(j - 7.5) * 0.5 for j in range(1, 16)]),
+    _beam(re=[10 ** 400] * 16), _beam(im=[10 ** 400] * 16),
+    _beam(dk=10 ** 400)])
 def test_cli_boost_malformed_beams_json(tmp_path, capsys, payload):
     src = tmp_path / "beams.json"
     src.write_text(json.dumps(payload))
@@ -612,6 +642,9 @@ def test_cli_boost_malformed_beams_json(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and not (tmp_path / "out.json").exists()
+    if payload not in ([3], {"beams": 3}):   # a beam's fault names the beam
+        assert err.startswith(f"error: {src}: beam 0: ")
 
 
 @pytest.mark.parametrize("kappa", [[], [0.5]])

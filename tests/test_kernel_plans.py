@@ -86,7 +86,9 @@ def test_trig_pair_is_bit_identical(n, kinds):
 
 @pytest.mark.parametrize("n", [*range(8, 70), 1000, 65536])
 def test_r2r_pair_is_scipys_complex_dct_bit_for_bit(n):
-    # the complex DCT-IV, sin rows' odd entries negated; sign bits included
+    # `_trig_rows` is the complex DCT-IV of each row, a sin row taken in
+    # reversed and its odd entries negated, times sqrt(2/pi) spacing / 2;
+    # sign bits included
     rng = np.random.default_rng(n)
     x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
     for kinds in KIND_PAIRS + [("cos",), ("sin",)]:
@@ -94,9 +96,10 @@ def test_r2r_pair_is_scipys_complex_dct_bit_for_bit(n):
         for row, kind in zip(want, kinds):
             if kind == "sin":
                 row[1::2] = -row[1::2]
-        buf = x[:len(kinds)].copy()
-        assert transforms._r2r_pair(buf, kinds) is buf
-        assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
+        want = np.multiply(np.sqrt(2.0 / np.pi) * 0.5 * 0.3, want)
+        rows = [r if kind == "cos" else r[::-1] for r, kind in zip(x, kinds)]
+        got = transforms._trig_rows(rows, 0.3, kinds)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def reference_hamiltonian(grid):

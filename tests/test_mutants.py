@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from axiwave import operators, verify
-from axiwave.operators import LinearOperatorHandle, _dhalf, _hilbert
+from axiwave.operators import LinearOperatorHandle, _dhalf
+from axiwave.transforms import _hilbert
 from axiwave.verify import RunConfig, run_verification
 
 
