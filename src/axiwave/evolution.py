@@ -32,7 +32,8 @@ construction and satisfies a discrete continuity law with the axial
 current J = -2 Im(conj(g) Hg); the residual of that law converges at
 second order in the joint (h, dt) refinement.  The spectral route evolves
 Hg in momentum space (H is the multiplier -i sgn kappa); the RK4 route
-takes it from the trig-route Hilbert transform, so each checks the other.
+takes it, with g, from its trig modes (the spectral Hilbert backend's
+composition), so each checks the other.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from typing import Sequence
 import numpy as np
 
 from .grids import (INTERIOR, AxialField, AxisGrid, field_from_g, g_values,
-                    unfold)
+                    parity_join, unfold)
 from .spectral import (_from_modes, _to_modes, fourier_full,
                        fourier_full_inverse)
-from .transforms import hilbert_signed
+from .transforms import _trig_rows, hilbert_signed
 
 RK4_STABILITY_FACTOR = 2.0 * np.sqrt(2.0) / np.pi  # dt <= this * h
 
@@ -121,8 +122,7 @@ def _check_times(t_grid) -> np.ndarray:
 
 def _scalar_diagnostics(grid, g, backend="spectral"):
     """rho, J and the flat norm of one g-snapshot, from one Hilbert transform
-    H = -sgn . Hplus (`density_current` and the RK4 route; the spectral
-    route has Hg)."""
+    H = -sgn . Hplus (`density_current`; both propagation routes have Hg)."""
     hplus = hilbert_signed(AxialField(grid, "g", g), "plus", backend=backend)
     return _rho_j_norm(grid, g, -np.sign(grid.nodes) * hplus.values)
 
@@ -158,8 +158,9 @@ def _evolve(comps, t_grid, transfer, hilbert=False):
     transform -i sgn(kappa) ghat.  At each time ti, `transfer(c, s, k)`,
     given the N positive momentum nodes k and c, s = cos(k ti), sin(k ti),
     mirrors them into a C x C matrix (rows of (2N,) momentum symbols, or
-    None for a zero entry) that mixes those C components; each output row
-    is transformed back on its own.  Yields one list of C g-arrays per time.
+    None for a zero entry) that mixes those C components.  The C output
+    spectra of a time go back as one (C, 2N) block, by one inverse FFT.
+    Yields one list of C g-arrays, rows of that block, per time.
     """
     t = _check_times(t_grid)
     sg = comps[0].grid.conjugate()
@@ -169,9 +170,10 @@ def _evolve(comps, t_grid, transfer, hilbert=False):
     k = sg.positive_nodes()
     for ti in t:
         x = k * ti
-        yield [fourier_full_inverse(
-            sum(e * gh for e, gh in zip(row, ghats) if e is not None), sg)
-            for row in transfer(np.cos(x), np.sin(x), k)]
+        spectra = np.array([
+            sum(e * gh for e, gh in zip(row, ghats) if e is not None)
+            for row in transfer(np.cos(x), np.sin(x), k)])
+        yield list(fourier_full_inverse(spectra, sg))
 
 
 def _scalar_transfer(c, s, k):
@@ -227,8 +229,8 @@ def _rk4_gain(y):
 
 
 def _rk4(grid, g0, t, dt):
-    """Classical RK4 of i dg/dt = H g with step dt, yielding [g] at each
-    time in t (t[0] = 0).
+    """Classical RK4 of i dg/dt = H g with step dt, yielding (g, Hg) at
+    each time in t (t[0] = 0), H = -sgn . Hplus.
 
     H is k on the trig modes of g (`spectral._to_modes`), so an RK4 step
     of size s multiplies them by R(-i s k).  Each interval between two
@@ -237,6 +239,12 @@ def _rk4(grid, g0, t, dt):
     once: g is transformed once and back at each time, O(len(t) n log n)
     whatever the step count.  divmod is exact, so a grid and its times
     rescaled by a power of 2 take the same steps.
+
+    With ce, so the modes, g = parity_join(Fc~ ce, Fs~ so), the inverse of
+    `spectral._to_modes`, and the spectral Hilbert transforms He = -Fs~ Fc,
+    Ho = Fc~ Fs give Hplus g = parity_join(-Fs~ ce, Fc~ so), so
+    Hg = parity_join(-Fc~ so, Fs~ ce): both from one kernel call per time,
+    still the trig route and independent of the FFT route.
     """
     sgrid = grid.conjugate()
     k = sgrid.positive_nodes()
@@ -244,7 +252,9 @@ def _rk4(grid, g0, t, dt):
     for gap in np.diff(t, prepend=0.0):
         steps, rest = divmod(float(gap), dt)
         modes *= full ** steps * _rk4_gain(rest * k)
-        yield [_from_modes(modes, sgrid)]
+        even, odd, fs_ce, fc_so = _trig_rows(
+            [*modes, *modes], sgrid.dk, ("cos", "sin", "sin", "cos"))
+        yield parity_join(even, odd), parity_join(-fc_so, fs_ce)
 
 
 def _rk4_step(h, dt=None) -> float:
@@ -265,14 +275,14 @@ def _scalar_stream(comps, t_grid, method="spectral", dt=None):
     t = _check_times(t_grid)
     grid = comps[0].grid
     if method == "spectral":
-        flow = ((g, _rho_j_norm(grid, g, hg)) for g, hg in
+        # g leaves its block on its own, so a snapshot does not keep Hg
+        flow = ((g.copy(), hg) for g, hg in
                 _evolve(comps, t, _scalar_transfer, hilbert=True))
     elif method == "rk4":
-        dt = _rk4_step(grid.h, dt)
-        flow = ((g, _scalar_diagnostics(grid, g))
-                for (g,) in _rk4(grid, g_values(comps[0]), t, dt))
+        flow = _rk4(grid, g_values(comps[0]), t, _rk4_step(grid.h, dt))
     else:
         raise ValueError(f"unknown method {method!r}")
+    flow = ((g, _rho_j_norm(grid, g, hg)) for g, hg in flow)
 
     window = []   # (t, rho, J, diagnostics) of the two times before this one
     for ti, (g, (rho, j, nrm)) in zip(t, flow):

@@ -218,6 +218,20 @@ def write_beams_json(beams, path):
         fh.write("\n ]\n}\n" if beams else "]\n}\n")
 
 
+def _refuse_booleans(key, value):
+    """Refuse a JSON boolean anywhere in a beam's number or (nested) list
+    of numbers at `key` (TypeError): numpy reads true and false as 1.0 and
+    0.0."""
+    items = value if isinstance(value, list) else [value]
+    kinds = set(map(type, items))
+    if bool in kinds:
+        raise TypeError(f"{key!r} holds a boolean, not a number")
+    if list in kinds:
+        for item in items:
+            if isinstance(item, list):
+                _refuse_booleans(key, item)
+
+
 def read_beams_json(path) -> list[BeamState]:
     with open(path) as fh:
         try:   # integers read as floats: one beyond float range is inf
@@ -235,6 +249,8 @@ def read_beams_json(path) -> list[BeamState]:
         if not isinstance(entry, dict):
             raise FileFormatError(f"{where}: entry must be an object")
         try:
+            for key in ("kappa", "re", "im", "direction", "dk"):
+                _refuse_booleans(key, entry.get(key))
             arrays = [np.asarray(entry[key], dtype=float)
                       for key in ("kappa", "re", "im", "direction")]
             kappa, re_, im_, direction = arrays

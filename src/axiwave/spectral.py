@@ -30,8 +30,10 @@ The trig route is stated once, as `_to_modes` and its inverse
 `_from_modes`: the cos coefficients of g's even part and the sin
 coefficients of its odd part, run as one DCT-IV over both rows
 (`transforms._trig_rows`, through DST-IV(x)_m = (-1)^m DCT-IV(x
-reversed)_m): one r2r call per analysis or synthesis.  The RK4 stepper
-of `evolution` works on the same modes.
+reversed)_m): one trig-kernel call per analysis or synthesis, itself one
+half-length `numpy.fft.fft`, so the two routes share numpy's FFT but no
+twiddle or index map.  The RK4 stepper of `evolution` works on the same
+modes.
 """
 
 from __future__ import annotations
@@ -81,10 +83,16 @@ def fourier_full(values: np.ndarray, grid: AxisGrid) -> np.ndarray:
 
 
 def fourier_full_inverse(values: np.ndarray, sgrid: SpectralGrid) -> np.ndarray:
-    """g_j = (dk/sqrt(2 pi)) sum_m ghat_m exp(+i kappa_m lambda_j)."""
+    """g_j = (dk/sqrt(2 pi)) sum_m ghat_m exp(+i kappa_m lambda_j), of each
+    row of `values` by one inverse FFT over all of them."""
     pre, post = _inverse_plan(sgrid.n_half, sgrid.dk)
-    conf = np.fft.ifft(np.asarray(values, dtype=complex) * pre)
-    return post * conf * (2 * sgrid.n_half)
+    conf = np.asarray(values, dtype=complex) * pre
+    np.fft.ifft(conf, out=conf)
+    # post times the inverse FFT, in that order: on SIMD the complex
+    # product need not commute to the bit
+    np.multiply(post, conf, out=conf)
+    conf *= 2 * sgrid.n_half
+    return conf
 
 
 def spectral_derivative(values: np.ndarray, grid: AxisGrid) -> np.ndarray:

@@ -30,9 +30,9 @@ with two independent realizations:
 
 `_hilbert_core` is the one backend switch behind every Hilbert transform,
 and every trig transform, the RK4 stepper's included, runs on the one
-DCT-IV kernel `_trig_rows`, over any number of rows.  That kernel makes
-one `scipy.fft.dct` call, looked up at call time: importing the package
-loads no scipy, and `scipy.fft` loads on the first r2r call.
+DCT-IV kernel `_trig_rows`, over any number of rows.  That kernel, `_dct4`,
+is one `numpy.fft.fft` over the real and imaginary parts of all the rows,
+of half their length for an even length: the package needs numpy alone.
 
 The quadrature never forms its n x n kernel.  On the offset grid
 r_i = (i + 1/2) h the partial fractions
@@ -104,27 +104,78 @@ def _trig_sum(values: np.ndarray, spacing: float, kind: str) -> np.ndarray:
 
 def _trig_rows(rows, spacing: float, kinds) -> np.ndarray:
     """Trig transform kinds[i] ("cos"/"sin") of rows[i], for any number of
-    rows of one length, from one DCT-IV over all of them; row i of the
-    result is bit for bit the one-row call on rows[i].
+    rows of one length n, as one fresh (rows, n) array; row i of the result
+    is bit for bit the one-row call on rows[i].
 
-    DST-IV(x)_m = (-1)^m DCT-IV(x reversed)_m is how the r2r kernel itself
-    evaluates a DST-IV, so a sin row is reversed on the way in and its odd
-    entries negated on the way out.  The rows fill one fresh (rows, n)
-    stack, whose float view (rows, n, 2) takes one real DCT-IV along the
-    nodes (scipy's complex branch makes two), and is scaled in place.
+    DST-IV(x)_m = (-1)^m DCT-IV(x reversed)_m, so a sin row goes into the
+    stack reversed and `_dct4` negates its odd entries.  The real and
+    imaginary parts of the stacked rows are its real rows, which it
+    transforms in place.
     """
-    import scipy.fft  # loaded on the first r2r call, not at import
+    n = len(rows[0])
+    sin = [kind == "sin" for _, kind in zip(rows, kinds)]
+    stack = np.empty((len(sin), n), dtype=complex)
+    for row, x, s in zip(stack, rows, sin):
+        row[...] = x[::-1] if s else x
+    _dct4(stack.view(float).reshape(len(sin), n, 2).transpose(0, 2, 1),
+          sin, *_dct4_plan(n, spacing))
+    return stack
 
-    buf = np.empty((len(rows), len(rows[0])), dtype=complex)
-    for row, x, kind in zip(buf, rows, kinds):
-        row[:] = x if kind == "cos" else x[::-1]
-    scipy.fft.dct(buf.view(float).reshape(*buf.shape, 2), type=4, axis=1,
-                  overwrite_x=True)
-    for row, kind in zip(buf, kinds):
-        if kind == "sin":
-            np.negative(row[1::2], out=row[1::2])
-    scale = np.sqrt(2.0 / np.pi) * 0.5 * spacing
-    return np.multiply(scale, buf, out=buf)
+
+@functools.lru_cache(maxsize=16)   # a grid's h and dk: 8 grids
+def _dct4_plan(n: int, spacing: float):
+    """The read-only (pre, post) twiddles of `_dct4` on n nodes, with the
+    trig transform's scale sqrt(2/pi) spacing / 2, times the DCT-IV's 2,
+    folded into post.  Even n: pre_i = exp(-i pi (8i+1) / (8n)) for
+    i < n/2, and post = scale * pre.  Odd n: pre_j = exp(-i pi j / (2n))
+    and post_k = scale * exp(-i pi (2k+1) / (4n)) for j, k < n."""
+    scale = np.sqrt(2.0 / np.pi) * spacing
+    if n % 2 == 0:
+        pre = np.exp(-1j * np.pi * (8 * np.arange(n // 2) + 1) / (8 * n))
+        post = scale * pre
+    else:
+        j = np.arange(n)
+        pre = np.exp(-0.5j * np.pi * j / n)
+        post = scale * np.exp(-0.25j * np.pi * (2 * j + 1) / n)
+    pre.setflags(write=False)
+    post.setflags(write=False)
+    return pre, post
+
+
+def _dct4(x, sin, pre, post):
+    """The scaled DCT-IV of each real row x[i, p] (p = 0, 1), in place, with
+    the odd entries of the rows x[i] where sin[i] negated; one
+    `np.fft.fft` (looked up at call time) over every row.
+
+    Even n is the half-length complex FFT of the even/odd repacking
+    (Britanak, Yip & Rao, Discrete Cosine and Sine Transforms, 2007, 2.4;
+    pocketfft's even DCT-IV): y_i = (x_2i + i x_(n-1-2i)) pre_i and Y its
+    FFT give out_2i = Re(Y_i post_i), out_(n-1-2i) = -Im(Y_i post_i).  Odd
+    n is the length-2n FFT of x_j pre_j zero-padded: out_k = Re(Y_k post_k).
+    """
+    rows, _, n = x.shape
+    # the (-1)^m of a sin row's odd entries
+    flip = np.array([-1.0 if s else 1.0 for s in sin])[:, None]
+    if n % 2 == 0:
+        y = np.empty((rows, 2, n // 2), dtype=complex)
+        y.real, y.imag = x[..., 0::2], x[..., ::-2]
+        y *= pre
+        np.fft.fft(y, out=y)
+        y *= post
+        # one part at a time: the parts interleave in x
+        for p in (0, 1):
+            x[:, p, 0::2] = y.real[:, p]
+            np.multiply(y.imag[:, p, ::-1], -flip, out=x[:, p, 1::2])
+        return
+    y = np.zeros((rows, 2, 2 * n), dtype=complex)
+    y.real[..., :n] = x
+    y[..., :n] *= pre
+    np.fft.fft(y, out=y)
+    z = y[..., :n]
+    z *= post
+    for p in (0, 1):
+        x[:, p] = z.real[:, p]
+        x[:, p, 1::2] *= flip
 
 
 def trig_transform(f: HalfLineFunction, kind: str = "cos") -> HalfLineFunction:

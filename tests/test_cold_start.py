@@ -1,13 +1,11 @@
-"""Cold start: scipy loads only on the routes that call it.
+"""Cold start: no route loads scipy.
 
-Each check runs in a fresh interpreter, because this test process has
-imported scipy itself and would hide a module-level import.  `import
-axiwave`, a spectral `propagate` of every kind and a beam `boost` need
-numpy alone; the r2r routes (rk4, `transform`, `verify`) load `scipy.fft`
-and no other scipy transform module.  No module of the package
-imports `scipy.interpolate` or a private scipy module, and the default
-`verify` and `propagate` (every kind, and rk4) run clean with every
-warning an error.
+Each check runs in a fresh interpreter, because this test process may
+have imported scipy itself and would hide a module-level import.  `import
+axiwave`, a spectral `propagate` of every kind, rk4, a beam `boost`,
+`transform` and `verify` need numpy alone, and no module of the package
+imports scipy.  The default `verify` and `propagate` (every kind, and
+rk4) run clean with every warning an error.
 """
 
 import ast
@@ -82,7 +80,6 @@ def file_routes(tmp_path_factory):
     write_beams_json([BeamState(np.array([0.0, 0.6, 0.8]),
                                 SpectralProfile(grid.conjugate(), vals))],
                      out / "beams.json")
-    # boost runs first, so no earlier step has loaded scipy for it
     steps = [["boost", ["boost", "--v", "0.6", "--in", str(out / "beams.json"),
                         "--out", str(out / "boosted.json")]],
              ["transform", ["transform", "--in", str(out / "state.csv"),
@@ -100,13 +97,11 @@ def test_spectral_routes_load_no_scipy(spectral_and_rk4, file_routes, label):
 
 
 @pytest.mark.parametrize("label", ["rk4", "transform", "verify"])
-def test_r2r_routes_load_fft_but_no_spline(spectral_and_rk4, file_routes,
-                                           label):
+def test_r2r_routes_load_no_scipy(spectral_and_rk4, file_routes, label):
+    # the trig routes run their DCT-IV on numpy's FFT
     code, mods = {**spectral_and_rk4, **file_routes}[label]
     assert code == 0
-    assert "scipy.fft" in mods
-    assert "scipy.fftpack" not in mods
-    assert "scipy.interpolate" not in mods
+    assert not mods
 
 
 def test_default_verify_raises_no_warning(tmp_path):
@@ -131,6 +126,14 @@ def _imported_modules(tree):
         elif isinstance(node, ast.ImportFrom) and node.module:
             yield node.module
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy():
+    sources = sorted(Path(axiwave.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        names = _imported_modules(ast.parse(path.read_text()))
+        assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
 
 def test_no_module_imports_scipy_interpolate():

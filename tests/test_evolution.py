@@ -400,11 +400,12 @@ def test_scalar_hilbert_once_per_snapshot(monkeypatch, method):
     times = np.linspace(0.0, 1.0, 5)
     propagate_scalar(fwd_packet(k0=3.0), times, method=method)
     if method == "rk4":
-        assert calls["hilbert"] == len(times)
+        # Hg comes from the trig modes, with g: no Hilbert transform
+        assert calls["hilbert"] == 0
     else:
         # Hg comes from momentum space: no Hilbert transform, one forward
-        # FFT, and one inverse FFT each for g and Hg per snapshot
-        assert calls == {"hilbert": 0, "fft": 1, "ifft": 2 * len(times)}
+        # FFT, and one inverse FFT for g and Hg together per snapshot
+        assert calls == {"hilbert": 0, "fft": 1, "ifft": len(times)}
 
 
 def _flat_norm(g):

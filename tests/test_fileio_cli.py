@@ -633,7 +633,12 @@ def _beam(**overrides):
     _beam(direction=[10 ** 400, 0.0, 1.0]),
     _beam(kappa=[10 ** 400] + [(j - 7.5) * 0.5 for j in range(1, 16)]),
     _beam(re=[10 ** 400] * 16), _beam(im=[10 ** 400] * 16),
-    _beam(dk=10 ** 400)])
+    _beam(dk=10 ** 400),
+    # JSON booleans, which numpy would read as 1.0 and 0.0
+    _beam(direction=[0.0, 0.0, True]), _beam(im=[False] * 16),
+    _beam(re=[True] + [1.0] * 15),
+    _beam(kappa=[True] + [(j - 7.5) * 0.5 for j in range(1, 16)]),
+    _beam(dk=True), _beam(direction=[[0.0], [0.0], [True]])])
 def test_cli_boost_malformed_beams_json(tmp_path, capsys, payload):
     src = tmp_path / "beams.json"
     src.write_text(json.dumps(payload))

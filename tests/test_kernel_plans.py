@@ -11,8 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.fft
-from scipy.fft import dct, dst
 
 from axiwave import evolution, fileio, spectral, transforms, verify
 from axiwave.evolution import (SpinorField, VectorField3, propagate_maxwell,
@@ -59,24 +57,46 @@ def test_planned_fourier_is_bit_identical(n):
                           unplanned_fourier_full_inverse(g, sg))
 
 
-def scipy_trig_sum(values, spacing, kind):
-    """The trig transform straight from scipy's DCT-IV / DST-IV."""
-    core = dct(values, type=4) if kind == "cos" else dst(values, type=4)
-    return np.sqrt(2.0 / np.pi) * 0.5 * spacing * core
+def direct_trig_sum(rows, spacing, kind):
+    """sqrt(2/pi) spacing sum_j x_j ker(pi (2j+1)(2m+1) / (4n)), ker = cos
+    or sin, of each row x: the scaled DCT-IV / DST-IV as its O(n^2) sum,
+    in long double, as (real parts, imaginary parts)."""
+    x = np.atleast_2d(rows)
+    n = x.shape[1]
+    odd = 2 * np.arange(n) + 1
+    # the phase's numerator reduced mod 8n in integers, so exactly
+    pi = 4 * np.arctan(np.longdouble(1))
+    phase = (np.outer(odd, odd) % (8 * n)).astype(np.longdouble) * pi / (4 * n)
+    ker = np.sqrt(2 / pi) * np.longdouble(spacing) * \
+        (np.cos if kind == "cos" else np.sin)(phase)
+    return (x.real.astype(np.longdouble) @ ker,
+            x.imag.astype(np.longdouble) @ ker)
+
+
+def direct_gap(got, want):
+    """max |got - want| over a row, as a share of the peak of `want`, the
+    (real parts, imaginary parts) of the direct sum."""
+    re, im = want
+    peak = max(np.max(np.abs(re)), np.max(np.abs(im)))
+    return float(max(np.max(np.abs(got.real - re)),
+                     np.max(np.abs(got.imag - im))) / peak)
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kinds", KIND_PAIRS)
 def test_trig_pair_is_bit_identical(n, kinds):
+    # a pair is bit for bit its one-row calls and `_trig_sum`, and close
+    # to the direct sum (on every size up to 1001 by the test below)
     rng = np.random.default_rng(n)
     a, b = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
-    want = [scipy_trig_sum(x, 0.3, kind) for x, kind in zip((a, b), kinds)]
     pair = transforms._trig_rows([a, b], 0.3, kinds)
-    assert all(np.array_equal(p, w) for p, w in zip(pair, want, strict=True))
-    for x, kind, w in zip((a, b), kinds, want):
+    for x, kind, p in zip((a, b), kinds, pair, strict=True):
         row, = transforms._trig_rows([x], 0.3, [kind])
-        assert np.array_equal(row, w)
-        assert np.array_equal(transforms._trig_sum(x, 0.3, kind), w)
+        assert same_bits(row, p)
+        assert same_bits(transforms._trig_sum(x, 0.3, kind), p)
+        if n <= 1000:
+            (re,), (im,) = direct_trig_sum(x, 0.3, kind)
+            assert direct_gap(p, (re, im)) <= 1e-14
     # fresh arrays: the next call must not overwrite them
     first = [p.copy() for p in pair]
     transforms._trig_rows([b, a], 0.7, kinds)
@@ -84,22 +104,36 @@ def test_trig_pair_is_bit_identical(n, kinds):
     assert all(np.array_equal(p, q) for p, q in zip(pair, first))
 
 
-@pytest.mark.parametrize("n", [*range(8, 70), 1000, 65536])
+# Named for scipy's complex DCT-IV, the oracle until the kernel moved to
+# numpy's FFT; the oracle is now the direct sum, and the DST identity is
+# the part that stays bit for bit.
+@pytest.mark.parametrize("n", [*range(8, 70), 1000, 1001, 65536])
 def test_r2r_pair_is_scipys_complex_dct_bit_for_bit(n):
-    # `_trig_rows` is the complex DCT-IV of each row, a sin row taken in
-    # reversed and its odd entries negated, times sqrt(2/pi) spacing / 2;
-    # sign bits included
+    # `_trig_rows` is the DCT-IV / DST-IV of each row times sqrt(2/pi)
+    # spacing / 2 to 1e-14 of the row's peak, odd n included, on every
+    # pairing of kinds; at 65536 nodes the direct sum is too large, and
+    # each kind is checked orthogonal instead: Fc~ Fc = Fs~ Fs = 1 to
+    # rounding on the conjugate spacing
     rng = np.random.default_rng(n)
     x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    # the DST identity, bit for bit: DST-IV(x)_m = (-1)^m DCT-IV(x rev)_m
+    dst = transforms._trig_rows(x[:, ::-1], 0.3, ("sin", "sin"))
+    dst[:, 1::2] *= -1.0
+    assert same_bits(dst, transforms._trig_rows(x, 0.3, ("cos", "cos")))
+    if n == 65536:
+        h = 0.3
+        dk = np.pi / (n * h)
+        for kind in ("cos", "sin"):
+            back = transforms._trig_rows(
+                transforms._trig_rows(x, h, [kind] * 2), dk, [kind] * 2)
+            assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
+        return
+    want = {kind: direct_trig_sum(x, 0.3, kind) for kind in ("cos", "sin")}
     for kinds in KIND_PAIRS + [("cos",), ("sin",)]:
-        want = dct(x[:len(kinds)], type=4)
-        for row, kind in zip(want, kinds):
-            if kind == "sin":
-                row[1::2] = -row[1::2]
-        want = np.multiply(np.sqrt(2.0 / np.pi) * 0.5 * 0.3, want)
-        rows = [r if kind == "cos" else r[::-1] for r, kind in zip(x, kinds)]
-        got = transforms._trig_rows(rows, 0.3, kinds)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = transforms._trig_rows(x[:len(kinds)], 0.3, kinds)
+        for i, (row, kind) in enumerate(zip(got, kinds)):
+            re, im = want[kind]
+            assert direct_gap(row, (re[i], im[i])) <= 1e-14
 
 
 def reference_hamiltonian(grid):
@@ -272,16 +306,16 @@ def test_caches_hand_out_read_only_values():
 
 @pytest.fixture
 def r2r_calls(monkeypatch):
-    # the package's one DCT-IV entry, `scipy.fft.dct`, which `transforms`
-    # looks up at call time (the attribute the bench tracer patches too);
-    # each call records its input dtype and `overwrite_x`
+    # the package's one DCT-IV kernel, `transforms._dct4`, which
+    # `_trig_rows` looks up at call time; each call records the real rows
+    # it was handed
     calls = []
 
-    def counting(x, *args, _real=scipy.fft.dct, **kwargs):
-        calls.append((x.dtype, kwargs.get("overwrite_x", False)))
-        return _real(x, *args, **kwargs)
+    def counting(x, *args, _real=transforms._dct4):
+        calls.append(x)
+        return _real(x, *args)
 
-    monkeypatch.setattr(scipy.fft, "dct", counting)
+    monkeypatch.setattr(transforms, "_dct4", counting)
     return calls
 
 
@@ -339,7 +373,9 @@ def test_trig_route_map_makes_one_r2r_call_each_way(r2r_calls):
 
 
 def test_r2r_calls_take_real_input_in_place(r2r_calls):
-    # the float view of the complex rows, never scipy's complex branch
+    # the kernel takes the float view of the stacked complex rows, their
+    # real and imaginary parts as real rows, and overwrites it: the stack
+    # `_trig_rows` returns is the kernel's input
     psi = _packet()
     f = transforms.HalfLineFunction(0.1, psi.values[256:])
     transforms.trig_transform(f, "cos")
@@ -350,7 +386,10 @@ def test_r2r_calls_take_real_input_in_place(r2r_calls):
     dt = psi.grid.h / 4.0   # one RK4 step: to the modes, back at 2 times
     list(evolution._rk4(psi.grid, psi.values, [0.0, dt], dt))
     assert len(r2r_calls) == 1 + 1 + 2 + 2 + 2 + 3
-    assert set(r2r_calls) == {(np.dtype(float), True)}
+    assert {x.dtype for x in r2r_calls} == {np.dtype(float)}
+    assert {x.shape[1] for x in r2r_calls} == {2}
+    out = transforms._trig_rows(psi.values.reshape(2, 256), 0.1, ("cos", "sin"))
+    assert np.shares_memory(out, r2r_calls[-1])
 
 
 def closed_form_transfer(kind, kap, t):
@@ -447,6 +486,38 @@ def test_momentum_space_density_matches_trig_route(monkeypatch, n):
         evolution._scalar_diagnostics(grid, s.values)[2] for s in res.snapshots])
 
 
+@pytest.mark.parametrize("n", (8, 9, 64, 1000, 8192))
+def test_rk4_density_matches_scalar_diagnostics(monkeypatch, n):
+    # the RK4 route's Hg comes from its trig modes, g's with it; rho and J
+    # agree with the Hilbert transform of each snapshot
+    grid = make_grid(n, 0.17 * n)
+    psi = convert_rep(random_packet(grid, np.random.default_rng(n)), "g")
+    seen, rho_j_norm = [], evolution._rho_j_norm
+
+    def capture(grid, g, hg):
+        seen.append(rho_j_norm(grid, g, hg))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "_rho_j_norm", capture)
+        res = propagate_scalar(psi, np.array([0.0, 1.3, 5.0]) * grid.h,
+                               method="rk4")
+    for snap, (rho, j, nrm) in zip(res.snapshots, seen, strict=True):
+        rho_t, j_t, nrm_t = evolution._scalar_diagnostics(grid, snap.values)
+        assert np.max(np.abs(rho - rho_t)) <= 1e-12 * np.max(rho_t)
+        assert np.max(np.abs(j - j_t)) <= 1e-12 * np.max(np.abs(j_t))
+        assert nrm == nrm_t
+
+
+@pytest.mark.parametrize("method", ("spectral", "rk4"))
+def test_scalar_snapshots_own_only_g(method):
+    # Hg is made with g at each time, but a snapshot keeps g alone
+    res = propagate_scalar(_packet(), [0.0, 0.5, 1.0], method=method)
+    for snap in res.snapshots:
+        assert snap.values.flags.owndata
+        assert snap.values.shape == (512,)
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     calls = {"fft": 0, "ifft": 0}
@@ -463,7 +534,8 @@ def test_spectral_scalar_kernel_calls(r2r_calls, fft_calls):
     times = np.linspace(0.0, 3.0, 7)
     propagate_scalar(_packet(), times)
     assert len(r2r_calls) == 0
-    assert fft_calls == {"fft": 1, "ifft": 2 * len(times)}
+    # one inverse FFT per time takes g and Hg back together
+    assert fft_calls == {"fft": 1, "ifft": len(times)}
 
 
 def test_half_line_section_makes_six_r2r_calls_per_stack(r2r_calls):

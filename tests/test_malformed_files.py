@@ -4,7 +4,7 @@ Valid state CSVs, spectral CSVs and beam JSON files are mutated in one of
 three ways that always leave them malformed: a number replaced by an
 integer of 310 to 5,000 digits (beyond float range, and from 4,301 digits
 beyond what int() reads), a number replaced by text that is no usable
-number, or bytes that are not UTF-8 spliced in.  `transform`, `transform
+number (a JSON boolean included), or bytes that are not UTF-8 spliced in.  `transform`, `transform
 --inverse`, `boost` and `propagate --in` must exit 2 with exactly one
 `error:` line on stderr, which names the file, no traceback, and write
 nothing.
@@ -27,7 +27,9 @@ from axiwave.relativity import BeamState
 
 # a number token: not part of a name such as "re1", nor of a longer number
 _NUMBER = re.compile(r"(?<![\w.+-])-?\d+(?:\.\d*)?(?:e[-+]?\d+)?(?![\w.])")
-_GARBAGE = ["", "x", "1e", "nan", "inf", "-inf", "1,2", "0x1p3", "--1"]
+# "true" and "false" are JSON booleans in a beam file, never numbers
+_GARBAGE = ["", "x", "1e", "nan", "inf", "-inf", "1,2", "0x1p3", "--1",
+            "true", "false"]
 _NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80", b"\xfe\xff"]
 
 
